@@ -5,6 +5,11 @@ equal configs) plus a ``<artifact>.manifest.json`` recording the config,
 package/Python versions, and wall time (the manifest is metadata, not part of
 the deterministic artifact).  Exit codes: 0 ok, 2 config error, 3 resource
 cap exceeded, 4 internal invariant violation.
+
+Each subcommand is one ``Command`` in ``COMMANDS``: help, default artifact name,
+flags (each declared once, with a type that checks flag and config values alike)
+and a producer returning the artifact's content.  Producers look library
+functions up in this module's namespace at call time, so wrappers see every call.
 """
 
 from __future__ import annotations
@@ -16,462 +21,369 @@ import platform
 import random
 import sys
 import time
+from dataclasses import dataclass
 from fractions import Fraction
+from math import isfinite
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__
+from .arith import is_squarefree
 from .cf import parse_word, serialize_word
 from .dimension import asymptote, estimate
 from .errors import CapExceededError, ConfigError, InternalInvariantError
 from .forms import class_cycles, count_mirror_merged, count_sign_merged, cycle_to_word
 from .geodesics import emit_arcs, geodesic_profile
 from .modular import beta, kloosterman, sl2_charsum, sqrt4_count
-from .semigroup import (
-    aleph_construct,
-    aleph_error,
-    build_fixed_length_ball,
-    build_pi,
-    enumerate_ball,
-    hensley_exponent,
-    trace_fiber,
-)
-from .sieve import (
-    BallSource,
-    almost_prime_census,
-    class_census,
-    discriminant_census,
-    remainder_profile,
-    sift_values,
-    squarefree_trace_census,
-)
+from .semigroup import (aleph_construct, aleph_error, ball_count, build_fixed_length_ball,
+                        build_pi, enumerate_ball, hensley_exponent, trace_fiber)
+from .sieve import (BallSource, almost_prime_census, class_census, discriminant_census,
+                    remainder_profile, sift_values, squarefree_trace_census)
+
+# ---------------------------------------------------------------------------
+# flag types: each turns a command-line or config-file string into a checked
+# value, or raises ValueError (reported as a config error, exit 2)
+
+
+def _checked(convert: Callable[[str], object], ok: Callable, what: str) -> Callable:
+    def kind(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise ValueError(f"must be {what}, got {text!r}")
+        return value
+
+    return kind
+
+
+def _at_least(lo: int) -> Callable[[str], int]:
+    return _checked(int, lambda v: v >= lo, f">= {lo}")
+
+
+def _items(kind: Callable[[str], object]) -> Callable[[str], list]:
+    return lambda text: [kind(item) for item in text.split(",")]
+
+
+def _switch(text: str) -> bool:
+    return text.lower() in ("1", "true", "yes")
+
+
+_POSITIVE = _checked(float, lambda v: isfinite(v) and v > 0, "finite and > 0")
+# norms and bounds are squared by the library, so the square must be finite too
+_RADIUS = _checked(float, lambda v: isfinite(v * v) and v > 0, "> 0 with a finite square")
+_PARITY = _checked(str, lambda v: v in ("even", "any"), "'even' or 'any'")
+_REQUIRED = object()  # the default of a flag that must be given on the command line
+
+
+class Flag(NamedTuple):
+    name: str
+    kind: Callable[[str], object] = str
+    default: object = None
+    help: str | None = None
+    into: str | None = None  # destination, when it is not the flag's own name
+
+    @property
+    def dest(self) -> str:
+        return self.into or self.name[2:].replace("-", "_")
+
+
+class Command(NamedTuple):
+    """``produce`` returns the artifact's content, or ``(content, sidecars)``
+    where ``sidecars`` maps a file suffix to the content of a sibling file."""
+
+    help: str
+    artifact: str
+    flags: tuple[Flag, ...]
+    produce: Callable[[argparse.Namespace], object]
+
+
+@dataclass(frozen=True)
+class Table:
+    header: list[str]
+    rows: list[list]
+
+
+def _write(path: Path, content) -> None:
+    """A ``Table`` goes out as CSV, a list of records as JSON lines, a mapping as JSON."""
+    with open(path, "w", newline="") as fh:
+        if isinstance(content, Table):
+            writer = csv.writer(fh)
+            writer.writerow(content.header)
+            writer.writerows(content.rows)
+        elif isinstance(content, list):
+            fh.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in content)
+        else:
+            json.dump(content, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+
+# ---------------------------------------------------------------------------
+# producers
 
 
 def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+def _element_records(elements) -> list[dict]:
+    return [{"word": serialize_word(e.word), "matrix": list(e.matrix.entries()),
+             "trace": e.trace, "normSq": e.norm_sq} for e in elements]
 
 
-def _write_json(path: Path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _cycle_records(cycles) -> list[dict]:
+    return [{"forms": [str(f) for f in cy.forms], "period_word": serialize_word(cycle_to_word(cy))}
+            for cy in cycles]
 
 
-def _write_jsonl(path: Path, records) -> None:
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+def _hensley_fit(a) -> Table:
+    fit = hensley_exponent(a.alphabet, a.norms)
+    rows = [[a.alphabet, n, c, "", ""] for n, c in fit.counts]
+    rows.append([a.alphabet, "fit", "", repr(fit.slope), repr(fit.residual)])
+    return Table(["alphabet", "norm", "count", "slope", "residual"], rows)
 
 
-def _element_record(e) -> dict:
-    return {
-        "word": serialize_word(e.word),
-        "matrix": list(e.matrix.entries()),
-        "trace": e.trace,
-        "normSq": e.norm_sq,
-    }
-
-
-# ---------------------------------------------------------------------------
-# subcommand handlers; each returns the artifact path it wrote
-
-
-def _cmd_enumerate(args) -> Path:
-    path = Path(args.output or "enumerate.jsonl")
-    records = [
-        _element_record(e)
-        for e in enumerate_ball(args.alphabet, args.norm, args.parity)
-    ]
-    _write_jsonl(path, records)
-    return path
-
-
-def _cmd_trace_fiber(args) -> Path:
-    path = Path(args.output or "trace_fiber.jsonl")
-    _write_jsonl(path, [_element_record(e) for e in trace_fiber(args.alphabet, args.trace)])
-    return path
-
-
-def _cmd_hensley_fit(args) -> Path:
-    path = Path(args.output or "hensley_fit.csv")
-    norms = [float(x) for x in args.norms.split(",")]
-    fit = hensley_exponent(args.alphabet, norms)
-    rows = [[args.alphabet, n, c, "", ""] for n, c in fit.counts]
-    rows.append([args.alphabet, "fit", "", repr(fit.slope), repr(fit.residual)])
-    _write_csv(path, ["alphabet", "norm", "count", "slope", "residual"], rows)
-    return path
-
-
-def _cmd_dimension(args) -> Path:
-    path = Path(args.output or "dimension.csv")
+def _dimension_brackets(a) -> Table:
     rows = []
-    for a in [int(x) for x in args.alphabets.split(",")]:
-        est = estimate(a, args.depth, args.tol)
-        rows.append([a, args.depth, repr(est.lower), repr(est.upper), repr(asymptote(a))])
-    _write_csv(path, ["alphabet", "depth", "lower", "upper", "asymptote"], rows)
-    return path
+    for alph in a.alphabets:
+        est = estimate(alph, a.depth, a.tol)
+        rows.append([alph, a.depth, repr(est.lower), repr(est.upper), repr(asymptote(alph))])
+    return Table(["alphabet", "depth", "lower", "upper", "asymptote"], rows)
 
 
-def _cmd_densities(args) -> Path:
-    if args.modulus < 1:
-        raise ConfigError("modulus must be positive")
-    path = Path(args.output or "densities.csv")
-    rows = []
-    for q in range(1, args.modulus + 1):
-        try:
-            b = beta(q)
-        except ValueError:
-            continue  # skip non-square-free moduli
-        rows.append([q, _frac(b), sqrt4_count(q)])
-    _write_csv(path, ["q", "beta", "sqrt4_count"], rows)
-    return path
-
-
-def _cmd_expsum(args) -> Path:
-    path = Path(args.output or "expsum.csv")
-    p = args.prime
-    rows = []
-    for m in range(1, p):
-        value = kloosterman(1, m, p)
-        rows.append(["kloosterman", p, f"1,{m}", repr(value), repr(2 * p**0.5)])
-    rng = random.Random(args.seed)
-    for _ in range(args.samples):
+def _exponential_sums(a) -> Table:
+    p = a.prime
+    rows = [["kloosterman", p, f"1,{m}", repr(kloosterman(1, m, p)), repr(2 * p**0.5)]
+            for m in range(1, p)]
+    rng = random.Random(a.seed)
+    for _ in range(a.samples):
         s = tuple(rng.randrange(p) for _ in range(4))
         while all(x % p == 0 for x in s):
             s = tuple(rng.randrange(p) for _ in range(4))
         value = abs(sl2_charsum(p, s))
         rows.append(["charsum", p, ",".join(map(str, s)), repr(value), repr(2 * p**1.5)])
-    _write_csv(path, ["kind", "p", "argument", "value", "bound"], rows)
-    return path
+    return Table(["kind", "p", "argument", "value", "bound"], rows)
 
 
-def _cmd_aleph(args) -> Path:
-    path = Path(args.output or "aleph.jsonl")
-    aleph = aleph_construct(args.bound, args.modulus)
-    records = [_element_record(e) for e in aleph]
-    _write_jsonl(path, records)
-    summary = {
-        "size": len(aleph),
-        "modulus": aleph.modulus,
-        "group_order": aleph.group_order,
-        "base_size": aleph.base_size,
-        "pivot_bound": aleph.pivot_bound,
-        "error_at_q": {str(q): aleph_error(aleph, q) for q in (1, 2, 3)},
-    }
-    _write_json(path.with_suffix(".summary.json"), summary)
-    return path
+def _aleph_set(a) -> tuple[list, dict]:
+    aleph = aleph_construct(a.bound, a.modulus)
+    summary = {"size": len(aleph), "modulus": aleph.modulus, "group_order": aleph.group_order,
+               "base_size": aleph.base_size, "pivot_bound": aleph.pivot_bound,
+               "error_at_q": {str(q): aleph_error(aleph, q) for q in (1, 2, 3)}}
+    return _element_records(aleph), {".summary.json": summary}
 
 
-def _cmd_build_pi(args) -> Path:
-    path = Path(args.output or "pi.json")
-    xi = build_fixed_length_ball(args.alphabet, args.xi_bound, "Xi")
-    omega = build_fixed_length_ball(args.alphabet, args.omega_bound, "Omega")
-    aleph = aleph_construct(args.aleph_bound, args.modulus)
+def _pi_factors(a) -> tuple:
+    xi = build_fixed_length_ball(a.alphabet, a.xi_bound, "Xi")
+    omega = build_fixed_length_ball(a.alphabet, a.omega_bound, "Omega")
+    return xi, aleph_construct(a.aleph_bound, a.modulus), omega
+
+
+def _pi_report(a) -> dict:
+    xi, aleph, omega = _pi_factors(a)
     pi = build_pi(xi, aleph, omega)
-    payload = {
-        "xi": {"wordlength": xi.wordlength, "size": len(xi)},
-        "aleph": {"size": len(aleph), "modulus": aleph.modulus},
-        "omega": {"wordlength": omega.wordlength, "size": len(omega)},
-        "size": pi.size,
-        "norm_bound": pi.norm_bound(),
-    }
-    _write_json(path, payload)
-    return path
+    return {"xi": {"wordlength": xi.wordlength, "size": len(xi)},
+            "aleph": {"size": len(aleph), "modulus": aleph.modulus},
+            "omega": {"wordlength": omega.wordlength, "size": len(omega)},
+            "size": pi.size, "norm_bound": pi.norm_bound()}
 
 
-def _sift_source(args):
-    if args.use_pi:
-        xi = build_fixed_length_ball(args.alphabet, args.xi_bound, "Xi")
-        omega = build_fixed_length_ball(args.alphabet, args.omega_bound, "Omega")
-        aleph = aleph_construct(args.aleph_bound, args.modulus)
-        return build_pi(xi, aleph, omega)
-    return BallSource(args.alphabet, args.norm)
+def _sift(a):
+    return sift_values(build_pi(*_pi_factors(a)) if a.use_pi else BallSource(a.alphabet, a.norm))
 
 
-def _cmd_sieve_remainders(args) -> Path:
-    path = Path(args.output or "remainders.csv")
-    profile = remainder_profile(sift_values(_sift_source(args)), args.cutoff)
-    rows = [
-        [row.q, row.count, _frac(row.expected), _frac(row.remainder)]
-        for row in profile.rows
-    ]
+def _remainder_ledger(a) -> Table:
+    profile = remainder_profile(_sift(a), a.cutoff)
+    rows = [[r.q, r.count, _frac(r.expected), _frac(r.remainder)] for r in profile.rows]
     rows.append(["summary", profile.source_size, "", _frac(profile.summary)])
-    _write_csv(path, ["q", "A_q", "beta_times_size", "remainder"], rows)
-    return path
+    return Table(["q", "A_q", "beta_times_size", "remainder"], rows)
 
 
-def _cmd_almost_prime(args) -> Path:
-    path = Path(args.output or "almost_prime.csv")
-    seq = sift_values(_sift_source(args))
-    count = almost_prime_census(seq, args.threshold)
-    _write_csv(
-        path,
-        ["alphabet", "norm", "threshold", "count", "source_size"],
-        [[args.alphabet, args.norm, args.threshold, count, seq.source_size]],
-    )
-    return path
+def _almost_primes(a) -> Table:
+    seq = _sift(a)
+    count = almost_prime_census(seq, a.threshold)
+    return Table(["alphabet", "norm", "threshold", "count", "source_size"],
+                 [[a.alphabet, a.norm, a.threshold, count, seq.source_size]])
 
 
-def _cmd_squarefree_count(args) -> Path:
-    path = Path(args.output or "squarefree_count.csv")
-    count = squarefree_trace_census(args.alphabet, args.norm)
-    total = sum(1 for _ in enumerate_ball(args.alphabet, args.norm))
-    _write_csv(
-        path,
-        ["alphabet", "norm", "squarefree_count", "ball_count", "fraction"],
-        [[args.alphabet, args.norm, count, total, _frac(Fraction(count, total))]],
-    )
-    return path
+def _squarefree_traces(a) -> Table:
+    total = ball_count(a.alphabet, a.norm)
+    if not total:
+        raise ConfigError(f"the ball of norm {a.norm} is empty")
+    count = squarefree_trace_census(a.alphabet, a.norm)
+    return Table(["alphabet", "norm", "squarefree_count", "ball_count", "fraction"],
+                 [[a.alphabet, a.norm, count, total, _frac(Fraction(count, total))]])
 
 
-def _cmd_discriminants(args) -> Path:
-    path = Path(args.output or "discriminants.csv")
-    rows = [
-        [rec.t, rec.discriminant, rec.multiplicity]
-        for rec in discriminant_census(args.alphabet, args.max_T, args.min_multiplicity)
-    ]
-    _write_csv(path, ["t", "discriminant", "multiplicity"], rows)
-    return path
+def _cycles_of(a) -> dict:
+    cycles = class_cycles(a.disc)
+    return {"discriminant": a.disc, "cycle_count": len(cycles),
+            "mirror_merged_count": count_mirror_merged(cycles),
+            "sign_merged_count": count_sign_merged(cycles), "cycles": _cycle_records(cycles)}
 
 
-def _cmd_class_census(args) -> Path:
-    path = Path(args.output or "class_census.json")
-    cycles = class_census(args.disc, args.alphabet)
-    payload = [
-        {
-            "forms": [str(f) for f in cy.forms],
-            "period_word": serialize_word(cycle_to_word(cy)),
-        }
-        for cy in cycles
-    ]
-    _write_json(path, {"discriminant": args.disc, "alphabet": args.alphabet, "classes": payload})
-    return path
+def _arcs_or_profile(a):
+    """Arcs as CSV, or the height profile when the destination ends in ``.json``."""
+    word = parse_word(a.word)
+    if Path(a.output).suffix != ".json":
+        return Table(["center", "radius"], [[repr(c), repr(r)] for c, r in emit_arcs(word)])
+    profile = geodesic_profile(word)
+    return {"period": serialize_word(profile.period),
+            "rotation_heights": list(profile.rotation_heights),
+            "max_height": profile.max_height, "discriminant": profile.discriminant}
 
 
-def _cmd_class_cycles(args) -> Path:
-    path = Path(args.output or "class_cycles.json")
-    cycles = class_cycles(args.disc)
-    payload = {
-        "discriminant": args.disc,
-        "cycle_count": len(cycles),
-        "mirror_merged_count": count_mirror_merged(cycles),
-        "sign_merged_count": count_sign_merged(cycles),
-        "cycles": [
-            {
-                "forms": [str(f) for f in cy.forms],
-                "period_word": serialize_word(cycle_to_word(cy)),
-            }
-            for cy in cycles
-        ],
-    }
-    _write_json(path, payload)
-    return path
+_COMMON = (Flag("--config", help="key=value config file; explicit flags win"),
+           Flag("--output", help="artifact path"))
+_ALPHABET = Flag("--alphabet", _at_least(1), 2)
+_DISC = Flag("--disc", int, _REQUIRED)
 
 
-def _cmd_geodesic(args) -> Path:
-    word = parse_word(args.word)
-    path = Path(args.emit or "arcs.csv")
-    if path.suffix == ".json":
-        profile = geodesic_profile(word)
-        _write_json(
-            path,
-            {
-                "period": serialize_word(profile.period),
-                "rotation_heights": list(profile.rotation_heights),
-                "max_height": profile.max_height,
-                "discriminant": profile.discriminant,
-            },
-        )
-    else:
-        _write_csv(path, ["center", "radius"], [[repr(c), repr(r)] for c, r in emit_arcs(word)])
-    return path
+def _pi_flags(xi=_REQUIRED, aleph=_REQUIRED, omega=_REQUIRED) -> tuple[Flag, ...]:
+    return (_ALPHABET, Flag("--xi-bound", _RADIUS, xi), Flag("--aleph-bound", _RADIUS, aleph),
+            Flag("--omega-bound", _RADIUS, omega), Flag("--modulus", _at_least(1), 2))
 
 
-# ---------------------------------------------------------------------------
-# config handling and dispatch
+_SIFT = (Flag("--norm", _RADIUS, 1e4), Flag("--use-pi", _switch, False, "sift the bilinear set"),
+         *_pi_flags(100.0, 1e6, 20.0))
 
-_HANDLERS = {
-    "enumerate": _cmd_enumerate,
-    "trace-fiber": _cmd_trace_fiber,
-    "hensley-fit": _cmd_hensley_fit,
-    "dimension": _cmd_dimension,
-    "densities": _cmd_densities,
-    "expsum": _cmd_expsum,
-    "aleph": _cmd_aleph,
-    "build-pi": _cmd_build_pi,
-    "sieve-remainders": _cmd_sieve_remainders,
-    "almost-prime": _cmd_almost_prime,
-    "squarefree-count": _cmd_squarefree_count,
-    "discriminants": _cmd_discriminants,
-    "class-census": _cmd_class_census,
-    "class-cycles": _cmd_class_cycles,
-    "geodesic": _cmd_geodesic,
+COMMANDS: dict[str, Command] = {
+    "enumerate": Command(
+        "list a semigroup norm ball as JSON lines", "enumerate.jsonl",
+        (_ALPHABET, Flag("--norm", _RADIUS, _REQUIRED), Flag("--parity", _PARITY, "even")),
+        lambda a: _element_records(enumerate_ball(a.alphabet, a.norm, a.parity))),
+    "trace-fiber": Command(
+        "list all even words of a given trace", "trace_fiber.jsonl",
+        (_ALPHABET, Flag("--trace", int, _REQUIRED)),
+        lambda a: _element_records(trace_fiber(a.alphabet, a.trace))),
+    "hensley-fit": Command(
+        "fit the ball-growth exponent on a norm grid", "hensley_fit.csv",
+        (_ALPHABET, Flag("--norms", _items(_RADIUS),
+                         "1000,3162.2776601683795,10000,31622.776601683792,100000",
+                         "comma-separated norm grid (default: 10^3 .. 10^5, half-decade steps)")),
+        _hensley_fit),
+    "dimension": Command(
+        "bracket the bounded-quotient Cantor dimension", "dimension.csv",
+        (Flag("--alphabets", _items(_at_least(1)), "2"), Flag("--depth", _at_least(1), 12),
+         Flag("--tol", _POSITIVE, 1e-6)),
+        _dimension_brackets),
+    "densities": Command(
+        "beta(q) and sqrt-of-4 counts as CSV", "densities.csv",
+        (Flag("--modulus", _at_least(1), _REQUIRED),),
+        lambda a: Table(["q", "beta", "sqrt4_count"], [
+            [q, _frac(beta(q)), sqrt4_count(q)]
+            for q in range(1, a.modulus + 1) if is_squarefree(q)
+        ])),
+    "expsum": Command(
+        "Kloosterman sums and SL2 character sums at a prime", "expsum.csv",
+        (Flag("--prime", _at_least(2), _REQUIRED), Flag("--samples", _at_least(0), 100),
+         Flag("--seed", int, 0)),
+        _exponential_sums),
+    "aleph": Command(
+        "build the residue-balanced alphabet-2 set", "aleph.jsonl",
+        (Flag("--bound", _RADIUS, _REQUIRED), Flag("--modulus", _at_least(1), 2)),
+        _aleph_set),
+    "build-pi": Command(
+        "assemble the bilinear product set and report sizes", "pi.json", _pi_flags(), _pi_report),
+    "sieve-remainders": Command(
+        "remainder ledger over a ball (or bilinear) source", "remainders.csv",
+        (*_SIFT, Flag("--cutoff", int, 100)), _remainder_ledger),
+    "almost-prime": Command(
+        "almost-prime census over a ball (or bilinear) source", "almost_prime.csv",
+        (*_SIFT, Flag("--threshold", int, 7)), _almost_primes),
+    "squarefree-count": Command(
+        "square-free trace census over a norm ball", "squarefree_count.csv",
+        (_ALPHABET, Flag("--norm", _RADIUS, 1e4)), _squarefree_traces),
+    "discriminants": Command(
+        "square-free t^2-4 census with fiber multiplicities", "discriminants.csv",
+        (_ALPHABET, Flag("--max-T", _POSITIVE, 1e4), Flag("--min-multiplicity", int, 1)),
+        lambda a: Table(["t", "discriminant", "multiplicity"], [
+            [rec.t, rec.discriminant, rec.multiplicity]
+            for rec in discriminant_census(a.alphabet, a.max_T, a.min_multiplicity)
+        ])),
+    "class-census": Command(
+        "form classes realised by a trace fiber", "class_census.json", (_DISC, _ALPHABET),
+        lambda a: {"discriminant": a.disc, "alphabet": a.alphabet,
+                   "classes": _cycle_records(class_census(a.disc, a.alphabet))}),
+    "class-cycles": Command(
+        "all reduction cycles of a discriminant", "class_cycles.json", (_DISC,), _cycles_of),
+    "geodesic": Command(
+        "emit excursion arcs or the height profile of a word", "arcs.csv",
+        (Flag("--word", str, _REQUIRED),
+         Flag("--emit", help="arcs .csv or profile .json path (same as --output)", into="output")),
+        _arcs_or_profile),
 }
 
 
-def _load_config(path: str) -> dict[str, str]:
-    out = {}
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="thinsieve", description=(
+        "Continued fractions, quadratic forms, and sieve experiments."))
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, spec in COMMANDS.items():
+        # flags not given stay out of the namespace, so a config file can fill them
+        p = sub.add_parser(name, help=spec.help, argument_default=argparse.SUPPRESS)
+        for f in (*_COMMON, *spec.flags):
+            p.add_argument(f.name, dest=f.dest, help=f.help, required=f.default is _REQUIRED,
+                           action="store_true" if f.kind is _switch else "store")
+    return parser
+
+
+def _settings(given: dict) -> argparse.Namespace:
+    """Defaults, under the ``key=value`` lines of ``--config`` (a key is a flag's
+    name, with ``-`` or ``_``), under explicit flags; every string is then
+    converted and checked by its flag's type."""
+    command, path = given["command"], given.get("config")
+    flags = (*_COMMON, *COMMANDS[command].flags)
+    values = {f.dest: f.default for f in flags}
+    dests = {f.name[2:].replace("-", "_"): f.dest for f in flags}
     try:
-        text = Path(path).read_text()
+        lines = Path(path).read_text().splitlines() if path else []
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    for line_no, line in enumerate(text.splitlines(), 1):
+    for line_no, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        key, eq, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if not eq:
             raise ConfigError(f"{path}:{line_no}: expected key=value")
-        key, value = line.split("=", 1)
-        out[key.strip().replace("-", "_")] = value.strip()
-    return out
-
-
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    parser = argparse.ArgumentParser(
-        prog="thinsieve",
-        description="Continued fractions, quadratic forms, and sieve experiments.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    subparsers: dict[str, argparse.ArgumentParser] = {}
-
-    def add(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.add_argument("--config", help="key=value config file; explicit flags win")
-        p.add_argument("--output", help="artifact path")
-        subparsers[name] = p
-        return p
-
-    p = add("enumerate", help="list a semigroup norm ball as JSON lines")
-    p.add_argument("--alphabet", type=int, default=2)
-    p.add_argument("--norm", type=float, required=True)
-    p.add_argument("--parity", choices=["even", "any"], default="even")
-
-    p = add("trace-fiber", help="list all even words of a given trace")
-    p.add_argument("--alphabet", type=int, default=2)
-    p.add_argument("--trace", type=int, required=True)
-
-    p = add("hensley-fit", help="fit the ball-growth exponent on a norm grid")
-    p.add_argument("--alphabet", type=int, default=2)
-    p.add_argument(
-        "--norms",
-        default="1000,3162.2776601683795,10000,31622.776601683792,100000",
-        help="comma-separated norm grid (default: 10^3 .. 10^5, half-decade steps)",
-    )
-
-    p = add("dimension", help="bracket the bounded-quotient Cantor dimension")
-    p.add_argument("--alphabets", default="2")
-    p.add_argument("--depth", type=int, default=12)
-    p.add_argument("--tol", type=float, default=1e-6)
-
-    p = add("densities", help="beta(q) and sqrt-of-4 counts as CSV")
-    p.add_argument("--modulus", type=int, required=True)
-
-    p = add("expsum", help="Kloosterman sums and SL2 character sums at a prime")
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("aleph", help="build the residue-balanced alphabet-2 set")
-    p.add_argument("--bound", type=float, required=True)
-    p.add_argument("--modulus", type=int, default=2)
-
-    p = add("build-pi", help="assemble the bilinear product set and report sizes")
-    p.add_argument("--alphabet", type=int, default=2)
-    p.add_argument("--xi-bound", type=float, required=True)
-    p.add_argument("--aleph-bound", type=float, required=True)
-    p.add_argument("--omega-bound", type=float, required=True)
-    p.add_argument("--modulus", type=int, default=2)
-
-    for name, extra in (
-        ("sieve-remainders", ("cutoff",)),
-        ("almost-prime", ("threshold",)),
-        ("squarefree-count", ()),
-    ):
-        p = add(name, help=f"{name.replace('-', ' ')} over a ball (or bilinear) source")
-        p.add_argument("--alphabet", type=int, default=2)
-        p.add_argument("--norm", type=float, default=1e4)
-        if "cutoff" in extra:
-            p.add_argument("--cutoff", type=int, default=100)
-        if "threshold" in extra:
-            p.add_argument("--threshold", type=int, default=7)
-        if name != "squarefree-count":
-            p.add_argument("--use-pi", action="store_true", help="sift the bilinear set")
-            p.add_argument("--xi-bound", type=float, default=100.0)
-            p.add_argument("--aleph-bound", type=float, default=1e6)
-            p.add_argument("--omega-bound", type=float, default=20.0)
-            p.add_argument("--modulus", type=int, default=2)
-
-    p = add("discriminants", help="square-free t^2-4 census with fiber multiplicities")
-    p.add_argument("--alphabet", type=int, default=2)
-    p.add_argument("--max-T", type=float, default=1e4)
-    p.add_argument("--min-multiplicity", type=int, default=1)
-
-    p = add("class-census", help="form classes realised by a trace fiber")
-    p.add_argument("--disc", type=int, required=True)
-    p.add_argument("--alphabet", type=int, default=2)
-
-    p = add("class-cycles", help="all reduction cycles of a discriminant")
-    p.add_argument("--disc", type=int, required=True)
-
-    p = add("geodesic", help="emit excursion arcs or the height profile of a word")
-    p.add_argument("--word", required=True)
-    p.add_argument("--emit", help="arcs .csv or profile .json path")
-
-    return parser, subparsers
-
-
-def _apply_config(argv: list[str], subparsers: dict[str, argparse.ArgumentParser]) -> None:
-    """Install config-file values as subcommand defaults, so explicit flags win."""
-    if not argv or argv[0] not in subparsers or "--config" not in argv:
-        return
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
-        raise ConfigError("--config requires a file path")
-    path = argv[at + 1]
-    sub = subparsers[argv[0]]
-    known = {a.dest: a for a in sub._actions}
-    defaults = {}
-    for key, value in _load_config(path).items():
-        if key not in known:
-            raise ConfigError(f"unknown config key {key!r} for {argv[0]!r}")
-        action = known[key]
-        if action.type is not None:
+        if key not in dests:
+            raise ConfigError(f"unknown config key {key!r} for {command!r}")
+        values[dests[key]] = value.strip()
+    values.update(given)
+    for f in flags:
+        if isinstance(values[f.dest], str):
             try:
-                value = action.type(value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad value for {key!r}: {exc}") from exc
-        elif isinstance(action.const, bool):
-            value = value.lower() in ("1", "true", "yes")
-        defaults[key] = value
-    sub.set_defaults(**defaults)
+                values[f.dest] = f.kind(values[f.dest])
+            except ValueError as exc:
+                raise ConfigError(f"{f.name}: {exc}") from exc
+    values["output"] = values["output"] or COMMANDS[command].artifact
+    return argparse.Namespace(**values)
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser, subparsers = _build_parser()
     try:
-        _apply_config(argv, subparsers)
         try:
-            args = parser.parse_args(argv)
+            given = vars(_parser().parse_args(argv))
         except SystemExit as exc:  # argparse uses 2 for usage errors
             return int(exc.code or 0)
+        args = _settings(given)
         start = time.monotonic()
-        artifact = _HANDLERS[args.command](args)
-        manifest = {
-            "command": args.command,
-            "config": {k: v for k, v in sorted(vars(args).items()) if k != "config"},
-            "package_version": __version__,
-            "python_version": platform.python_version(),
-            "wall_time_s": time.monotonic() - start,
-        }
-        _write_json(artifact.with_name(artifact.name + ".manifest.json"), manifest)
+        content = COMMANDS[args.command].produce(args)
+        content, sidecars = content if isinstance(content, tuple) else (content, {})
+        path = Path(args.output)
+        try:
+            _write(path, content)
+            for suffix, extra in sidecars.items():
+                _write(path.with_suffix(suffix), extra)
+            manifest = {"command": args.command,
+                        "config": {k: v for k, v in sorted(vars(args).items()) if k != "config"},
+                        "package_version": __version__,
+                        "python_version": platform.python_version(),
+                        "wall_time_s": time.monotonic() - start}
+            _write(path.with_name(path.name + ".manifest.json"), manifest)
+        except OSError as exc:
+            print(f"cannot write artifact: {exc}", file=sys.stderr)
+            return 2
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

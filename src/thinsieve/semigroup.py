@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import ceil, isfinite
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -308,6 +308,8 @@ def aleph_construct(norm_bound: float, modulus: int = 2) -> AlephSet:
 
     With B = 1 the construction degenerates to the plain even ball.
     """
+    if not isfinite(norm_bound * norm_bound):
+        raise ValueError(f"norm bound {norm_bound} is too large: its square overflows")
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
     R = sl2_order(modulus)  # also validates square-freeness

@@ -82,6 +82,8 @@ def sift_values(source) -> SiftingSequence:
             t = e.trace
             counts[t * t - 4] += 1
             size += 1
+        if not size:
+            raise ValueError("empty sifting source")
         return SiftingSequence(tuple(sorted(counts.items())), size, float(source.norm))
     elements = [
         e if isinstance(e, SemigroupElement) else SemigroupElement.from_word(e)

@@ -194,6 +194,13 @@ def test_aleph_degenerate_modulus_1():
     assert [e.word for e in aleph] == expected
 
 
+def test_aleph_rejects_a_bound_whose_square_overflows():
+    # the pivot search would never end against an infinite target
+    for modulus in (1, 2):
+        with pytest.raises(ValueError, match="overflows"):
+            aleph_construct(1e200, modulus)
+
+
 def test_aleph_construction_audit():
     aleph = aleph_construct(1e6, 2)
     assert aleph.group_order == 6

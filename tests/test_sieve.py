@@ -29,6 +29,14 @@ def test_sift_values_examples():
     assert sum(m for _, m in seq.values) == seq.source_size
 
 
+def test_sift_values_empty_ball_is_an_error():
+    # no even word has norm <= 1: an empty source, as for an empty element list
+    with pytest.raises(ValueError, match="empty sifting source"):
+        sift_values(BallSource(2, 1))
+    with pytest.raises(ValueError, match="empty sifting source"):
+        sift_values([])
+
+
 def test_sift_values_bilinear_streams_factorwise():
     pi = build_pi(
         build_fixed_length_ball(2, 10, "Xi"),
