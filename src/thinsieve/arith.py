@@ -74,6 +74,18 @@ def nu(n: int) -> int:
     return len(factorize(n)) if n > 1 else 0
 
 
+def iroot(n: int, k: int) -> int:
+    """Largest r >= 0 with r**k <= n, for n >= 0 and k >= 1 (exact, by bisection)."""
+    lo, hi = 0, 1 << (n.bit_length() // k + 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid**k <= n:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 def crt(r1: int, m1: int, r2: int, m2: int) -> int:
     """Unique residue mod m1*m2 matching r1 mod m1 and r2 mod m2 (coprime moduli)."""
     u = pow(m1 % m2, -1, m2)

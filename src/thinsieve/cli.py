@@ -35,10 +35,25 @@ from .errors import CapExceededError, ConfigError, InternalInvariantError
 from .forms import class_cycles, count_mirror_merged, count_sign_merged, cycle_to_word
 from .geodesics import emit_arcs, geodesic_profile
 from .modular import beta, kloosterman, sl2_charsum, sqrt4_count
-from .semigroup import (aleph_construct, aleph_error, ball_count, build_fixed_length_ball,
-                        build_pi, enumerate_ball, hensley_exponent, trace_fiber)
-from .sieve import (BallSource, almost_prime_census, class_census, discriminant_census,
-                    remainder_profile, sift_values, squarefree_trace_census)
+from .semigroup import (
+    aleph_construct,
+    aleph_error,
+    ball_count,
+    build_fixed_length_ball,
+    build_pi,
+    enumerate_ball,
+    hensley_exponent,
+    trace_fiber,
+)
+from .sieve import (
+    BallSource,
+    almost_prime_census,
+    class_census,
+    discriminant_census,
+    remainder_profile,
+    sift_values,
+    squarefree_trace_census,
+)
 
 # ---------------------------------------------------------------------------
 # flag types: each turns a command-line or config-file string into a checked
@@ -87,8 +102,7 @@ class Flag(NamedTuple):
 
 
 class Command(NamedTuple):
-    """``produce`` returns the artifact's content, or ``(content, sidecars)``
-    where ``sidecars`` maps a file suffix to the content of a sibling file."""
+    """``produce`` returns a ``Table``, a list of records, a mapping or a ``Summarised``."""
 
     help: str
     artifact: str
@@ -100,6 +114,14 @@ class Command(NamedTuple):
 class Table:
     header: list[str]
     rows: list[list]
+
+
+@dataclass(frozen=True)
+class Summarised:
+    """Artifact content with a summary written beside it as ``<stem>.summary.json``."""
+
+    content: object
+    summary: dict
 
 
 def _write(path: Path, content) -> None:
@@ -125,13 +147,25 @@ def _frac(x: Fraction) -> str:
 
 
 def _element_records(elements) -> list[dict]:
-    return [{"word": serialize_word(e.word), "matrix": list(e.matrix.entries()),
-             "trace": e.trace, "normSq": e.norm_sq} for e in elements]
+    return [
+        {
+            "word": serialize_word(e.word),
+            "matrix": list(e.matrix.entries()),
+            "trace": e.trace,
+            "normSq": e.norm_sq,
+        }
+        for e in elements
+    ]
 
 
 def _cycle_records(cycles) -> list[dict]:
-    return [{"forms": [str(f) for f in cy.forms], "period_word": serialize_word(cycle_to_word(cy))}
-            for cy in cycles]
+    return [
+        {
+            "forms": [str(f) for f in cy.forms],
+            "period_word": serialize_word(cycle_to_word(cy)),
+        }
+        for cy in cycles
+    ]
 
 
 def _hensley_fit(a) -> Table:
@@ -163,12 +197,17 @@ def _exponential_sums(a) -> Table:
     return Table(["kind", "p", "argument", "value", "bound"], rows)
 
 
-def _aleph_set(a) -> tuple[list, dict]:
+def _aleph_set(a) -> Summarised:
     aleph = aleph_construct(a.bound, a.modulus)
-    summary = {"size": len(aleph), "modulus": aleph.modulus, "group_order": aleph.group_order,
-               "base_size": aleph.base_size, "pivot_bound": aleph.pivot_bound,
-               "error_at_q": {str(q): aleph_error(aleph, q) for q in (1, 2, 3)}}
-    return _element_records(aleph), {".summary.json": summary}
+    summary = {
+        "size": len(aleph),
+        "modulus": aleph.modulus,
+        "group_order": aleph.group_order,
+        "base_size": aleph.base_size,
+        "pivot_bound": aleph.pivot_bound,
+        "error_at_q": {str(q): aleph_error(aleph, q) for q in (1, 2, 3)},
+    }
+    return Summarised(_element_records(aleph), summary)
 
 
 def _pi_factors(a) -> tuple:
@@ -180,10 +219,13 @@ def _pi_factors(a) -> tuple:
 def _pi_report(a) -> dict:
     xi, aleph, omega = _pi_factors(a)
     pi = build_pi(xi, aleph, omega)
-    return {"xi": {"wordlength": xi.wordlength, "size": len(xi)},
-            "aleph": {"size": len(aleph), "modulus": aleph.modulus},
-            "omega": {"wordlength": omega.wordlength, "size": len(omega)},
-            "size": pi.size, "norm_bound": pi.norm_bound()}
+    return {
+        "xi": {"wordlength": xi.wordlength, "size": len(xi)},
+        "aleph": {"size": len(aleph), "modulus": aleph.modulus},
+        "omega": {"wordlength": omega.wordlength, "size": len(omega)},
+        "size": pi.size,
+        "norm_bound": pi.norm_bound(),
+    }
 
 
 def _sift(a):
@@ -205,19 +247,23 @@ def _almost_primes(a) -> Table:
 
 
 def _squarefree_traces(a) -> Table:
+    count = squarefree_trace_census(a.alphabet, a.norm)  # capped: a huge ball stops here
     total = ball_count(a.alphabet, a.norm)
     if not total:
         raise ConfigError(f"the ball of norm {a.norm} is empty")
-    count = squarefree_trace_census(a.alphabet, a.norm)
     return Table(["alphabet", "norm", "squarefree_count", "ball_count", "fraction"],
                  [[a.alphabet, a.norm, count, total, _frac(Fraction(count, total))]])
 
 
 def _cycles_of(a) -> dict:
     cycles = class_cycles(a.disc)
-    return {"discriminant": a.disc, "cycle_count": len(cycles),
-            "mirror_merged_count": count_mirror_merged(cycles),
-            "sign_merged_count": count_sign_merged(cycles), "cycles": _cycle_records(cycles)}
+    return {
+        "discriminant": a.disc,
+        "cycle_count": len(cycles),
+        "mirror_merged_count": count_mirror_merged(cycles),
+        "sign_merged_count": count_sign_merged(cycles),
+        "cycles": _cycle_records(cycles),
+    }
 
 
 def _arcs_or_profile(a):
@@ -226,9 +272,12 @@ def _arcs_or_profile(a):
     if Path(a.output).suffix != ".json":
         return Table(["center", "radius"], [[repr(c), repr(r)] for c, r in emit_arcs(word)])
     profile = geodesic_profile(word)
-    return {"period": serialize_word(profile.period),
-            "rotation_heights": list(profile.rotation_heights),
-            "max_height": profile.max_height, "discriminant": profile.discriminant}
+    return {
+        "period": serialize_word(profile.period),
+        "rotation_heights": list(profile.rotation_heights),
+        "max_height": profile.max_height,
+        "discriminant": profile.discriminant,
+    }
 
 
 _COMMON = (Flag("--config", help="key=value config file; explicit flags win"),
@@ -314,8 +363,10 @@ COMMANDS: dict[str, Command] = {
 
 
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="thinsieve", description=(
-        "Continued fractions, quadratic forms, and sieve experiments."))
+    parser = argparse.ArgumentParser(
+        prog="thinsieve",
+        description="Continued fractions, quadratic forms, and sieve experiments.",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, spec in COMMANDS.items():
         # flags not given stay out of the namespace, so a config file can fill them
@@ -369,17 +420,19 @@ def main(argv=None) -> int:
         args = _settings(given)
         start = time.monotonic()
         content = COMMANDS[args.command].produce(args)
-        content, sidecars = content if isinstance(content, tuple) else (content, {})
         path = Path(args.output)
         try:
+            if isinstance(content, Summarised):
+                _write(path.with_suffix(".summary.json"), content.summary)
+                content = content.content
             _write(path, content)
-            for suffix, extra in sidecars.items():
-                _write(path.with_suffix(suffix), extra)
-            manifest = {"command": args.command,
-                        "config": {k: v for k, v in sorted(vars(args).items()) if k != "config"},
-                        "package_version": __version__,
-                        "python_version": platform.python_version(),
-                        "wall_time_s": time.monotonic() - start}
+            manifest = {
+                "command": args.command,
+                "config": {k: v for k, v in sorted(vars(args).items()) if k != "config"},
+                "package_version": __version__,
+                "python_version": platform.python_version(),
+                "wall_time_s": time.monotonic() - start,
+            }
             _write(path.with_name(path.name + ".manifest.json"), manifest)
         except OSError as exc:
             print(f"cannot write artifact: {exc}", file=sys.stderr)

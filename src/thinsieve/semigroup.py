@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .arith import divisors
+from .arith import divisors, iroot
 from .cf import Mat2, Word, canonical_rotation, check_word, word_from_matrix, word_to_matrix
 from .errors import CapExceededError, InternalInvariantError
 from .modular import sl2_order
@@ -322,9 +322,8 @@ def aleph_construct(norm_bound: float, modulus: int = 2) -> AlephSet:
     reps = _residue_representatives(modulus)
     xmax_sq = max(e.norm_sq for e in reps)
     target = norm_bound * norm_bound
-    u = 1
-    while (u + 1) ** (2 * R) * xmax_sq <= target:
-        u += 1
+    # largest u with u^(2R) * xmax_sq <= target, at least 1; the left side is an integer
+    u = max(1, iroot(int(target) // xmax_sq, 2 * R))
     base = list(iter_ball(2, u * u - 1, "even"))
     if not base:
         raise ValueError(f"ball too small at pivot {u}; increase the norm bound")

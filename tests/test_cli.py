@@ -275,6 +275,28 @@ def test_bad_inputs_exit_2_without_traceback(tmp_path, monkeypatch, capsys, argv
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_huge_balls_exit_3_at_the_element_cap(tmp_path, monkeypatch):
+    # a small cap stands in for the default one; the uncapped ball_count must not
+    # run before the capped census has seen the ball
+    import thinsieve.cli as cli
+    import thinsieve.semigroup as semigroup
+
+    walk = semigroup.iter_ball
+
+    def small_cap(alphabet, norm_sq_cap, parity="even", max_elements=None):
+        return walk(alphabet, norm_sq_cap, parity, 10_000)
+
+    def uncapped(*args):
+        raise AssertionError("ball_count ran before the capped census")
+
+    monkeypatch.setattr(semigroup, "iter_ball", small_cap)
+    monkeypatch.setattr(cli, "ball_count", uncapped)
+    monkeypatch.chdir(tmp_path)
+    assert run(["squarefree-count", "--alphabet", 3, "--norm", 1e8]) == 3
+    assert run(["aleph", "--bound", 1e100]) == 3
+    assert run(["build-pi", "--xi-bound", 40, "--aleph-bound", 1e100, "--omega-bound", 12]) == 3
+
+
 def test_bad_config_value_is_checked_by_the_flag_type(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("norm=-5\n")

@@ -1,3 +1,5 @@
+from functools import partial
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -199,6 +201,26 @@ def test_aleph_rejects_a_bound_whose_square_overflows():
     for modulus in (1, 2):
         with pytest.raises(ValueError, match="overflows"):
             aleph_construct(1e200, modulus)
+
+
+def test_aleph_pivot_is_the_largest_fitting_power():
+    # oracle: the step-by-step search for the largest u >= 1 whose pivot power fits
+    for bound, modulus in ((1e6, 2), (1e8, 2), (1e12, 2), (1e20, 2), (1e30, 3), (1e40, 3)):
+        aleph = aleph_construct(bound, modulus)
+        xmax_sq = max(e.norm_sq for e in aleph.residue_reps)
+        u = 1
+        while (u + 1) ** (2 * aleph.group_order) * xmax_sq <= bound * bound:
+            u += 1
+        assert aleph.pivot_bound == u
+
+
+def test_aleph_huge_bound_reaches_the_ball_cap(monkeypatch):
+    # the pivot comes from an integer root, so a huge finite bound meets the cap
+    import thinsieve.semigroup as semigroup
+
+    monkeypatch.setattr(semigroup, "iter_ball", partial(iter_ball, max_elements=10_000))
+    with pytest.raises(CapExceededError):
+        aleph_construct(1e100, 2)
 
 
 def test_aleph_construction_audit():
