@@ -1,10 +1,10 @@
 """Command-line drivers: deterministic experiment runs with CSV/JSON artifacts.
 
 Every subcommand writes one artifact file (byte-identical across runs for
-equal configs) plus a ``<artifact>.manifest.json`` recording the config,
-package/Python versions, and wall time (the manifest is metadata, not part of
-the deterministic artifact).  Exit codes: 0 ok, 2 config error, 3 resource
-cap exceeded, 4 internal invariant violation.
+equal configs) plus a ``<artifact>.manifest.json`` recording the config (the
+flags the run used), package/Python versions, and wall time (the manifest is
+metadata, not part of the deterministic artifact).  Exit codes: 0 ok, 2 config
+error, 3 resource cap exceeded, 4 internal invariant violation.
 
 Each subcommand is one ``Command`` in ``COMMANDS``: help, default artifact name,
 flags (each declared once, with a type that checks flag and config values alike)
@@ -95,6 +95,7 @@ class Flag(NamedTuple):
     default: object = None
     help: str | None = None
     into: str | None = None  # destination, when it is not the flag's own name
+    used: Callable[[argparse.Namespace], bool] | None = None  # None: every run uses it
 
     @property
     def dest(self) -> str:
@@ -286,13 +287,16 @@ _ALPHABET = Flag("--alphabet", _at_least(1), 2)
 _DISC = Flag("--disc", int, _REQUIRED)
 
 
-def _pi_flags(xi=_REQUIRED, aleph=_REQUIRED, omega=_REQUIRED) -> tuple[Flag, ...]:
-    return (_ALPHABET, Flag("--xi-bound", _RADIUS, xi), Flag("--aleph-bound", _RADIUS, aleph),
-            Flag("--omega-bound", _RADIUS, omega), Flag("--modulus", _at_least(1), 2))
+def _pi_flags(xi=_REQUIRED, aleph=_REQUIRED, omega=_REQUIRED, used=None) -> tuple[Flag, ...]:
+    return (_ALPHABET, Flag("--xi-bound", _RADIUS, xi, used=used),
+            Flag("--aleph-bound", _RADIUS, aleph, used=used),
+            Flag("--omega-bound", _RADIUS, omega, used=used),
+            Flag("--modulus", _at_least(1), 2, used=used))
 
 
-_SIFT = (Flag("--norm", _RADIUS, 1e4), Flag("--use-pi", _switch, False, "sift the bilinear set"),
-         *_pi_flags(100.0, 1e6, 20.0))
+_SIFT = (Flag("--norm", _RADIUS, 1e4, used=lambda a: not a.use_pi),
+         Flag("--use-pi", _switch, False, "sift the bilinear set"),
+         *_pi_flags(100.0, 1e6, 20.0, used=lambda a: a.use_pi))
 
 COMMANDS: dict[str, Command] = {
     "enumerate": Command(
@@ -426,9 +430,11 @@ def main(argv=None) -> int:
                 _write(path.with_suffix(".summary.json"), content.summary)
                 content = content.content
             _write(path, content)
+            unused = {"config"} | {f.dest for f in COMMANDS[args.command].flags
+                                   if f.used and not f.used(args)}
             manifest = {
                 "command": args.command,
-                "config": {k: v for k, v in sorted(vars(args).items()) if k != "config"},
+                "config": {k: v for k, v in sorted(vars(args).items()) if k not in unused},
                 "package_version": __version__,
                 "python_version": platform.python_version(),
                 "wall_time_s": time.monotonic() - start,

@@ -1,9 +1,12 @@
 """Sifting experiments on the multiset of trace^2 - 4 values.
 
-At this scale almost-primality and square-freeness are decided by direct
-trial-division factoring; the measured objects are the congruence counts
-|A_q|, their exact local expectations beta(q) * |source|, and the resulting
-remainder ledger.
+The measured objects are the congruence counts |A_q|, their exact local
+expectations beta(q) * |source|, and the resulting remainder ledger.  For a
+square-free q whose primes are all <= z, q divides a value exactly when it
+divides the value's gcd with the product of the primes <= z.  So the ledger
+reduces each distinct value once, to that gcd, and credits its multiplicity to
+every square-free divisor below the cutoff; the almost-prime census is one gcd
+per value.  Square-freeness of t^2 - 4 is decided by trial division.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, sqrt
+from math import gcd, isqrt, prod, sqrt
 from typing import Callable, Iterable
 
 from .arith import is_squarefree, primes_up_to
@@ -58,9 +61,6 @@ class SiftingSequence:
             norm_bound = sqrt(max(counts) + 4.0) if counts else 0.0
         return cls(tuple(sorted(counts.items())), size, norm_bound)
 
-    def iter_values(self):
-        return iter(self.values)
-
 
 def sift_values(source) -> SiftingSequence:
     """Build the sifting multiset from a bilinear set, a ball, or explicit elements.
@@ -71,7 +71,8 @@ def sift_values(source) -> SiftingSequence:
     if isinstance(source, BilinearSet):
         if source.size > MAX_SIFT_SIZE:
             raise CapExceededError(
-                f"bilinear set of size {source.size} exceeds {MAX_SIFT_SIZE}; shard the factors"
+                f"bilinear set of size {source.size} exceeds {MAX_SIFT_SIZE}; "
+                "lower --xi-bound, --aleph-bound or --omega-bound"
             )
         counts = Counter(t * t - 4 for t in source.iter_traces())
         return SiftingSequence(tuple(sorted(counts.items())), source.size, source.norm_bound())
@@ -118,16 +119,39 @@ class RemainderProfile:
     source_size: int
 
 
+def _primorial(n: int) -> int:
+    """Product of the primes <= n (1 when there are none)."""
+    return prod(primes_up_to(n))
+
+
 def remainder_profile(seq: SiftingSequence, cutoff: int) -> RemainderProfile:
     """Rows (q, |A_q|, beta(q)|source|, r(q)) for all square-free q < cutoff."""
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
+    primorial = _primorial(cutoff - 1)
+    kernels: Counter = Counter()  # gcd(value, primorial) -> multiplicity
+    for value, mult in seq.values:
+        kernels[gcd(value, primorial)] += mult
+    counts: Counter = Counter()
+    small = primes_up_to(cutoff - 1)
+    for kernel, mult in kernels.items():
+        divisors = [1]
+        for p in small:
+            if p * p > kernel:  # what is left is 1 or a prime
+                break
+            if kernel % p == 0:
+                divisors += [d * p for d in divisors if d * p < cutoff]
+                kernel //= p
+        if kernel > 1:
+            divisors += [d * kernel for d in divisors if d * kernel < cutoff]
+        for q in divisors:
+            counts[q] += mult
     rows = []
     total = Fraction(0)
     for q in range(1, cutoff):
         if not is_squarefree(q):
             continue
-        count = A_q(seq, q)
+        count = counts[q]
         expected = beta(q) * seq.source_size
         r = count - expected
         rows.append(RemainderRow(q, count, expected, r))
@@ -139,12 +163,8 @@ def almost_prime_census(seq: SiftingSequence, z: int) -> int:
     """Count values (with multiplicity) all of whose prime factors exceed z."""
     if z < 2:
         raise ValueError("threshold must be >= 2")
-    small = primes_up_to(z)
-    count = 0
-    for value, mult in seq.values:
-        if value >= 2 and all(value % p for p in small):
-            count += mult
-    return count
+    primorial = _primorial(z)
+    return sum(mult for value, mult in seq.values if value >= 2 and gcd(value, primorial) == 1)
 
 
 def _squarefree_trace(t: int) -> bool:

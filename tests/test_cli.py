@@ -232,6 +232,41 @@ def test_geodesic_output_is_the_emit_destination(tmp_path, monkeypatch):
     assert not (tmp_path / "arcs.csv").exists()
 
 
+def test_golden_pi_ledger_at_cutoff_1000(tmp_path, monkeypatch):
+    # digest recorded before the ledger became one pass (608 rows over 660 elements)
+    monkeypatch.chdir(tmp_path)
+    assert run(["sieve-remainders", "--use-pi", *PI_BOUNDS, "--cutoff", 1000]) == 0
+    digest = hashlib.sha256((tmp_path / "remainders.csv").read_bytes()).hexdigest()
+    assert digest == "4fe323edceda86bcec00de69deb05ca42d763db4b39225d0d289bdcc6fe5d4ab"
+
+
+def test_manifest_records_only_the_flags_a_run_used(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["almost-prime", "--use-pi", *PI_BOUNDS, "--threshold", 5]) == 0
+    config = json.loads((tmp_path / "almost_prime.csv.manifest.json").read_text())["config"]
+    assert "norm" not in config
+    assert config["xi_bound"] == 40 and config["modulus"] == 2 and config["use_pi"] is True
+    assert run(["sieve-remainders", "--alphabet", 2, "--norm", 100, "--cutoff", 10]) == 0
+    config = json.loads((tmp_path / "remainders.csv.manifest.json").read_text())["config"]
+    assert config["norm"] == 100 and config["alphabet"] == 2
+    assert not {"xi_bound", "aleph_bound", "omega_bound", "modulus"} & set(config)
+    assert run(["build-pi", *PI_BOUNDS]) == 0
+    config = json.loads((tmp_path / "pi.json.manifest.json").read_text())["config"]
+    assert {"xi_bound", "aleph_bound", "omega_bound", "modulus"} <= set(config)
+
+
+def test_sift_cap_names_the_flags_that_shrink_pi(tmp_path, monkeypatch, capsys):
+    import thinsieve.sieve as sieve
+
+    monkeypatch.setattr(sieve, "MAX_SIFT_SIZE", 100)  # the Pi of PI_BOUNDS has 660 elements
+    monkeypatch.chdir(tmp_path)
+    assert run(["sieve-remainders", "--use-pi", *PI_BOUNDS]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "--xi-bound" in err and "--aleph-bound" in err and "--omega-bound" in err
+    assert "shard" not in err
+
+
 # ---------------------------------------------------------------------------
 # exit-code contract: bad values are config errors (exit 2), never a traceback
 

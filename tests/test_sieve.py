@@ -2,13 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from thinsieve.arith import is_squarefree, primes_up_to
 from thinsieve.forms import is_fundamental
 from thinsieve.modular import beta, sl2_enumerate
 from thinsieve.semigroup import aleph_construct, build_fixed_length_ball, build_pi, ball_count
 from thinsieve.sieve import (
     A_q,
     BallSource,
+    RemainderProfile,
+    RemainderRow,
     SiftingSequence,
     almost_prime_census,
     class_census,
@@ -181,3 +186,80 @@ def test_class_census_words_are_low_lying():
         word = cycle_to_word(cy)
         assert max(word) <= alphabet
         assert max_height(word) < (alphabet + 2) / 2
+
+
+# ---------------------------------------------------------------------------
+# independent oracles: the ledger by a scan of every value for each q, and the
+# almost-prime census by trial division
+
+
+def _remainder_profile_by_scan(seq, cutoff):
+    """The ledger by one scan of every value for each square-free q < cutoff."""
+    rows = []
+    total = Fraction(0)
+    for q in range(1, cutoff):
+        if not is_squarefree(q):
+            continue
+        count = A_q(seq, q)
+        expected = beta(q) * seq.source_size
+        rows.append(RemainderRow(q, count, expected, count - expected))
+        total += abs(count - expected)
+    return RemainderProfile(tuple(rows), total / seq.source_size, seq.source_size)
+
+
+def _almost_prime_census_by_trial(seq, z):
+    small = primes_up_to(z)
+    return sum(m for v, m in seq.values if v >= 2 and all(v % p for p in small))
+
+
+# the Pi of tests/test_cli.py's PI_BOUNDS (alphabet 2, modulus 2)
+_PI_SEQ = sift_values(build_pi(
+    build_fixed_length_ball(2, 40, "Xi"),
+    aleph_construct(1e6, 2),
+    build_fixed_length_ball(2, 12, "Omega"),
+))
+
+# words of either parity: (2,) has trace 2, so value 0; (1,) has trace 1, value -3
+_element_lists = st.lists(
+    st.lists(st.integers(1, 5), min_size=1, max_size=6).map(tuple), min_size=1, max_size=30
+).map(lambda words: [(2,), *words])
+_ball_sources = st.builds(BallSource, st.integers(1, 4), st.integers(3, 300).map(float))
+_sources = st.one_of(
+    _element_lists.map(sift_values),
+    _ball_sources.map(sift_values),
+    st.just(_PI_SEQ),
+)
+
+
+@given(_sources, st.integers(2, 1000))
+@settings(max_examples=60, deadline=None)
+def test_remainder_profile_equals_the_per_q_scan(seq, cutoff):
+    assert remainder_profile(seq, cutoff) == _remainder_profile_by_scan(seq, cutoff)
+
+
+def test_remainder_profile_counts_zero_values_at_every_q():
+    # trace-2 words give the value 0, which every q divides
+    seq = sift_values([(2,), (2,), (1,), (1, 1)])
+    assert seq.values == ((-3, 1), (0, 2), (5, 1))
+    profile = remainder_profile(seq, 1000)
+    assert profile == _remainder_profile_by_scan(seq, 1000)
+    assert all(row.count >= 2 for row in profile.rows)
+
+
+def test_remainder_profile_on_pi_at_cutoff_1000():
+    assert remainder_profile(_PI_SEQ, 1000) == _remainder_profile_by_scan(_PI_SEQ, 1000)
+
+
+@given(
+    st.lists(st.integers(-10**6, 10**30), min_size=1, max_size=40),
+    st.integers(2, 2000),
+)
+def test_almost_prime_census_equals_trial_division(values, z):
+    # values below 2 never count, whatever their gcd
+    seq = SiftingSequence.from_values([-3, 0, 1, 2, *values], norm_bound=1.0)
+    assert almost_prime_census(seq, z) == _almost_prime_census_by_trial(seq, z)
+
+
+def test_almost_prime_census_on_pi_equals_trial_division():
+    for z in (2, 7, 100, 1000):
+        assert almost_prime_census(_PI_SEQ, z) == _almost_prime_census_by_trial(_PI_SEQ, z)
