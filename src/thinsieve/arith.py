@@ -84,9 +84,3 @@ def iroot(n: int, k: int) -> int:
         else:
             hi = mid - 1
     return lo
-
-
-def crt(r1: int, m1: int, r2: int, m2: int) -> int:
-    """Unique residue mod m1*m2 matching r1 mod m1 and r2 mod m2 (coprime moduli)."""
-    u = pow(m1 % m2, -1, m2)
-    return (r1 + m1 * ((r2 - r1) * u % m2)) % (m1 * m2)

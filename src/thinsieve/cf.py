@@ -138,12 +138,6 @@ def word_from_matrix(m: Mat2) -> Word | None:
     return None
 
 
-def continuants(word) -> tuple[int, int, int, int]:
-    """(p_k, p_{k-1}, q_k, q_{k-1}) of the convergents of [a_0; a_1, ...]."""
-    m = word_to_matrix(word)
-    return (m.a, m.b, m.c, m.d)
-
-
 # ---------------------------------------------------------------------------
 # quadratic irrationals
 

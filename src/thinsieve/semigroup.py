@@ -2,9 +2,17 @@
 
 Words over the alphabet {1..A} multiply to nonnegative unimodular matrices;
 the determinant-one elements are the even-length words.  Appending any
-generator strictly increases the squared Frobenius norm, which justifies the
-depth-first pruning used throughout; trace fibers add a second prune on the
-least trace attainable by extending a prefix.
+generator strictly increases the squared Frobenius norm, so a norm ball is a
+pruned subtree; trace fibers prune on the least trace attainable by extending
+a prefix instead.
+
+Walks that only count (ball counts, the ball's trace tally, trace fibers and
+their histogram) share one block frontier, `_frontier`: a depth-first stack of
+numpy blocks of (a, b, c, d), each expanded by all its digits at once and cut
+down by a keep mask and a descend mask.  Its entries are int32 or int64
+while the bound's worst case fits them and Python ints beyond, so every count
+is exact.  `iter_ball` is the one walk that emits words, in lexicographic order,
+for enumeration, the fixed slices and the Aleph set.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, isfinite
+from math import ceil, isfinite, isqrt
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -23,6 +31,17 @@ from .errors import CapExceededError, InternalInvariantError
 from .modular import sl2_order
 
 DEFAULT_MAX_ELEMENTS = 5_000_000
+DEFAULT_MAX_NODES = 20_000_000
+
+# Children a block walk forms at once.  Smaller blocks pay more Python per
+# node; larger ones hold more memory (the walk holds about 3 x depth x _BLOCK
+# nodes, and the freed blocks stay in the process's peak memory).
+_BLOCK = 1 << 12
+# Entries and sums stay exact in int32 or int64 while their bound is below these.
+_INT32_SAFE = 1 << 31
+_INT64_SAFE = 1 << 62
+# A walk with a node this wide cannot finish, capped or not.
+_MAX_CHILDREN = 1 << 48
 
 
 @dataclass(frozen=True)
@@ -99,29 +118,159 @@ def enumerate_ball(
     return iter_ball(alphabet, _norm_sq_cap(norm), parity, max_elements)
 
 
+class _Frame:
+    """Nodes of one depth in a block walk, with a cursor over their children."""
+
+    __slots__ = ("even", "rows", "starts", "ends", "lo", "waiting", "n_waiting")
+
+    def __init__(self, even: bool, rows: tuple, starts: np.ndarray, ends: np.ndarray):
+        self.even = even  # depth parity of the nodes
+        self.rows = rows  # entries (a, b, c, d), one array each
+        self.starts, self.ends = starts, ends  # each node's children, numbered
+        self.lo = 0  # the next child to form
+        self.waiting: list[list[np.ndarray]] = []  # children to descend, not yet a frame
+        self.n_waiting = 0
+
+
+def _frontier(
+    alphabet: int, limit: int, by_trace: bool, max_nodes: int | None = None
+) -> Iterator[tuple[bool, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Walk the tree of words in blocks, yielding the kept nodes as (even, a, b, c, d).
+
+    By norm, every word with ||g||^2 <= limit is kept and descended.  By trace,
+    the even words with trace <= limit are kept, and a prefix is descended only
+    while its least completion fits: even nodes M complete to at least
+    tr(M [[2,1],[1,1]]), odd ones to at least tr(M [[1,1],[1,0]]).
+
+    The walk is depth first over blocks.  A stack frame holds nodes of one
+    depth; their children are formed _BLOCK at a time, each node's digits cut
+    to the bound, and the children to descend wait in the frame until they
+    fill a frame of their own (or the frame is spent).  So a frame has fewer
+    than 2 x _BLOCK nodes and fewer than _BLOCK waiting, and the walk holds
+    fewer than 3 x depth x _BLOCK nodes.  Entries are int32 while the largest
+    entry or sum the bound allows stays below 2^31, int64 while it stays below
+    2^62, and Python ints (dtype object) beyond, so every value is exact.
+    """
+    # no entry of a node inside the bound exceeds `reach`, so neither does a digit
+    reach = limit if by_trace else isqrt(max(limit, 0))
+    top = min(alphabet, reach)
+    if top >= _MAX_CHILDREN:
+        raise CapExceededError(f"a node of the walk has up to {top} children")
+    # sums reach 4 x limit for norms, 2a' + b' + c' + d' <= 5 x limit for traces
+    worst = 5 * max(limit, 0)
+    dtype = np.int32 if worst < _INT32_SAFE else np.int64 if worst < _INT64_SAFE else object
+    nodes = 1  # the root
+
+    def push(even: bool, a, b, c, d) -> None:
+        if by_trace and not even:
+            room = (limit - b - c) // a  # even children: trace g*a + b + c <= limit
+        elif by_trace:
+            room = (limit - a - b - d) // (a + c)  # odd children: a' + b' + c' <= limit
+        else:
+            room = (reach - b) // a  # the child's top-left entry g*a + b <= reach
+        counts = np.minimum(np.maximum(room, 0), top).astype(np.int64, copy=False)
+        ends = np.cumsum(counts)
+        if ends[-1]:  # a frame of leaves has nothing to expand
+            stack.append(_Frame(even, (a, b, c, d), ends - counts, ends))
+
+    stack: list[_Frame] = []
+    push(True, *(np.array([x], dtype=dtype) for x in (1, 0, 0, 1)))
+    while stack:
+        frame = stack[-1]
+        a, b, c, d = frame.rows
+        starts, ends, lo = frame.starts, frame.ends, frame.lo
+        # children lo..hi-1 of the frame, numbered node by node, digit by digit
+        hi = frame.lo = min(lo + _BLOCK, int(ends[-1]))
+        first, last = np.searchsorted(ends, (lo, hi - 1), side="right")
+        take = ends[first : last + 1] - starts[first : last + 1]
+        take[0] = ends[first] - lo
+        take[-1] -= ends[last] - hi
+        i = np.repeat(np.arange(first, last + 1), take)
+        g = (np.arange(lo + 1, hi + 1) - starts[i]).astype(dtype, copy=False)
+        a, c = a[i], c[i]
+        na, nc = g * a, g * c
+        na += b[i]
+        nc += d[i]  # children (na, a, nc, c)
+        if not by_trace:
+            keep = na * na
+            keep += a * a
+            keep += nc * nc
+            keep += c * c
+            keep = keep <= limit
+            na, a, nc, c = na[keep], a[keep], nc[keep], c[keep]
+            descend = slice(None)
+            if len(na):
+                yield not frame.even, na, a, nc, c
+        elif frame.even:  # odd children: every candidate is descended, none kept
+            descend = slice(None)
+        else:
+            yield True, na, a, nc, c
+            descend = 2 * na + a + nc + c <= limit
+        child = [x[descend] for x in (na, a, nc, c)]
+        if len(child[0]):
+            nodes += len(child[0])
+            if max_nodes is not None and nodes > max_nodes:
+                raise CapExceededError(f"trace walk exceeded {max_nodes} nodes")
+            frame.waiting.append(child)
+            frame.n_waiting += len(child[0])
+        spent = hi == ends[-1]
+        if spent:
+            stack.pop()
+        # descended children wait until they fill a frame or their parents are spent
+        if frame.n_waiting and (spent or frame.n_waiting >= _BLOCK):
+            rows = [np.concatenate(column) for column in zip(*frame.waiting)]
+            frame.waiting, frame.n_waiting = [], 0
+            push(not frame.even, *rows)
+
+
 def ball_count(alphabet: int, norm: float, parity: str = "even") -> int:
     """Fast count of the ball, without materialising elements."""
-    cap = _norm_sq_cap(norm)
-    even = odd = 0
-    stack = [(1, 0, 0, 1, 0)]
-    while stack:
-        a, b, c, d, par = stack.pop()
-        npar = par ^ 1
-        for g in range(1, alphabet + 1):
-            na, nb = g * a + b, a
-            nc, nd = g * c + d, c
-            if na * na + nb * nb + nc * nc + nd * nd > cap:
-                break
-            if npar:
-                odd += 1
-            else:
-                even += 1
-            stack.append((na, nb, nc, nd, npar))
-    if parity == "even":
-        return even
-    if parity == "any":
-        return even + odd
-    raise ValueError("parity must be 'even' or 'any'")
+    if parity not in ("even", "any"):
+        raise ValueError("parity must be 'even' or 'any'")
+    return sum(
+        len(a)
+        for even, a, _, _, _ in _frontier(alphabet, _norm_sq_cap(norm), False)
+        if even or parity == "any"
+    )
+
+
+def _tally(runs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Merge (values, multiplicities) runs into one run of sorted distinct values."""
+    values = np.concatenate([v for v, _ in runs])
+    mult = np.concatenate([m for _, m in runs])
+    order = np.argsort(values)
+    values, mult = values[order], mult[order]
+    if not len(values):
+        return values, mult
+    first = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    return values[first], np.add.reduceat(mult, first)
+
+
+def ball_traces(alphabet: int, norm: float) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct traces of the even words in the closed ball, ascending, and
+    their multiplicities.
+
+    Blocks of traces are merged into the running tally once they are as
+    long as it, so the walk holds the distinct traces, about as many pending
+    ones and one block.  Raises CapExceededError once the ball passes
+    DEFAULT_MAX_ELEMENTS even words.
+    """
+    if alphabet < 1:
+        raise ValueError("alphabet bound must be >= 1")
+    max_elements = DEFAULT_MAX_ELEMENTS
+    runs = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))]
+    pending = seen = 0
+    for even, a, _, _, d in _frontier(alphabet, _norm_sq_cap(norm), False):
+        if not even:
+            continue
+        seen += len(a)
+        if seen > max_elements:
+            raise CapExceededError(f"ball enumeration exceeded {max_elements} elements")
+        runs.append((a + d, np.ones(len(a), dtype=np.int64)))
+        pending += len(a)
+        if pending >= len(runs[0][0]):
+            runs, pending = [_tally(runs)], 0
+    return _tally(runs)
 
 
 class HensleyFit(NamedTuple):
@@ -150,45 +299,34 @@ def hensley_exponent(alphabet: int, norms: Iterable[float]) -> HensleyFit:
 
 
 def trace_fiber(
-    alphabet: int, t: int, max_nodes: int = 20_000_000
+    alphabet: int, t: int, max_nodes: int = DEFAULT_MAX_NODES
 ) -> list[SemigroupElement]:
     """All even words over {1..alphabet} whose matrix has trace exactly t.
 
     Prunes a branch once the least trace attainable by any completion exceeds
     t: even extensions of M are bounded below by tr(M [[2,1],[1,1]]) and odd
     prefixes complete to at least tr(M [[1,1],[1,0]]), entrywise positivity
-    making both bounds monotone in every digit.
+    making both bounds monotone in every digit.  Words are read back from
+    their matrices and returned in lexicographic order.
     """
     if t < 3:
         raise ValueError("trace fibers start at t = 3")
     out: list[SemigroupElement] = []
-    visited = 0
-
-    def walk(word: Word, a: int, b: int, c: int, d: int) -> None:
-        nonlocal visited
-        visited += 1
-        if visited > max_nodes:
-            raise CapExceededError(f"trace fiber search exceeded {max_nodes} nodes")
-        child_even = len(word) % 2 == 1
-        for g in range(1, alphabet + 1):
-            na, nb = g * a + b, a
-            nc, nd = g * c + d, c
-            if child_even:
-                tr = na + nd
-                if tr > t:
-                    break
-                if tr == t:
-                    out.append(SemigroupElement(word + (g,), Mat2(na, nb, nc, nd)))
-                if 2 * na + nb + nc + nd <= t:
-                    walk(word + (g,), na, nb, nc, nd)
-            else:
-                if na + nb + nc > t:
-                    break
-                walk(word + (g,), na, nb, nc, nd)
-
-    walk((), 1, 0, 0, 1)
+    for _, a, b, c, d in _frontier(alphabet, t, True, max_nodes):
+        hit = a + d == t
+        for entries in zip(*(x[hit].tolist() for x in (a, b, c, d))):
+            m = Mat2(*entries)
+            out.append(SemigroupElement(word_from_matrix(m), m))
     out.sort(key=lambda e: e.word)
     return out
+
+
+def trace_histogram(alphabet: int, t_max: int, max_nodes: int = DEFAULT_MAX_NODES) -> np.ndarray:
+    """counts[t] = #{even words with trace t} for 0 <= t <= t_max, from one walk."""
+    counts = np.zeros(t_max + 1, dtype=np.int64)
+    for _, a, _, _, d in _frontier(alphabet, t_max, True, max_nodes):
+        counts += np.bincount(a + d, minlength=t_max + 1)
+    return counts
 
 
 def trace_multiplicity(alphabet: int, t: int) -> int:

@@ -25,9 +25,9 @@ from .modular import beta
 from .semigroup import (
     BilinearSet,
     SemigroupElement,
+    ball_traces,
     cyclic_classes,
-    enumerate_ball,
-    trace_multiplicity,
+    trace_histogram,
 )
 
 MAX_SIFT_SIZE = 20_000_000
@@ -58,7 +58,10 @@ class SiftingSequence:
         counts = Counter(values)
         size = sum(counts.values())
         if not norm_bound:
-            norm_bound = sqrt(max(counts) + 4.0) if counts else 0.0
+            top = max(counts, default=-4)
+            if top < -4:
+                raise ValueError(f"no trace gives {top} = t^2 - 4; pass norm_bound")
+            norm_bound = sqrt(top + 4.0)
         return cls(tuple(sorted(counts.items())), size, norm_bound)
 
 
@@ -77,15 +80,11 @@ def sift_values(source) -> SiftingSequence:
         counts = Counter(t * t - 4 for t in source.iter_traces())
         return SiftingSequence(tuple(sorted(counts.items())), source.size, source.norm_bound())
     if isinstance(source, BallSource):
-        counts: Counter = Counter()
-        size = 0
-        for e in enumerate_ball(source.alphabet, source.norm):
-            t = e.trace
-            counts[t * t - 4] += 1
-            size += 1
-        if not size:
+        traces, mult = ball_traces(source.alphabet, source.norm)
+        if not len(traces):
             raise ValueError("empty sifting source")
-        return SiftingSequence(tuple(sorted(counts.items())), size, float(source.norm))
+        values = tuple((t * t - 4, m) for t, m in zip(traces.tolist(), mult.tolist()))
+        return SiftingSequence(values, int(mult.sum()), float(source.norm))
     elements = [
         e if isinstance(e, SemigroupElement) else SemigroupElement.from_word(e)
         for e in source
@@ -177,15 +176,8 @@ def _squarefree_trace(t: int) -> bool:
 
 def squarefree_trace_census(alphabet: int, norm: float) -> int:
     """#{even words in the ball with trace^2 - 4 square-free}."""
-    cache: dict[int, bool] = {}
-    count = 0
-    for e in enumerate_ball(alphabet, norm):
-        t = e.trace
-        ok = cache.get(t)
-        if ok is None:
-            ok = cache[t] = _squarefree_trace(t)
-        count += ok
-    return count
+    traces, mult = ball_traces(alphabet, norm)
+    return sum(m for t, m in zip(traces.tolist(), mult.tolist()) if _squarefree_trace(t))
 
 
 @dataclass(frozen=True)
@@ -204,11 +196,14 @@ def discriminant_census(
     if max_T > 1e8:
         raise CapExceededError("max_T capped at 1e8 (t up to 1e4)")
     need = min_multiplicity if callable(min_multiplicity) else (lambda _t: min_multiplicity)
+    traces = [t for t in range(3, isqrt(int(max_T)) + 1) if _squarefree_trace(t)]
+    if not traces:
+        return []
+    # one walk up to the largest trace asked about gives every multiplicity
+    multiplicity = trace_histogram(alphabet, traces[-1]).tolist()
     out = []
-    for t in range(3, isqrt(int(max_T)) + 1):
-        if not _squarefree_trace(t):
-            continue
-        m = trace_multiplicity(alphabet, t)
+    for t in traces:
+        m = multiplicity[t]
         if m >= need(t):
             d = t * t - 4
             if not is_fundamental(d):

@@ -311,8 +311,9 @@ def test_bad_inputs_exit_2_without_traceback(tmp_path, monkeypatch, capsys, argv
 
 
 def test_huge_balls_exit_3_at_the_element_cap(tmp_path, monkeypatch):
-    # a small cap stands in for the default one; the uncapped ball_count must not
-    # run before the capped census has seen the ball
+    # a small cap stands in for the default one, both in the word-emitting walk
+    # and in the block walks, which read the default at call time; the uncapped
+    # ball_count must not run before the capped census has seen the ball
     import thinsieve.cli as cli
     import thinsieve.semigroup as semigroup
 
@@ -325,6 +326,7 @@ def test_huge_balls_exit_3_at_the_element_cap(tmp_path, monkeypatch):
         raise AssertionError("ball_count ran before the capped census")
 
     monkeypatch.setattr(semigroup, "iter_ball", small_cap)
+    monkeypatch.setattr(semigroup, "DEFAULT_MAX_ELEMENTS", 10_000)
     monkeypatch.setattr(cli, "ball_count", uncapped)
     monkeypatch.chdir(tmp_path)
     assert run(["squarefree-count", "--alphabet", 3, "--norm", 1e8]) == 3

@@ -1,10 +1,12 @@
+from collections import Counter
 from functools import partial
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thinsieve.cf import IDENTITY, generator, word_to_matrix
+import thinsieve.semigroup as semigroup
+from thinsieve.cf import IDENTITY, Mat2, generator, word_to_matrix
 from thinsieve.dimension import estimate
 from thinsieve.errors import CapExceededError
 from thinsieve.semigroup import (
@@ -12,6 +14,7 @@ from thinsieve.semigroup import (
     aleph_construct,
     aleph_error,
     ball_count,
+    ball_traces,
     build_fixed_length_ball,
     build_pi,
     cyclic_classes,
@@ -19,6 +22,7 @@ from thinsieve.semigroup import (
     hensley_exponent,
     iter_ball,
     trace_fiber,
+    trace_histogram,
     trace_multiplicity,
     trace_multiplicity_by_divisors,
 )
@@ -43,6 +47,36 @@ def naive_bfs_even_words(alphabet, norm):
             break
         frontier = nxt
     return sorted(out)
+
+
+def trace_fiber_oracle(alphabet, t):
+    """Recursive trace-pruned search (oracle): the trace-t fiber in lexicographic
+    order, and the number of nodes visited, the root included."""
+    out = []
+    visited = 0
+
+    def walk(word, a, b, c, d):
+        nonlocal visited
+        visited += 1
+        child_even = len(word) % 2 == 1
+        for g in range(1, alphabet + 1):
+            na, nb = g * a + b, a
+            nc, nd = g * c + d, c
+            if child_even:
+                tr = na + nd
+                if tr > t:
+                    break
+                if tr == t:
+                    out.append(SemigroupElement(word + (g,), Mat2(na, nb, nc, nd)))
+                if 2 * na + nb + nc + nd <= t:
+                    walk(word + (g,), na, nb, nc, nd)
+            else:
+                if na + nb + nc > t:
+                    break
+                walk(word + (g,), na, nb, nc, nd)
+
+    walk((), 1, 0, 0, 1)
+    return sorted(out, key=lambda e: e.word), visited
 
 
 def test_ball_examples():
@@ -71,6 +105,57 @@ def test_pruned_enumeration_equals_naive_oracle():
 def test_element_cap():
     with pytest.raises(CapExceededError):
         list(iter_ball(2, 10**8, "even", max_elements=10))
+
+
+@given(st.integers(1, 5), st.floats(1, 300))
+@settings(max_examples=80, deadline=None)
+def test_block_ball_walks_equal_iter_ball(alphabet, norm):
+    words = list(enumerate_ball(alphabet, norm, "any"))
+    even = [e for e in words if len(e.word) % 2 == 0]
+    assert ball_count(alphabet, norm, "any") == len(words)
+    assert ball_count(alphabet, norm) == len(even)
+    traces, mult = ball_traces(alphabet, norm)
+    tally = sorted(Counter(e.trace for e in even).items())
+    assert list(zip(traces.tolist(), mult.tolist())) == tally
+
+
+def test_ball_trace_cap_counts_even_words(monkeypatch):
+    total = ball_count(3, 200)
+    monkeypatch.setattr(semigroup, "DEFAULT_MAX_ELEMENTS", total)
+    assert ball_traces(3, 200)[1].sum() == total
+    monkeypatch.setattr(semigroup, "DEFAULT_MAX_ELEMENTS", total - 1)
+    with pytest.raises(CapExceededError):
+        ball_traces(3, 200)
+
+
+@pytest.mark.parametrize("norm", [20_000, 21_000])
+def test_block_walks_are_exact_on_both_sides_of_int32(norm):
+    # 5 x norm^2 crosses 2^31 between these norms, where entries move to int64
+    assert (5 * norm * norm < semigroup._INT32_SAFE) == (norm == 20_000)
+    even = [e.trace for e in enumerate_ball(2, norm)]
+    assert ball_count(2, norm) == len(even)
+    assert ball_count(2, norm, "any") == sum(1 for _ in enumerate_ball(2, norm, "any"))
+    traces, mult = ball_traces(2, norm)
+    assert list(zip(traces.tolist(), mult.tolist())) == sorted(Counter(even).items())
+    # alphabet-1 fibers at the Lucas traces of (1, 1)^20 and (1, 1)^25, on either side
+    for k in (20, 25):
+        t = word_to_matrix((1, 1) * k).trace
+        assert trace_fiber(1, t) == trace_fiber_oracle(1, t)[0]
+
+
+def test_block_walks_are_exact_past_int64():
+    # alphabet 1 at norm 4e9: squared entries pass 2^63, so the walk runs on Python ints
+    norm = 4e9
+    assert 5 * round(norm * norm) >= semigroup._INT64_SAFE
+    for parity in ("even", "any"):
+        assert ball_count(1, norm, parity) == sum(1 for _ in enumerate_ball(1, norm, parity))
+    traces, mult = ball_traces(1, norm)
+    assert traces.tolist() == [e.trace for e in enumerate_ball(1, norm)]
+    assert mult.tolist() == [1] * len(traces)
+    # the only alphabet-1 word of trace L_90 (a Lucas number near 5.4e18) is (1, 1)^45
+    t = word_to_matrix((1, 1) * 45).trace
+    assert 5 * t >= semigroup._INT64_SAFE
+    assert trace_fiber(1, t) == trace_fiber_oracle(1, t)[0]
 
 
 @given(st.lists(st.integers(1, 5), min_size=0, max_size=8).map(tuple))
@@ -125,6 +210,28 @@ def test_trace_multiplicity_examples():
 def test_trace_fiber_agrees_with_divisor_method():
     for alphabet, t in [(1, 3), (2, 37), (11, 37), (35, 37), (3, 18), (2, 100), (10, 123)]:
         assert trace_multiplicity(alphabet, t) == trace_multiplicity_by_divisors(alphabet, t)
+
+
+def test_trace_fiber_equals_the_recursive_oracle():
+    for alphabet in (1, 2, 3, 10, 35):
+        for t in range(3, 201):
+            assert trace_fiber(alphabet, t) == trace_fiber_oracle(alphabet, t)[0], (alphabet, t)
+
+
+@given(st.integers(1, 12), st.integers(3, 600))
+@settings(max_examples=60, deadline=None)
+def test_trace_fiber_node_cap_counts_visited_nodes(alphabet, t):
+    fiber, visited = trace_fiber_oracle(alphabet, t)
+    assert trace_fiber(alphabet, t, max_nodes=visited) == fiber
+    with pytest.raises(CapExceededError):
+        trace_fiber(alphabet, t, max_nodes=visited - 1)
+
+
+@pytest.mark.parametrize("alphabet", [2, 3, 10])
+def test_trace_histogram_equals_the_divisor_count(alphabet):
+    counts = trace_histogram(alphabet, 300).tolist()
+    assert counts[:3] == [0, 0, 0]
+    assert counts[3:] == [trace_multiplicity_by_divisors(alphabet, t) for t in range(3, 301)]
 
 
 def test_trace_fiber_words_have_the_trace():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,14 @@ from hypothesis import strategies as st
 from thinsieve.arith import is_squarefree, primes_up_to
 from thinsieve.forms import is_fundamental
 from thinsieve.modular import beta, sl2_enumerate
-from thinsieve.semigroup import aleph_construct, build_fixed_length_ball, build_pi, ball_count
+from thinsieve.semigroup import (
+    aleph_construct,
+    ball_count,
+    build_fixed_length_ball,
+    build_pi,
+    enumerate_ball,
+    trace_multiplicity,
+)
 from thinsieve.sieve import (
     A_q,
     BallSource,
@@ -40,6 +48,29 @@ def test_sift_values_empty_ball_is_an_error():
         sift_values(BallSource(2, 1))
     with pytest.raises(ValueError, match="empty sifting source"):
         sift_values([])
+
+
+@given(st.integers(1, 5), st.floats(2, 300))
+@settings(max_examples=60, deadline=None)
+def test_ball_sources_equal_what_iter_ball_gives(alphabet, norm):
+    traces = Counter(e.trace for e in enumerate_ball(alphabet, norm))
+    if not traces:
+        with pytest.raises(ValueError, match="empty sifting source"):
+            sift_values(BallSource(alphabet, norm))
+        return
+    seq = sift_values(BallSource(alphabet, norm))
+    assert seq.values == tuple(sorted((t * t - 4, m) for t, m in traces.items()))
+    assert seq.source_size == sum(traces.values())
+    assert squarefree_trace_census(alphabet, norm) == sum(
+        m for t, m in traces.items() if _squarefree_trace(t)
+    )
+
+
+def test_from_values_rejects_a_value_no_trace_gives():
+    with pytest.raises(ValueError, match="-10"):
+        SiftingSequence.from_values([-10])
+    assert SiftingSequence.from_values([-4]).norm_bound == 0.0
+    assert SiftingSequence.from_values([-10], norm_bound=1.0).values == ((-10, 1),)
 
 
 def test_sift_values_bilinear_streams_factorwise():
@@ -160,6 +191,17 @@ def test_discriminant_census_examples():
     assert by_t[37].discriminant == 1365 and by_t[37].multiplicity == 14
     assert all(is_fundamental(r.discriminant) for r in records)
     assert [ (r.t, r.discriminant, r.multiplicity) for r in discriminant_census(1, 10)] == [(3, 5, 1)]
+
+
+def test_discriminant_census_equals_one_fiber_walk_per_trace():
+    for alphabet in (2, 3, 10):
+        records = discriminant_census(alphabet, 300**2)
+        expected = [
+            (t, m)
+            for t in range(3, 301)
+            if _squarefree_trace(t) and (m := trace_multiplicity(alphabet, t))
+        ]
+        assert [(r.t, r.multiplicity) for r in records] == expected
 
 
 def test_discriminant_census_threshold():
