@@ -321,10 +321,10 @@ def trace_fiber(
     return out
 
 
-def trace_histogram(alphabet: int, t_max: int, max_nodes: int = DEFAULT_MAX_NODES) -> np.ndarray:
+def trace_histogram(alphabet: int, t_max: int) -> np.ndarray:
     """counts[t] = #{even words with trace t} for 0 <= t <= t_max, from one walk."""
     counts = np.zeros(t_max + 1, dtype=np.int64)
-    for _, a, _, _, d in _frontier(alphabet, t_max, True, max_nodes):
+    for _, a, _, _, d in _frontier(alphabet, t_max, True, DEFAULT_MAX_NODES):
         counts += np.bincount(a + d, minlength=t_max + 1)
     return counts
 
