@@ -133,9 +133,17 @@ def word_from_matrix(m: Mat2) -> Word | None:
         candidates.append(quotients[:-2] + [quotients[-2] + 1])
     for q in candidates:
         w = tuple(reversed(q))
-        if all(digit >= 1 for digit in w) and word_to_matrix(w) == m:
+        if all(digit >= 1 for digit in w) and _continuants(w) == (m.a, m.b, m.c, m.d):
             return w
     return None
+
+
+def _continuants(word: Word) -> tuple[int, int, int, int]:
+    """Entries of word_to_matrix(word), multiplied out on plain ints."""
+    a, b, c, d = 1, 0, 0, 1
+    for digit in word:
+        a, b, c, d = a * digit + b, a, c * digit + d, c
+    return a, b, c, d
 
 
 # ---------------------------------------------------------------------------

@@ -28,13 +28,14 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .arith import is_squarefree
+from .arith import is_prime, is_squarefree
 from .cf import parse_word, serialize_word
 from .dimension import asymptote, estimate
 from .errors import CapExceededError, ConfigError, InternalInvariantError
 from .forms import class_cycles, count_mirror_merged, count_sign_merged, cycle_to_word
 from .geodesics import emit_arcs, geodesic_profile
-from .modular import beta, kloosterman, sl2_charsum, sqrt4_count
+from .modular import DEFAULT_MODULUS_CAP, DENSITY_MODULUS_CAP, beta, kloosterman
+from .modular import sl2_charsum, sqrt4_count
 from .semigroup import (
     aleph_construct,
     aleph_error,
@@ -86,6 +87,7 @@ _POSITIVE = _checked(float, lambda v: isfinite(v) and v > 0, "finite and > 0")
 # norms and bounds are squared by the library, so the square must be finite too
 _RADIUS = _checked(float, lambda v: isfinite(v * v) and v > 0, "> 0 with a finite square")
 _PARITY = _checked(str, lambda v: v in ("even", "any"), "'even' or 'any'")
+_PRIME = _checked(int, is_prime, "a prime")
 _REQUIRED = object()  # the default of a flag that must be given on the command line
 
 
@@ -184,8 +186,18 @@ def _dimension_brackets(a) -> Table:
     return Table(["alphabet", "depth", "lower", "upper", "asymptote"], rows)
 
 
+def _densities(a) -> Table:
+    if a.modulus > DENSITY_MODULUS_CAP:  # beta's cap, checked before the loop reaches it
+        raise CapExceededError(f"modulus {a.modulus} exceeds cap {DENSITY_MODULUS_CAP}")
+    return Table(["q", "beta", "sqrt4_count"], [
+        [q, _frac(beta(q)), sqrt4_count(q)] for q in range(1, a.modulus + 1) if is_squarefree(q)
+    ])
+
+
 def _exponential_sums(a) -> Table:
     p = a.prime
+    if a.samples and p > DEFAULT_MODULUS_CAP:  # sl2_charsum's cap, before the O(p^2) rows
+        raise CapExceededError(f"modulus {p} exceeds cap {DEFAULT_MODULUS_CAP}")
     rows = [["kloosterman", p, f"1,{m}", repr(kloosterman(1, m, p)), repr(2 * p**0.5)]
             for m in range(1, p)]
     rng = random.Random(a.seed)
@@ -320,14 +332,10 @@ COMMANDS: dict[str, Command] = {
         _dimension_brackets),
     "densities": Command(
         "beta(q) and sqrt-of-4 counts as CSV", "densities.csv",
-        (Flag("--modulus", _at_least(1), _REQUIRED),),
-        lambda a: Table(["q", "beta", "sqrt4_count"], [
-            [q, _frac(beta(q)), sqrt4_count(q)]
-            for q in range(1, a.modulus + 1) if is_squarefree(q)
-        ])),
+        (Flag("--modulus", _at_least(1), _REQUIRED),), _densities),
     "expsum": Command(
         "Kloosterman sums and SL2 character sums at a prime", "expsum.csv",
-        (Flag("--prime", _at_least(2), _REQUIRED), Flag("--samples", _at_least(0), 100),
+        (Flag("--prime", _PRIME, _REQUIRED), Flag("--samples", _at_least(0), 100),
          Flag("--seed", int, 0)),
         _exponential_sums),
     "aleph": Command(

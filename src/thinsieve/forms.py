@@ -14,6 +14,8 @@ import re
 from dataclasses import dataclass
 from math import isqrt
 
+import numpy as np
+
 from .arith import is_squarefree
 from .cf import Mat2, Word, _floor_surd
 from .errors import InternalInvariantError
@@ -168,20 +170,13 @@ def reduced_forms(d: int) -> list[Form]:
     s = isqrt(d)
     if s * s == d:
         raise ValueError("square discriminants are rejected")
+    dtype = np.int64 if d < 2**62 else object  # exact either way
     out = []
-    for b in range(1, s + 1):
-        if (b - d) % 2 != 0:
-            continue
-        lo = s + 1 - b  # 2|A| in (sqrt(d)-b, sqrt(d)+b)
-        hi = s + b
-        for twice_a in range(max(lo, 1), hi + 1):
-            if twice_a % 2 != 0:
-                continue
-            abs_a = twice_a // 2
-            if (d - b * b) % (4 * abs_a) != 0:
-                continue
-            for a in (abs_a, -abs_a):
-                out.append(Form(a, b, (b * b - d) // (4 * a)))
+    for b in range(1 + (d + 1) % 2, s + 1, 2):  # b = d mod 2
+        n = (d - b * b) // 4  # |A| divides n, and 2|A| lies in (sqrt(d) - b, sqrt(d) + b)
+        window = np.arange((s + 2 - b) // 2, (s + b) // 2 + 1, dtype=dtype)
+        for abs_a in window[n % window == 0].tolist():
+            out += [Form(abs_a, b, -n // abs_a), Form(-abs_a, b, n // abs_a)]
     return sorted(out, key=Form.coefficients)
 
 

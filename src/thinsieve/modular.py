@@ -7,11 +7,10 @@ Densities are exact rationals; only the exponential sums use floating point.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, tau
+from math import tau
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -20,6 +19,7 @@ from .arith import factorize, is_prime, is_squarefree
 from .errors import CapExceededError
 
 DEFAULT_MODULUS_CAP = 120
+DENSITY_MODULUS_CAP = 10**6  # beta and sqrt4_count
 
 
 class ResidueMatrix(NamedTuple):
@@ -54,23 +54,33 @@ def sl2_order(q: int) -> int:
 
 
 @lru_cache(maxsize=32)
-def _sl2_prime(p: int) -> tuple[tuple[int, int, int, int], ...]:
-    """All of SL2(F_p), ascending in (a, b); p rows per nonzero first row."""
-    out = []
-    for a in range(p):
-        for b in range(p):
-            if a == 0 and b == 0:
-                continue
-            if a != 0:
-                inv_a = pow(a, p - 2, p) if p > 2 else a
-                for c in range(p):
-                    out.append((a, b, c, (1 + b * c) * inv_a % p))
-            else:
-                inv_b = pow(b, p - 2, p) if p > 2 else b
-                c = (-inv_b) % p
-                for d in range(p):
-                    out.append((a, b, c, d))
-    return tuple(out)
+def _sl2_table(p: int) -> np.ndarray:
+    """All of SL2(F_p) as a read-only int32 array of p^3 - p rows (a, b, c, d).
+
+    Rows ascend in (a, b), with p rows per nonzero first row: c runs over F_p
+    (d = (1 + bc)/a) when a != 0, and d runs over F_p (c = -1/b) when a = 0.
+    The float sums over the table depend on this order, so it is fixed.
+    Entries stay below p, so int32 holds their products and the 4-term phases
+    for every p whose table fits in memory.
+
+    The character sums look each row's phase up in the p floats
+    np.exp(2j * np.pi * np.arange(p) / p).  That is the elementwise expression
+    np.exp(2j * np.pi * phase / p) on the same integer, so every term is the
+    same float and the pairwise sum over this row order is bit-identical.
+    """
+    inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int32)
+    run = np.arange(p, dtype=np.int32)
+    first = np.arange(1, p * p, dtype=np.int32)[:, None]  # a p + b, (0, 0) left out
+    table = np.empty((p * p - 1, p, 4), dtype=np.int32)
+    table[..., 0] = first // p
+    table[..., 1] = first % p
+    table[: p - 1, :, 2] = -inv[1:, None] % p  # a = 0: the p - 1 rows (0, b)
+    table[: p - 1, :, 3] = run
+    table[p - 1 :, :, 2] = run  # a != 0
+    table[p - 1 :, :, 3] = (1 + table[p - 1 :, :, 1] * run) % p * inv[first[p - 1 :] // p] % p
+    table = table.reshape(-1, 4)
+    table.flags.writeable = False
+    return table
 
 
 def sl2_enumerate(q: int, cap: int = DEFAULT_MODULUS_CAP) -> Iterator[ResidueMatrix]:
@@ -79,7 +89,7 @@ def sl2_enumerate(q: int, cap: int = DEFAULT_MODULUS_CAP) -> Iterator[ResidueMat
     if q == 1:
         yield ResidueMatrix(0, 0, 0, 0)
         return
-    residues = [_sl2_prime(p) for p in primes]
+    residues = [_sl2_table(p).tolist() for p in primes]
     # CRT basis: e_p = (q/p) * ((q/p)^-1 mod p), so x = sum_p x_p e_p mod q
     basis = []
     for p in primes:
@@ -97,11 +107,11 @@ def sl2_enumerate(q: int, cap: int = DEFAULT_MODULUS_CAP) -> Iterator[ResidueMat
 
 @lru_cache(maxsize=32)
 def _trace_counts(p: int) -> tuple[int, ...]:
-    counts = Counter((a + d) % p for a, b, c, d in _sl2_prime(p))
-    return tuple(counts.get(t, 0) for t in range(p))
+    table = _sl2_table(p)
+    return tuple(np.bincount((table[:, 0] + table[:, 3]) % p, minlength=p).tolist())
 
 
-def beta(q: int, cap: int = 10**6) -> Fraction:
+def beta(q: int, cap: int = DENSITY_MODULUS_CAP) -> Fraction:
     """Multiplicative local density of the event  trace^2 = 4  on SL2(Z/q).
 
     At a prime:  beta(p) = ((1 + [p != 2]) / p) * (1 + 1/(p^2 - 1)).
@@ -123,10 +133,11 @@ def beta_bruteforce(p: int, cap: int = DEFAULT_MODULUS_CAP) -> Fraction:
     return Fraction(hits, sl2_order(p))
 
 
-def sqrt4_count(q: int, cap: int = 10**6) -> int:
-    """#{t mod q : t^2 = 4 mod q}, counted directly."""
+def sqrt4_count(q: int, cap: int = DENSITY_MODULUS_CAP) -> int:
+    """#{t mod q : t^2 = 4 mod q}, counted directly in one pass over t < q."""
     _check_modulus(q, cap)
-    return sum(1 for t in range(q) if (t * t - 4) % q == 0)
+    t = np.arange(q, dtype=np.int64 if q <= 3 * 10**9 else object)  # t^2 < 2^63
+    return int(np.count_nonzero((t * t - 4) % q == 0))
 
 
 def rho_t_bruteforce(p: int, t: int, cap: int = DEFAULT_MODULUS_CAP) -> Fraction:
@@ -157,15 +168,10 @@ def kloosterman(a: int, b: int, p: int) -> float:
     return float(total)
 
 
-@lru_cache(maxsize=32)
-def _sl2_array(p: int) -> np.ndarray:
-    return np.array(_sl2_prime(p), dtype=np.int64)
-
-
 def _charsum_prime(p: int, s: tuple[int, int, int, int]) -> complex:
-    arr = _sl2_array(p)
-    phase = (arr @ np.array(s, dtype=np.int64)) % p
-    return complex(np.exp(2j * np.pi * phase / p).sum())
+    """Sum of e_p(a x + b y + c z + d w) over the table rows, for s reduced mod p."""
+    phase = (_sl2_table(p) @ np.array(s, dtype=np.int32)) % p
+    return complex(np.exp(2j * np.pi * np.arange(p) / p)[phase].sum())
 
 
 def sl2_charsum(
@@ -187,22 +193,3 @@ def sl2_charsum(
         sp = tuple((u * x) % p for x in s)
         out *= _charsum_prime(p, sp)
     return out
-
-
-def sl2_charsum_direct(
-    q: int, s: tuple[int, int, int, int], cap: int = DEFAULT_MODULUS_CAP
-) -> complex:
-    """Reference implementation summing over SL2(Z/q) itself (test oracle)."""
-    x, y, z, w = s
-    total = 0j
-    for g in sl2_enumerate(q, cap):
-        phase = (g.a * x + g.b * y + g.c * z + g.d * w) % q
-        total += complex(np.exp(2j * np.pi * phase / q))
-    return total
-
-
-def is_primitive_mod(s, q: int) -> bool:
-    g = 0
-    for x in s:
-        g = gcd(g, x % q)
-    return gcd(g, q) == 1

@@ -88,6 +88,45 @@ def test_word_from_matrix_round_trip(w):
     assert word_from_matrix(word_to_matrix(w)) == w
 
 
+def word_from_matrix_oracle(m: Mat2):
+    """word_from_matrix checking each Euclidean candidate with word_to_matrix."""
+    if m == Mat2(1, 0, 0, 1):
+        return ()
+    a, b = m.a, m.b
+    if a < 1 or b < 1 or b > a:
+        return None
+    quotients = []
+    x, y = a, b
+    while y:
+        quotients.append(x // y)
+        x, y = y, x - (x // y) * y
+    if x != 1:
+        return None
+    candidates = [quotients]
+    if quotients[-1] >= 2:
+        candidates.append(quotients[:-1] + [quotients[-1] - 1, 1])
+    elif len(quotients) >= 2:
+        candidates.append(quotients[:-2] + [quotients[-2] + 1])
+    for q in candidates:
+        w = tuple(reversed(q))
+        if all(digit >= 1 for digit in w) and word_to_matrix(w) == m:
+            return w
+    return None
+
+
+members = words.map(word_to_matrix)
+nudged = st.tuples(members, st.integers(0, 3), st.integers(-2, 2)).map(
+    lambda t: Mat2(*(v + t[2] * (i == t[1]) for i, v in enumerate(t[0].entries())))
+)
+entries = st.integers(-3, 10**6)
+
+
+@given(st.one_of(members, nudged, st.builds(Mat2, entries, entries, entries, entries)))
+@settings(max_examples=500)
+def test_word_from_matrix_equals_the_matrix_check(m):
+    assert word_from_matrix(m) == word_from_matrix_oracle(m)
+
+
 def test_word_from_matrix_rejects_non_members():
     assert word_from_matrix(Mat2(1, 0, 0, 1)) == ()
     assert word_from_matrix(Mat2(2, 1, 1, 2)) is None  # det 3

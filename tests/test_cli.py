@@ -288,6 +288,7 @@ BAD_INPUTS = [
     ["densities", "--modulus", "0"],
     ["expsum", "--prime", "7", "--samples", "-3"],
     ["expsum", "--prime", "1", "--samples", "1"],  # no nonzero sample exists mod 1
+    ["expsum", "--prime", "1001", "--samples", "1"],  # square-free, above the cap, not prime
     ["aleph", "--bound", "inf"],
     ["aleph", "--bound", "1e200"],
     ["aleph", "--bound", "1e6", "--modulus", "0"],
@@ -308,6 +309,34 @@ def test_bad_inputs_exit_2_without_traceback(tmp_path, monkeypatch, capsys, argv
     monkeypatch.chdir(tmp_path)
     assert run(argv) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+# caps checked before any work: the patched library functions must never run
+CAPPED_INPUTS = [
+    (["densities", "--modulus", "2000000"], "beta"),
+    (["expsum", "--prime", "10007", "--samples", "1"], "kloosterman"),
+]
+
+
+@pytest.mark.parametrize("argv, untouched", CAPPED_INPUTS,
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_caps_exit_3_before_the_loops(tmp_path, monkeypatch, capsys, argv, untouched):
+    import thinsieve.cli as cli
+
+    def ran(*args):
+        raise AssertionError(f"{untouched} ran before the cap check")
+
+    monkeypatch.setattr(cli, untouched, ran)
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "exceeds cap" in err
+
+
+def test_expsum_without_samples_has_no_cap(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["expsum", "--prime", "127", "--samples", "0"]) == 0
+    assert len((tmp_path / "expsum.csv").read_text().splitlines()) == 127  # header, 126 rows
 
 
 def test_huge_balls_exit_3_at_the_element_cap(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 from itertools import product
+from math import isqrt
 
 import pytest
 from hypothesis import given
@@ -39,8 +40,6 @@ def small_forms():
 
 
 def _valid_disc(t):
-    from math import isqrt
-
     a, b, c = t
     d = b * b - 4 * a * c
     return d > 0 and isqrt(d) ** 2 != d
@@ -156,6 +155,39 @@ def test_class_cycles_partition_and_even_lengths():
         assert len(seen) == len(set(seen)) == len(reduced_forms(d))
         assert all(len(cy) % 2 == 0 for cy in cycles)
         assert all(f.discriminant == d for f in seen)
+
+
+def reduced_forms_oracle(d: int) -> list[Form]:
+    """Every reduced form of discriminant d, by scanning each (b, 2|A|) cell."""
+    s = isqrt(d)
+    out = []
+    for b in range(1, s + 1):
+        if (b - d) % 2 != 0:
+            continue
+        for twice_a in range(max(s + 1 - b, 1), s + b + 1):
+            if twice_a % 2 != 0:
+                continue
+            abs_a = twice_a // 2
+            if (d - b * b) % (4 * abs_a) != 0:
+                continue
+            for a in (abs_a, -abs_a):
+                out.append(Form(a, b, (b * b - d) // (4 * a)))
+    return sorted(out, key=Form.coefficients)
+
+
+@given(st.integers(1, 50_000), st.sampled_from((0, 1)))
+def test_reduced_forms_equal_the_cell_scan(k, r):
+    d = 4 * k + r
+    if isqrt(d) ** 2 == d:
+        return
+    forms = reduced_forms(d)
+    assert forms == reduced_forms_oracle(d)
+    assert all(is_reduced_form(f) for f in forms)
+
+
+@pytest.mark.parametrize("d", (3_879_876, 4_007_765))
+def test_reduced_forms_equal_the_cell_scan_at_large_d(d):
+    assert reduced_forms(d) == reduced_forms_oracle(d)
 
 
 def test_class_cycles_rejects_bad_discriminants():

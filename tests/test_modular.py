@@ -1,24 +1,122 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from thinsieve.arith import nu
+from thinsieve.arith import is_squarefree, nu, primes_up_to
 from thinsieve.errors import CapExceededError
 from thinsieve.modular import (
+    DEFAULT_MODULUS_CAP,
+    _charsum_prime,
+    _sl2_table,
+    _trace_counts,
     beta,
     beta_bruteforce,
-    is_primitive_mod,
     kloosterman,
     rho_t_bruteforce,
     sl2_charsum,
-    sl2_charsum_direct,
     sl2_enumerate,
     sl2_order,
     sqrt4_count,
 )
+
+# ---------------------------------------------------------------------------
+# oracles: the direct loops the numpy tables replaced
+
+
+def sl2_prime_oracle(p: int) -> list[tuple[int, int, int, int]]:
+    """All of SL2(F_p) as tuples, ascending in (a, b); p rows per nonzero first row."""
+    out = []
+    for a in range(p):
+        for b in range(p):
+            if a == 0 and b == 0:
+                continue
+            if a != 0:
+                inv_a = pow(a, p - 2, p) if p > 2 else a
+                for c in range(p):
+                    out.append((a, b, c, (1 + b * c) * inv_a % p))
+            else:
+                inv_b = pow(b, p - 2, p) if p > 2 else b
+                c = (-inv_b) % p
+                for d in range(p):
+                    out.append((a, b, c, d))
+    return out
+
+
+def sl2_charsum_direct(
+    q: int, s: tuple[int, int, int, int], cap: int = DEFAULT_MODULUS_CAP
+) -> complex:
+    """Sum over SL2(Z/q) itself, one element at a time."""
+    x, y, z, w = s
+    total = 0j
+    for g in sl2_enumerate(q, cap):
+        phase = (g.a * x + g.b * y + g.c * z + g.d * w) % q
+        total += complex(np.exp(2j * np.pi * phase / q))
+    return total
+
+
+def is_primitive_mod(s, q: int) -> bool:
+    g = 0
+    for x in s:
+        g = math.gcd(g, x % q)
+    return math.gcd(g, q) == 1
+
+
+def sqrt4_count_oracle(q: int) -> int:
+    return sum(1 for t in range(q) if (t * t - 4) % q == 0)
+
+
+ORACLE_PRIMES = (2, 3, 5, 7, 11, 13, 31)
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_sl2_table_equals_the_tuple_loop(p):
+    table = _sl2_table(p)
+    assert table.dtype == np.int32 and table.shape == (p**3 - p, 4)
+    rows = sl2_prime_oracle(p)
+    assert np.array_equal(table, np.array(rows))
+    traces = Counter((a + d) % p for a, b, c, d in rows)
+    assert _trace_counts(p) == tuple(traces[t] for t in range(p))
+
+
+@pytest.mark.parametrize("p", (*ORACLE_PRIMES, 113))
+def test_charsum_phase_lookup_is_bit_identical(p):
+    # the sum before the lookup: np.exp over every row's phase, int64 rows
+    rows = _sl2_table(p).astype(np.int64)
+    rng = random.Random(p)
+    for _ in range(4):
+        s = tuple(rng.randrange(p) for _ in range(4))
+        phase = (rows @ np.array(s, dtype=np.int64)) % p
+        assert repr(_charsum_prime(p, s)) == repr(complex(np.exp(2j * np.pi * phase / p).sum()))
+
+
+@given(st.sampled_from(primes_up_to(113)), st.tuples(*[st.integers(0, 112)] * 4))
+@example(2, (0, 1, 0, 0))
+@example(7, (2, 3, 4, 6))
+@example(113, (1, 0, 0, 0))
+@example(113, (1, 2, 3, 6))
+def test_charsum_closed_form(p, s):
+    # sum over SL2(F_p) of e_p(ax + by + cz + dw) = p K(1, xw - yz; p) for s != 0;
+    # K(1, 0; p) is the Ramanujan sum -1, and kloosterman rightly refuses it
+    s = tuple(x % p for x in s)
+    if not any(s):
+        return
+    x, y, z, w = s
+    disc = (x * w - y * z) % p
+    expected = p * kloosterman(1, disc, p) if disc else -p
+    assert sl2_charsum(p, s) == pytest.approx(expected, abs=1e-14 * p**3)  # p^3 - p terms
+
+
+def test_sqrt4_count_equals_the_loop():
+    for q in range(1, 3001):
+        if is_squarefree(q):
+            assert sqrt4_count(q) == sqrt4_count_oracle(q), q
 
 
 def test_sl2_orders_and_enumeration():
