@@ -28,8 +28,8 @@ for bound in (1e6, 1e7, 1e8):
     print(f"  Y = {bound:>10.0e}  |aleph| = {len(a):>4}  deviation = {aleph_error(a, 3):.4f}")
 
 print("\n=== the product set ===")
-xi = build_fixed_length_ball(2, 40, "Xi")
-omega = build_fixed_length_ball(2, 12, "Omega")
+xi = build_fixed_length_ball(2, 40)
+omega = build_fixed_length_ball(2, 12)
 pi = build_pi(xi, aleph, omega)
 print(f"|Xi| = {len(xi)} (wordlength {xi.wordlength}), |Omega| = {len(omega)} "
       f"(wordlength {omega.wordlength}), |Pi| = {pi.size}")

@@ -12,7 +12,6 @@ from .cf import (
     cf_expand,
     check_word,
     fixed_point,
-    galois_conjugate,
     generator,
     is_reduced,
     parse_word,
@@ -31,7 +30,6 @@ from .forms import (
     count_sign_merged,
     cycle,
     cycle_to_word,
-    discriminant,
     is_fundamental,
     is_reduced_form,
     matrix_to_form,

@@ -241,11 +241,6 @@ class Surd:
         return Surd.make(u, self.d * v * v, w)
 
 
-def galois_conjugate(x: Surd) -> Surd:
-    """(p - sqrt(d))/q; an involution."""
-    return x.conjugate()
-
-
 def is_reduced(x: Surd) -> bool:
     """True iff x > 1 and its Galois conjugate lies strictly in (-1, 0)."""
     qs = (x.q > 0) - (x.q < 0)

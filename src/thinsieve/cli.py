@@ -39,7 +39,7 @@ from .modular import sl2_charsum, sqrt4_count
 from .semigroup import (
     aleph_construct,
     aleph_error,
-    ball_count,
+    ball_traces,
     build_fixed_length_ball,
     build_pi,
     enumerate_ball,
@@ -50,10 +50,10 @@ from .sieve import (
     BallSource,
     almost_prime_census,
     class_census,
+    count_squarefree,
     discriminant_census,
     remainder_profile,
     sift_values,
-    squarefree_trace_census,
 )
 
 # ---------------------------------------------------------------------------
@@ -224,8 +224,8 @@ def _aleph_set(a) -> Summarised:
 
 
 def _pi_factors(a) -> tuple:
-    xi = build_fixed_length_ball(a.alphabet, a.xi_bound, "Xi")
-    omega = build_fixed_length_ball(a.alphabet, a.omega_bound, "Omega")
+    xi = build_fixed_length_ball(a.alphabet, a.xi_bound)
+    omega = build_fixed_length_ball(a.alphabet, a.omega_bound)
     return xi, aleph_construct(a.aleph_bound, a.modulus), omega
 
 
@@ -260,8 +260,8 @@ def _almost_primes(a) -> Table:
 
 
 def _squarefree_traces(a) -> Table:
-    count = squarefree_trace_census(a.alphabet, a.norm)  # capped: a huge ball stops here
-    total = ball_count(a.alphabet, a.norm)
+    traces, mult = ball_traces(a.alphabet, a.norm)
+    count, total = count_squarefree(traces, mult), int(mult.sum())
     if not total:
         raise ConfigError(f"the ball of norm {a.norm} is empty")
     return Table(["alphabet", "norm", "squarefree_count", "ball_count", "fraction"],

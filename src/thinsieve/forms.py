@@ -60,10 +60,6 @@ class Form:
         return cls(int(m.group(1)), int(m.group(2)), int(m.group(3)))
 
 
-def discriminant(f: Form) -> int:
-    return f.discriminant
-
-
 def is_fundamental(d: int) -> bool:
     """Fundamental discriminant test for positive d."""
     if d <= 0:

@@ -23,23 +23,24 @@ class GeodesicProfile:
     discriminant: int
 
 
-def _rotation_matrices(word):
+def _arcs(word) -> tuple[int, list[tuple[float, float]]]:
+    """tr^2 - 4 and the (center, radius) of each rotation's semicircle: the
+    center (alpha + conj)/2 = P/(2c), the radius (apex height) sqrt(D)/(2c)."""
     w = check_word(word)
     if not w:
         raise ValueError("empty word")
     if len(w) % 2 != 0:
         raise ValueError("word must have even length (determinant +1)")
     ms = [word_to_matrix(r) for r in rotations(w)]
-    if ms[0].trace * ms[0].trace <= 4:
+    d = ms[0].trace * ms[0].trace - 4
+    if d <= 0:
         raise ValueError("non-hyperbolic word")
-    return ms
+    return d, [((m.a - m.d) / (2 * m.c), sqrt(d) / (2 * m.c)) for m in ms]
 
 
 def rotation_heights(word) -> list[float]:
     """Apex heights sqrt(D)/(2c), one per rotation of the word."""
-    ms = _rotation_matrices(word)
-    d = ms[0].trace * ms[0].trace - 4
-    return [sqrt(d) / (2 * m.c) for m in ms]
+    return [radius for _, radius in _arcs(word)[1]]
 
 
 def max_height(word) -> float:
@@ -51,14 +52,11 @@ def is_low_lying(word, cutoff: float) -> bool:
 
 
 def emit_arcs(word) -> list[tuple[float, float]]:
-    """(center, radius) of each rotation's semicircle: center (alpha+conj)/2 = P/(2c)."""
-    ms = _rotation_matrices(word)
-    d = ms[0].trace * ms[0].trace - 4
-    return [((m.a - m.d) / (2 * m.c), sqrt(d) / (2 * m.c)) for m in ms]
+    """(center, radius) of each rotation's semicircle."""
+    return _arcs(word)[1]
 
 
 def geodesic_profile(word) -> GeodesicProfile:
-    ms = _rotation_matrices(word)
-    d = ms[0].trace * ms[0].trace - 4
-    heights = tuple(sqrt(d) / (2 * m.c) for m in ms)
+    d, arcs = _arcs(word)
+    heights = tuple(radius for _, radius in arcs)
     return GeodesicProfile(tuple(word), heights, max(heights), d)

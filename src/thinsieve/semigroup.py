@@ -11,8 +11,11 @@ their histogram) share one block frontier, `_frontier`: a depth-first stack of
 numpy blocks of (a, b, c, d), each expanded by all its digits at once and cut
 down by a keep mask and a descend mask.  Its entries are int32 or int64
 while the bound's worst case fits them and Python ints beyond, so every count
-is exact.  `iter_ball` is the one walk that emits words, in lexicographic order,
-for enumeration, the fixed slices and the Aleph set.
+is exact.  Every norm ball is read through `_ball_blocks`, the one place that
+checks the parity and the element cap, DEFAULT_MAX_ELEMENTS.  `iter_ball` is
+the one walk that emits words, in lexicographic order, for enumeration, the
+fixed slices and the Aleph set; it counts its ball against the cap before it
+builds any element, so a ball over the cap fails fast and in bounded memory.
 """
 
 from __future__ import annotations
@@ -74,22 +77,15 @@ def _norm_sq_cap(norm: float) -> int:
 
 
 def iter_ball(
-    alphabet: int,
-    norm_sq_cap: int,
-    parity: str = "even",
-    max_elements: int | None = DEFAULT_MAX_ELEMENTS,
+    alphabet: int, norm_sq_cap: int, parity: str = "even"
 ) -> Iterator[SemigroupElement]:
     """Yield every word with ||matrix||^2 <= norm_sq_cap, in lexicographic order."""
-    if alphabet < 1:
-        raise ValueError("alphabet bound must be >= 1")
-    if parity not in ("even", "any"):
-        raise ValueError("parity must be 'even' or 'any'")
+    for _ in _ball_blocks(alphabet, norm_sq_cap, parity, DEFAULT_MAX_ELEMENTS):
+        pass  # count first: a ball over the cap fails before any element is built
     want_even = parity == "even"
     digits = range(1, alphabet + 1)
-    yielded = 0
 
     def walk(word: Word, a: int, b: int, c: int, d: int) -> Iterator[SemigroupElement]:
-        nonlocal yielded
         for g in digits:
             na, nb = g * a + b, a
             nc, nd = g * c + d, c
@@ -97,25 +93,15 @@ def iter_ball(
                 break  # larger digits only grow the norm
             w = word + (g,)
             if not want_even or len(w) % 2 == 0:
-                yielded += 1
-                if max_elements is not None and yielded > max_elements:
-                    raise CapExceededError(
-                        f"ball enumeration exceeded {max_elements} elements"
-                    )
                 yield SemigroupElement(w, Mat2(na, nb, nc, nd))
             yield from walk(w, na, nb, nc, nd)
 
     yield from walk((), 1, 0, 0, 1)
 
 
-def enumerate_ball(
-    alphabet: int,
-    norm: float,
-    parity: str = "even",
-    max_elements: int | None = DEFAULT_MAX_ELEMENTS,
-) -> Iterator[SemigroupElement]:
+def enumerate_ball(alphabet: int, norm: float, parity: str = "even") -> Iterator[SemigroupElement]:
     """Words whose matrix has Frobenius norm <= norm (closed ball)."""
-    return iter_ball(alphabet, _norm_sq_cap(norm), parity, max_elements)
+    return iter_ball(alphabet, _norm_sq_cap(norm), parity)
 
 
 class _Frame:
@@ -223,15 +209,27 @@ def _frontier(
             push(not frame.even, *rows)
 
 
-def ball_count(alphabet: int, norm: float, parity: str = "even") -> int:
-    """Fast count of the ball, without materialising elements."""
+def _ball_blocks(
+    alphabet: int, norm_sq_cap: int, parity: str, max_elements: int | None
+) -> Iterator[list[np.ndarray]]:
+    """The words of the given parity with ||g||^2 <= norm_sq_cap, as blocks of
+    (a, b, c, d); raises CapExceededError once more than max_elements are seen."""
+    if alphabet < 1:
+        raise ValueError("alphabet bound must be >= 1")
     if parity not in ("even", "any"):
         raise ValueError("parity must be 'even' or 'any'")
-    return sum(
-        len(a)
-        for even, a, _, _, _ in _frontier(alphabet, _norm_sq_cap(norm), False)
-        if even or parity == "any"
-    )
+    seen = 0
+    for even, *block in _frontier(alphabet, norm_sq_cap, False):
+        if even or parity == "any":
+            seen += len(block[0])
+            if max_elements is not None and seen > max_elements:
+                raise CapExceededError(f"ball enumeration exceeded {max_elements} elements")
+            yield block
+
+
+def ball_count(alphabet: int, norm: float, parity: str = "even") -> int:
+    """Fast count of the ball, without materialising elements."""
+    return sum(len(a) for a, _, _, _ in _ball_blocks(alphabet, _norm_sq_cap(norm), parity, None))
 
 
 def _tally(runs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
@@ -255,17 +253,9 @@ def ball_traces(alphabet: int, norm: float) -> tuple[np.ndarray, np.ndarray]:
     ones and one block.  Raises CapExceededError once the ball passes
     DEFAULT_MAX_ELEMENTS even words.
     """
-    if alphabet < 1:
-        raise ValueError("alphabet bound must be >= 1")
-    max_elements = DEFAULT_MAX_ELEMENTS
     runs = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))]
-    pending = seen = 0
-    for even, a, _, _, d in _frontier(alphabet, _norm_sq_cap(norm), False):
-        if not even:
-            continue
-        seen += len(a)
-        if seen > max_elements:
-            raise CapExceededError(f"ball enumeration exceeded {max_elements} elements")
+    pending = 0
+    for a, _, _, d in _ball_blocks(alphabet, _norm_sq_cap(norm), "even", DEFAULT_MAX_ELEMENTS):
         runs.append((a + d, np.ones(len(a), dtype=np.int64)))
         pending += len(a)
         if pending >= len(runs[0][0]):
@@ -284,7 +274,13 @@ def hensley_exponent(alphabet: int, norms: Iterable[float]) -> HensleyFit:
     grid = sorted(set(float(n) for n in norms))
     if len(grid) < 4:
         raise ValueError("degenerate grid: need at least 4 distinct norms")
-    counts = [(n, ball_count(alphabet, n)) for n in grid]
+    # one walk at the largest norm; each word counts toward the first cap that holds it
+    caps = np.array([_norm_sq_cap(n) for n in grid])  # int64, or Python ints past it
+    hits = np.zeros(len(grid), dtype=np.int64)
+    for a, b, c, d in _ball_blocks(alphabet, _norm_sq_cap(grid[-1]), "even", None):
+        norm_sq = a * a + b * b + c * c + d * d  # <= the cap, so exact in the walk's dtype
+        hits += np.bincount(np.searchsorted(caps, norm_sq), minlength=len(grid))
+    counts = list(zip(grid, np.cumsum(hits).tolist()))
     if any(c == 0 for _, c in counts):
         raise ValueError("degenerate grid: empty ball at smallest norm")
     xs = np.log([n for n, _ in counts])
@@ -365,7 +361,6 @@ def cyclic_classes(alphabet: int, t: int) -> list[Word]:
 class FixedSlice:
     """The most populous fixed-wordlength slice of a norm ball."""
 
-    label: str
     wordlength: int
     elements: tuple[SemigroupElement, ...]
 
@@ -376,7 +371,7 @@ class FixedSlice:
         return iter(self.elements)
 
 
-def build_fixed_length_ball(alphabet: int, bound: float, label: str = "") -> FixedSlice:
+def build_fixed_length_ball(alphabet: int, bound: float) -> FixedSlice:
     """Among even wordlengths in the open ball ||g|| < bound, keep the most
     populous one (ties resolved toward the shorter length)."""
     if bound < 3:
@@ -388,7 +383,7 @@ def build_fixed_length_ball(alphabet: int, bound: float, label: str = "") -> Fix
     if not by_length:
         raise ValueError("empty ball")
     best = max(by_length, key=lambda length: (len(by_length[length]), -length))
-    return FixedSlice(label, best, tuple(by_length[best]))
+    return FixedSlice(best, tuple(by_length[best]))
 
 
 @dataclass(frozen=True)

@@ -174,10 +174,14 @@ def _squarefree_trace(t: int) -> bool:
     return is_squarefree(t - 2) and is_squarefree(t + 2)
 
 
+def count_squarefree(traces, mult) -> int:
+    """Total multiplicity of the traces t with t^2 - 4 square-free."""
+    return sum(m for t, m in zip(traces.tolist(), mult.tolist()) if _squarefree_trace(t))
+
+
 def squarefree_trace_census(alphabet: int, norm: float) -> int:
     """#{even words in the ball with trace^2 - 4 square-free}."""
-    traces, mult = ball_traces(alphabet, norm)
-    return sum(m for t, m in zip(traces.tolist(), mult.tolist()) if _squarefree_trace(t))
+    return count_squarefree(*ball_traces(alphabet, norm))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from thinsieve.cli import COMMANDS, main
+from thinsieve.errors import CapExceededError
 
 
 def run(args):
@@ -150,6 +151,25 @@ def test_squarefree_count_cli(tmp_path):
     assert row["squarefree_count"] == "27"
     assert row["ball_count"] == "98"
     assert row["fraction"] == "27/98"
+
+
+@pytest.mark.parametrize("argv", [
+    ["squarefree-count", "--alphabet", 3, "--norm", 1000],
+    ["hensley-fit", "--alphabet", 3, "--norms", "100,300,1000,3000"],
+], ids=lambda v: v[0])
+def test_one_ball_walk_per_step(tmp_path, monkeypatch, argv):
+    import thinsieve.semigroup as semigroup
+
+    walk, calls = semigroup._frontier, []
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(semigroup, "_frontier", counted)
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 0
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -340,27 +360,29 @@ def test_expsum_without_samples_has_no_cap(tmp_path, monkeypatch):
 
 
 def test_huge_balls_exit_3_at_the_element_cap(tmp_path, monkeypatch):
-    # a small cap stands in for the default one, both in the word-emitting walk
-    # and in the block walks, which read the default at call time; the uncapped
-    # ball_count must not run before the capped census has seen the ball
-    import thinsieve.cli as cli
+    # a small cap stands in for the default one, which every ball walk reads at
+    # call time; the word walk that meets the cap builds no element before it
     import thinsieve.semigroup as semigroup
 
-    walk = semigroup.iter_ball
+    walk, built_before_the_cap = semigroup.iter_ball, []
 
-    def small_cap(alphabet, norm_sq_cap, parity="even", max_elements=None):
-        return walk(alphabet, norm_sq_cap, parity, 10_000)
+    def watched(*args):
+        built = 0
+        try:
+            for e in walk(*args):
+                built += 1
+                yield e
+        except CapExceededError:
+            built_before_the_cap.append(built)
+            raise
 
-    def uncapped(*args):
-        raise AssertionError("ball_count ran before the capped census")
-
-    monkeypatch.setattr(semigroup, "iter_ball", small_cap)
+    monkeypatch.setattr(semigroup, "iter_ball", watched)
     monkeypatch.setattr(semigroup, "DEFAULT_MAX_ELEMENTS", 10_000)
-    monkeypatch.setattr(cli, "ball_count", uncapped)
     monkeypatch.chdir(tmp_path)
     assert run(["squarefree-count", "--alphabet", 3, "--norm", 1e8]) == 3
     assert run(["aleph", "--bound", 1e100]) == 3
     assert run(["build-pi", "--xi-bound", 40, "--aleph-bound", 1e100, "--omega-bound", 12]) == 3
+    assert built_before_the_cap == [0, 0]  # aleph's ball in each of the last two runs
 
 
 def test_bad_config_value_is_checked_by_the_flag_type(tmp_path):

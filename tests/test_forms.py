@@ -13,7 +13,6 @@ from thinsieve.forms import (
     count_sign_merged,
     cycle,
     cycle_to_word,
-    discriminant,
     is_fundamental,
     is_reduced_form,
     matrix_to_form,
@@ -46,9 +45,9 @@ def _valid_disc(t):
 
 
 def test_discriminant_examples():
-    assert discriminant(Form(19, 27, -8)) == 1337
-    assert discriminant(Form(35, 35, -1)) == 1365
-    assert discriminant(Form(1, 1, -1)) == 5
+    assert Form(19, 27, -8).discriminant == 1337
+    assert Form(35, 35, -1).discriminant == 1365
+    assert Form(1, 1, -1).discriminant == 5
 
 
 def test_form_validation():

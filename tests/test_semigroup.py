@@ -1,5 +1,4 @@
 from collections import Counter
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -102,9 +101,29 @@ def test_pruned_enumeration_equals_naive_oracle():
             assert mine == naive_bfs_even_words(alphabet, norm)
 
 
-def test_element_cap():
+def test_element_cap(monkeypatch):
+    monkeypatch.setattr(semigroup, "DEFAULT_MAX_ELEMENTS", 10)
     with pytest.raises(CapExceededError):
-        list(iter_ball(2, 10**8, "even", max_elements=10))
+        list(iter_ball(2, 10**8, "even"))
+
+
+@pytest.mark.parametrize("parity", ["even", "any"])
+def test_iter_ball_counts_its_ball_before_it_emits(monkeypatch, parity):
+    total = ball_count(3, 200, parity)
+    monkeypatch.setattr(semigroup, "DEFAULT_MAX_ELEMENTS", total)
+    assert sum(1 for _ in enumerate_ball(3, 200, parity)) == total
+    monkeypatch.setattr(semigroup, "DEFAULT_MAX_ELEMENTS", total - 1)
+    walk = enumerate_ball(3, 200, parity)
+    with pytest.raises(CapExceededError):
+        next(walk)  # the first element is never built
+
+
+@pytest.mark.parametrize("alphabet, parity", [(0, "even"), (-1, "any"), (2, "odd"), (2, "")])
+def test_ball_walks_reject_a_bad_alphabet_or_parity(alphabet, parity):
+    with pytest.raises(ValueError):
+        list(iter_ball(alphabet, 100, parity))
+    with pytest.raises(ValueError):
+        ball_count(alphabet, 10, parity)
 
 
 @given(st.integers(1, 5), st.floats(1, 300))
@@ -137,6 +156,9 @@ def test_block_walks_are_exact_on_both_sides_of_int32(norm):
     assert ball_count(2, norm, "any") == sum(1 for _ in enumerate_ball(2, norm, "any"))
     traces, mult = ball_traces(2, norm)
     assert list(zip(traces.tolist(), mult.tolist())) == sorted(Counter(even).items())
+    # one Hensley walk at this norm also buckets a norm on the int32 side
+    grid = (1e3, 1e4, 19_000, norm)
+    assert hensley_exponent(2, grid).counts == tuple((n, ball_count(2, n)) for n in grid)
     # alphabet-1 fibers at the Lucas traces of (1, 1)^20 and (1, 1)^25, on either side
     for k in (20, 25):
         t = word_to_matrix((1, 1) * k).trace
@@ -163,6 +185,24 @@ def test_norm_strictly_grows(w):
     m = word_to_matrix(w) if w else IDENTITY
     for g in (1, 2, 3, 4, 5):
         assert (m * generator(g)).norm_sq > m.norm_sq
+
+
+@given(st.integers(1, 4), st.lists(st.floats(2, 3000), min_size=4, max_size=8, unique=True))
+@settings(max_examples=40, deadline=None)
+def test_hensley_counts_equal_ball_count(alphabet, norms):
+    expected = tuple((n, ball_count(alphabet, n)) for n in sorted(norms))
+    if expected[0][1] == 0:
+        with pytest.raises(ValueError, match="empty ball"):
+            hensley_exponent(alphabet, norms)
+    else:
+        assert hensley_exponent(alphabet, norms).counts == expected
+
+
+def test_hensley_counts_the_words_on_each_rim():
+    # grid norms exactly at words' norms: a word on a ball's rim is in that ball
+    grid = sorted({e.norm_sq ** 0.5 for e in enumerate_ball(3, 60)})[::9]
+    assert len(grid) >= 4
+    assert hensley_exponent(3, grid).counts == tuple((n, ball_count(3, n)) for n in grid)
 
 
 def test_hensley_exponent_alphabet_2():
@@ -277,7 +317,7 @@ def test_cyclic_classes_are_canonical_and_partition():
 
 
 def test_fixed_length_ball_examples():
-    s = build_fixed_length_ball(2, 3, "Xi")
+    s = build_fixed_length_ball(2, 3)
     assert s.wordlength == 2 and [e.word for e in s] == [(1, 1)]
     with pytest.raises(ValueError):
         build_fixed_length_ball(2, 2.5)
@@ -323,9 +363,7 @@ def test_aleph_pivot_is_the_largest_fitting_power():
 
 def test_aleph_huge_bound_reaches_the_ball_cap(monkeypatch):
     # the pivot comes from an integer root, so a huge finite bound meets the cap
-    import thinsieve.semigroup as semigroup
-
-    monkeypatch.setattr(semigroup, "iter_ball", partial(iter_ball, max_elements=10_000))
+    monkeypatch.setattr(semigroup, "DEFAULT_MAX_ELEMENTS", 10_000)
     with pytest.raises(CapExceededError):
         aleph_construct(1e100, 2)
 
@@ -362,8 +400,8 @@ def test_build_pi_single_product():
 
 
 def test_build_pi_products_distinct_and_bounded():
-    xi = build_fixed_length_ball(2, 6, "Xi")
-    omega = build_fixed_length_ball(2, 4, "Omega")
+    xi = build_fixed_length_ball(2, 6)
+    omega = build_fixed_length_ball(2, 4)
     aleph = aleph_construct(1e6, 2)
     pi = build_pi(xi, aleph, omega)
     elements = list(pi.iter_elements())

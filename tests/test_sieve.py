@@ -75,9 +75,9 @@ def test_from_values_rejects_a_value_no_trace_gives():
 
 def test_sift_values_bilinear_streams_factorwise():
     pi = build_pi(
-        build_fixed_length_ball(2, 10, "Xi"),
+        build_fixed_length_ball(2, 10),
         aleph_construct(1e6, 2),
-        build_fixed_length_ball(2, 6, "Omega"),
+        build_fixed_length_ball(2, 6),
     )
     seq = sift_values(pi)
     direct = sorted(e.trace**2 - 4 for e in pi.iter_elements())
@@ -256,9 +256,9 @@ def _almost_prime_census_by_trial(seq, z):
 
 # the Pi of tests/test_cli.py's PI_BOUNDS (alphabet 2, modulus 2)
 _PI_SEQ = sift_values(build_pi(
-    build_fixed_length_ball(2, 40, "Xi"),
+    build_fixed_length_ball(2, 40),
     aleph_construct(1e6, 2),
-    build_fixed_length_ball(2, 12, "Omega"),
+    build_fixed_length_ball(2, 12),
 ))
 
 # words of either parity: (2,) has trace 2, so value 0; (1,) has trace 1, value -3
