@@ -260,6 +260,22 @@ def test_golden_pi_ledger_at_cutoff_1000(tmp_path, monkeypatch):
     assert digest == "4fe323edceda86bcec00de69deb05ca42d763db4b39225d0d289bdcc6fe5d4ab"
 
 
+# digests recorded while densities scanned every t < q for each q and
+# kloosterman summed its terms in a Python loop
+@pytest.mark.parametrize("argv, artifact, digest", [
+    (["densities", "--modulus", 3000], "densities.csv",
+     "a08e638a04c90dc59196fd3b6b94e3b4d21b1e582aaca5e031f09ad1ed8e8eef"),
+    (["expsum", "--prime", 113, "--samples", 0], "expsum.csv",
+     "8bbf6d9c36e9af6b87632b68d3a28f9ab7cde20ef9b891304aadd36732791394"),
+    (["expsum", "--prime", 1009, "--samples", 0], "expsum.csv",
+     "5a87b43d20792d22abb812127ed329697c8ab97a661e15285c691edf3333a547"),
+], ids=["densities-3000", "expsum-113", "expsum-1009"])
+def test_golden_density_and_kloosterman_tables(tmp_path, monkeypatch, argv, artifact, digest):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 0
+    assert hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest() == digest
+
+
 def test_manifest_records_only_the_flags_a_run_used(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run(["almost-prime", "--use-pi", *PI_BOUNDS, "--threshold", 5]) == 0
