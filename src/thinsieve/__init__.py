@@ -55,6 +55,7 @@ from .modular import (
     sl2_enumerate,
     sl2_order,
     sqrt4_count,
+    sqrt4_counts,
 )
 from .semigroup import (
     AlephSet,

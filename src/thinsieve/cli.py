@@ -28,14 +28,13 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .arith import is_prime, is_squarefree
+from .arith import is_prime
 from .cf import parse_word, serialize_word
 from .dimension import asymptote, estimate
 from .errors import CapExceededError, ConfigError, InternalInvariantError
 from .forms import class_cycles, count_mirror_merged, count_sign_merged, cycle_to_word
 from .geodesics import emit_arcs, geodesic_profile
-from .modular import DEFAULT_MODULUS_CAP, DENSITY_MODULUS_CAP, beta, kloosterman
-from .modular import sl2_charsum, sqrt4_count
+from .modular import DEFAULT_MODULUS_CAP, beta, kloosterman, sl2_charsum, sqrt4_counts
 from .semigroup import (
     aleph_construct,
     aleph_error,
@@ -187,11 +186,9 @@ def _dimension_brackets(a) -> Table:
 
 
 def _densities(a) -> Table:
-    if a.modulus > DENSITY_MODULUS_CAP:  # beta's cap, checked before the loop reaches it
-        raise CapExceededError(f"modulus {a.modulus} exceeds cap {DENSITY_MODULUS_CAP}")
-    return Table(["q", "beta", "sqrt4_count"], [
-        [q, _frac(beta(q)), sqrt4_count(q)] for q in range(1, a.modulus + 1) if is_squarefree(q)
-    ])
+    counts = sqrt4_counts(a.modulus).tolist()  # 0 where q is not square-free
+    return Table(["q", "beta", "sqrt4_count"],
+                 [[q, _frac(beta(q)), count] for q, count in enumerate(counts) if count])
 
 
 def _exponential_sums(a) -> Table:

@@ -15,7 +15,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .arith import factorize, is_prime, is_squarefree
+from .arith import factorize, is_prime, is_squarefree, primes_up_to
 from .errors import CapExceededError
 
 DEFAULT_MODULUS_CAP = 120
@@ -54,6 +54,14 @@ def sl2_order(q: int) -> int:
 
 
 @lru_cache(maxsize=32)
+def _inverses(p: int) -> np.ndarray:
+    """x^-1 mod p at index x of a read-only int64 array of length p (0 at index 0)."""
+    inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
+    inv.flags.writeable = False
+    return inv
+
+
+@lru_cache(maxsize=32)
 def _sl2_table(p: int) -> np.ndarray:
     """All of SL2(F_p) as a read-only int32 array of p^3 - p rows (a, b, c, d).
 
@@ -68,7 +76,7 @@ def _sl2_table(p: int) -> np.ndarray:
     np.exp(2j * np.pi * phase / p) on the same integer, so every term is the
     same float and the pairwise sum over this row order is bit-identical.
     """
-    inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int32)
+    inv = _inverses(p).astype(np.int32)
     run = np.arange(p, dtype=np.int32)
     first = np.arange(1, p * p, dtype=np.int32)[:, None]  # a p + b, (0, 0) left out
     table = np.empty((p * p - 1, p, 4), dtype=np.int32)
@@ -140,6 +148,28 @@ def sqrt4_count(q: int, cap: int = DENSITY_MODULUS_CAP) -> int:
     return int(np.count_nonzero((t * t - 4) % q == 0))
 
 
+def sqrt4_counts(n: int, cap: int = DENSITY_MODULUS_CAP) -> np.ndarray:
+    """counts[q] = sqrt4_count(q) for the square-free q <= n; 0 at q = 0 and at
+    the q that are not square-free.
+
+    By the CRT the count is multiplicative, and t = +-2 are the roots mod a
+    prime (one root mod 2), so it is 2^(nu(q) - [2 | q]).  One sieve over the
+    primes <= n counts nu and strikes the multiples of squares.
+    """
+    if n > cap:
+        raise CapExceededError(f"modulus {n} exceeds cap {cap}")
+    nu = np.zeros(n + 1, dtype=np.int64)
+    free = np.ones(n + 1, dtype=bool)
+    free[0] = False
+    for p in primes_up_to(n):
+        nu[p::p] += 1
+        free[p * p :: p * p] = False
+    q = np.flatnonzero(free)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    counts[q] = np.left_shift(1, nu[q] - (q % 2 == 0))
+    return counts
+
+
 def rho_t_bruteforce(p: int, t: int, cap: int = DEFAULT_MODULUS_CAP) -> Fraction:
     """Average over SL2(p) of the complete sum over r != 0 of e_p(r (tr - t)).
 
@@ -156,16 +186,19 @@ def rho_t_bruteforce(p: int, t: int, cap: int = DEFAULT_MODULUS_CAP) -> Fraction
 
 
 def kloosterman(a: int, b: int, p: int) -> float:
-    """K(a, b; p) = sum over x != 0 of e_p(a x + b x^{-1}); real by x -> -x symmetry."""
+    """K(a, b; p) = sum over x != 0 of e_p(a x + b x^{-1}); real by x -> -x symmetry.
+
+    The terms cos(tau * phase / p) are added left to right over x = 1..p-1
+    (a cumulative sum, not numpy's pairwise one), so the float is the one a
+    term-by-term loop gives.
+    """
     if not is_prime(p):
         raise ValueError(f"expected a prime, got {p}")
     if (a * b) % p == 0:
         raise ValueError("degenerate Kloosterman sum")
-    total = 0.0
-    for x in range(1, p):
-        inv = pow(x, p - 2, p)
-        total += np.cos(tau * ((a * x + b * inv) % p) / p)
-    return float(total)
+    x = np.arange(p, dtype=np.int64)
+    phase = (a % p * x + b % p * _inverses(p))[1:] % p  # below 2 p^2 < 2^63
+    return float(np.cumsum(np.cos(tau * phase / p))[-1])
 
 
 def _charsum_prime(p: int, s: tuple[int, int, int, int]) -> complex:

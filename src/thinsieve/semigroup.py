@@ -45,6 +45,8 @@ _INT32_SAFE = 1 << 31
 _INT64_SAFE = 1 << 62
 # A walk with a node this wide cannot finish, capped or not.
 _MAX_CHILDREN = 1 << 48
+# Traces of the bilinear set formed at once.
+_SHARD = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -232,6 +234,11 @@ def ball_count(alphabet: int, norm: float, parity: str = "even") -> int:
     return sum(len(a) for a, _, _, _ in _ball_blocks(alphabet, _norm_sq_cap(norm), parity, None))
 
 
+def _starts(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal entries of a sorted, non-empty array starts."""
+    return np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+
+
 def _tally(runs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
     """Merge (values, multiplicities) runs into one run of sorted distinct values."""
     values = np.concatenate([v for v, _ in runs])
@@ -240,8 +247,16 @@ def _tally(runs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.nd
     values, mult = values[order], mult[order]
     if not len(values):
         return values, mult
-    first = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    first = _starts(values)
     return values[first], np.add.reduceat(mult, first)
+
+
+def _count(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct entries of a non-empty array, ascending, and their
+    multiplicities.  Sorts the array in place."""
+    values.sort()
+    first = _starts(values)
+    return values[first], np.diff(first, append=len(values))
 
 
 def ball_traces(alphabet: int, norm: float) -> tuple[np.ndarray, np.ndarray]:
@@ -529,9 +544,12 @@ class BilinearSet:
     def __len__(self) -> int:
         return self.size
 
+    def _norms_sq(self) -> list[int]:
+        return [max(e.norm_sq for e in f) for f in (self.xi, self.aleph, self.omega)]
+
     def norm_bound(self) -> float:
         """Upper bound on member norms (Frobenius norms are submultiplicative)."""
-        parts = [max(e.norm_sq for e in f) for f in (self.xi, self.aleph, self.omega)]
+        parts = self._norms_sq()
         return float(np.sqrt(float(parts[0]) * parts[1] * parts[2]))
 
     def iter_elements(self) -> Iterator[SemigroupElement]:
@@ -543,12 +561,46 @@ class BilinearSet:
                     yield SemigroupElement(left.word + tail_w, left.matrix * tail_m)
 
     def iter_traces(self) -> Iterator[int]:
+        """Every member's trace, one at a time (the oracle of trace_tally)."""
         for mid in self.aleph:
             for right in self.omega:
                 t = mid.matrix * right.matrix
                 for left in self.xi:
                     m = left.matrix
                     yield m.a * t.a + m.b * t.c + m.c * t.b + m.d * t.d
+
+    def trace_tally(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct traces of the product set, ascending, and their multiplicities.
+
+        tr(L T) = La Ta + Lb Tc + Lc Tb + Ld Td, so the traces are one integer
+        matrix product: the |Xi| x 4 rows (La, Lb, Lc, Ld) times the 4 x
+        |Aleph||Omega| columns (Ta, Tc, Tb, Td) of the tails T = A O.  It is
+        formed about _SHARD traces at a time, a shard of Xi rows; each shard
+        is counted in place and merged into the running tally once the
+        pending counts are as long as it, so memory grows with the shard and
+        the distinct traces, not with the set.
+        By Cauchy-Schwarz and submultiplicativity every entry of T, every
+        partial sum and every trace is at most the square root of the product
+        of the factors' largest squared norms; entries are int64 while that
+        root stays below 2^62 and Python ints (dtype object) beyond.
+        """
+        xi, aleph, omega = self._norms_sq()
+        dtype = np.int64 if xi * aleph * omega < _INT64_SAFE**2 else object
+
+        def entries(factor):  # (n, 2, 2)
+            return np.array([((m.a, m.b), (m.c, m.d)) for m in (e.matrix for e in factor)],
+                            dtype=dtype)
+
+        tails = entries(self.aleph)[:, None] @ entries(self.omega)[None, :]
+        right = tails.transpose(0, 1, 3, 2).reshape(-1, 4).T  # columns (Ta, Tc, Tb, Td)
+        left = entries(self.xi).reshape(-1, 4)
+        rows = max(1, _SHARD // right.shape[1])
+        runs = []  # runs[0] is the running tally, the rest are pending
+        for i in range(0, len(left), rows):
+            runs.append(_count((left[i : i + rows] @ right).ravel()))
+            if len(runs) > 1 and sum(len(v) for v, _ in runs[1:]) >= len(runs[0][0]):
+                runs = [_tally(runs)]
+        return _tally(runs) if len(runs) > 1 else runs[0]
 
 
 def _as_elements(factor) -> tuple[SemigroupElement, ...]:

@@ -1,36 +1,94 @@
 """Sifting experiments on the multiset of trace^2 - 4 values.
 
 The measured objects are the congruence counts |A_q|, their exact local
-expectations beta(q) * |source|, and the resulting remainder ledger.  For a
-square-free q whose primes are all <= z, q divides a value exactly when it
-divides the value's gcd with the product of the primes <= z.  So the ledger
-reduces each distinct value once, to that gcd, and credits its multiplicity to
-every square-free divisor below the cutoff; the almost-prime census is one gcd
-per value.  Square-freeness of t^2 - 4 is decided by trial division.
+expectations beta(q) * |source|, and the resulting remainder ledger.  The
+multiset is a pair of sorted numpy arrays, the distinct values and their
+multiplicities, built from one tally of the source's traces: a norm ball's
+block walk, or the bilinear set's traces as one integer matrix product.
+Values are int64 while they fit, Python ints beyond.
+
+The ledger walks the square-free q < Q depth first by increasing primes,
+keeping at each node the indices of the values that q divides: a child q p
+keeps those of its parent's values that p divides, so |A_q| is one sum of
+multiplicities per node, with no gcd or factorisation of a value, and the
+walk holds one index array per level.  A node no value reaches has no
+descendants that any value reaches.  A_q and the almost-prime census take
+the same per-prime masks.  Python-int values are reduced modulo a product
+of primes below 2^62 first, so each prime is tested in int64.
+Square-freeness of t^2 - 4 is decided by trial division.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, prod, sqrt
-from typing import Callable, Iterable
+from math import isqrt, sqrt
+from typing import Callable, Iterable, Iterator
 
-from .arith import is_squarefree, primes_up_to
+import numpy as np
+
+from .arith import factorize, is_squarefree, primes_up_to
 from .cf import word_to_matrix
 from .errors import CapExceededError, InternalInvariantError
 from .forms import FormCycle, cycle, is_fundamental, matrix_to_form, reduce_form
 from .modular import beta
 from .semigroup import (
+    _INT64_SAFE,
     BilinearSet,
     SemigroupElement,
+    _tally,
     ball_traces,
     cyclic_classes,
     trace_histogram,
 )
 
 MAX_SIFT_SIZE = 20_000_000
+
+# int64 values lie in [-2^62, 2^63), where value // p * p cannot overflow;
+# a trace squares into that window while |t| <= isqrt(2^63 + 3)
+_VALUE_LO, _VALUE_HI = -(1 << 62), 1 << 63
+_TRACE_MAX = isqrt(_VALUE_HI + 3)
+
+
+def _divisible(values: np.ndarray, p: int) -> np.ndarray:
+    """Mask of the int64 values p divides.  numpy divides by a scalar about
+    twice as fast as it takes remainders, hence not values % p == 0."""
+    return values // p * p == values
+
+
+def _masks(values: np.ndarray, primes: list[int]) -> Iterator[np.ndarray]:
+    """The mask of the values p divides, for each p in primes in turn.
+
+    Python-int values are first reduced modulo the product of a run of the
+    primes, kept below 2^62: one big-int pass per run, and each p of the
+    run is tested on the int64 remainders.
+    """
+    if values.dtype != object:
+        for p in primes:
+            yield _divisible(values, p)
+        return
+    start = 0
+    while start < len(primes):
+        stop, m = start + 1, primes[start]
+        while stop < len(primes) and m * primes[stop] < _INT64_SAFE:
+            m *= primes[stop]
+            stop += 1
+        rest = (values % m).astype(np.int64)
+        for p in primes[start:stop]:
+            yield _divisible(rest, p)
+        start = stop
+
+
+def _tally_of(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values, ascending, as Python ints, and their multiplicities."""
+    return _tally([(np.array(values, dtype=object), np.ones(len(values), dtype=np.int64))])
+
+
+def _exact(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Ascending values as int64 while all lie in [lo, hi), else as Python ints."""
+    fits = not len(values) or (lo <= int(values[0]) and int(values[-1]) < hi)
+    return values.astype(np.int64 if fits else object, copy=False)
 
 
 @dataclass(frozen=True)
@@ -41,13 +99,40 @@ class BallSource:
     norm: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SiftingSequence:
-    """Multiset {trace^2 - 4} over a source set, with its norm parameter."""
+    """Multiset {trace^2 - 4} over a source set, with its norm parameter.
 
-    values: tuple[tuple[int, int], ...]  # (value, multiplicity), sorted
+    `value` holds the distinct values in ascending order (int64 while they
+    lie in [-2^62, 2^63), Python ints otherwise) and `mult` their
+    multiplicities (int64).
+    """
+
+    value: np.ndarray
+    mult: np.ndarray
     source_size: int
     norm_bound: float
+
+    def __post_init__(self):
+        self.value.flags.writeable = False
+        self.mult.flags.writeable = False
+
+    @property
+    def values(self) -> tuple[tuple[int, int], ...]:
+        """(value, multiplicity) pairs, ascending."""
+        return tuple(zip(self.value.tolist(), self.mult.tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SiftingSequence):
+            return NotImplemented
+        return (
+            (self.source_size, self.norm_bound) == (other.source_size, other.norm_bound)
+            and np.array_equal(self.value, other.value)
+            and np.array_equal(self.mult, other.mult)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.source_size, self.norm_bound, len(self.value)))
 
     @property
     def T(self) -> float:
@@ -55,21 +140,31 @@ class SiftingSequence:
 
     @classmethod
     def from_values(cls, values: Iterable[int], norm_bound: float = 0.0) -> "SiftingSequence":
-        counts = Counter(values)
-        size = sum(counts.values())
+        value, mult = _tally_of(list(values))
         if not norm_bound:
-            top = max(counts, default=-4)
+            top = int(value[-1]) if len(value) else -4
             if top < -4:
                 raise ValueError(f"no trace gives {top} = t^2 - 4; pass norm_bound")
             norm_bound = sqrt(top + 4.0)
-        return cls(tuple(sorted(counts.items())), size, norm_bound)
+        return cls(_exact(value, _VALUE_LO, _VALUE_HI), mult, int(mult.sum()), norm_bound)
+
+    @classmethod
+    def from_traces(
+        cls, traces: np.ndarray, mult: np.ndarray, norm_bound: float
+    ) -> "SiftingSequence":
+        """The multiset of t^2 - 4 over distinct ascending traces with multiplicities."""
+        traces = _exact(traces, -_TRACE_MAX, _TRACE_MAX + 1)
+        value = traces * traces - 4
+        if len(traces) and traces[0] < 0:  # t and -t give one value
+            value, mult = _tally([(value, mult)])
+        return cls(value, mult, int(mult.sum()), norm_bound)
 
 
 def sift_values(source) -> SiftingSequence:
     """Build the sifting multiset from a bilinear set, a ball, or explicit elements.
 
-    Bilinear sources are streamed: traces of the triple products are formed
-    factor-wise, never materialising the product set.
+    Each source gives one tally of its traces.  The bilinear set's traces come
+    from factor-wise matrix products, never materialising the product set.
     """
     if isinstance(source, BilinearSet):
         if source.size > MAX_SIFT_SIZE:
@@ -77,30 +172,31 @@ def sift_values(source) -> SiftingSequence:
                 f"bilinear set of size {source.size} exceeds {MAX_SIFT_SIZE}; "
                 "lower --xi-bound, --aleph-bound or --omega-bound"
             )
-        counts = Counter(t * t - 4 for t in source.iter_traces())
-        return SiftingSequence(tuple(sorted(counts.items())), source.size, source.norm_bound())
-    if isinstance(source, BallSource):
+        traces, mult = source.trace_tally()
+        norm = source.norm_bound()
+    elif isinstance(source, BallSource):
         traces, mult = ball_traces(source.alphabet, source.norm)
-        if not len(traces):
-            raise ValueError("empty sifting source")
-        values = tuple((t * t - 4, m) for t, m in zip(traces.tolist(), mult.tolist()))
-        return SiftingSequence(values, int(mult.sum()), float(source.norm))
-    elements = [
-        e if isinstance(e, SemigroupElement) else SemigroupElement.from_word(e)
-        for e in source
-    ]
-    if not elements:
+        norm = float(source.norm)
+    else:
+        elements = [
+            e if isinstance(e, SemigroupElement) else SemigroupElement.from_word(e)
+            for e in source
+        ]
+        traces, mult = _tally_of([e.trace for e in elements])
+        norm = sqrt(max((e.norm_sq for e in elements), default=0))
+    if not len(traces):
         raise ValueError("empty sifting source")
-    counts = Counter(e.trace * e.trace - 4 for e in elements)
-    norm = sqrt(max(e.norm_sq for e in elements))
-    return SiftingSequence(tuple(sorted(counts.items())), len(elements), norm)
+    return SiftingSequence.from_traces(traces, mult, norm)
 
 
 def A_q(seq: SiftingSequence, q: int) -> int:
     """Total multiplicity of values divisible by q."""
     if q < 1 or not is_squarefree(q):
         raise ValueError(f"modulus must be square-free and positive, got {q}")
-    return sum(mult for value, mult in seq.values if value % q == 0)
+    hit = np.ones(len(seq.value), dtype=bool)
+    for divides in _masks(seq.value, list(factorize(q))):
+        hit &= divides
+    return int(seq.mult[hit].sum())
 
 
 @dataclass(frozen=True)
@@ -118,39 +214,32 @@ class RemainderProfile:
     source_size: int
 
 
-def _primorial(n: int) -> int:
-    """Product of the primes <= n (1 when there are none)."""
-    return prod(primes_up_to(n))
-
-
 def remainder_profile(seq: SiftingSequence, cutoff: int) -> RemainderProfile:
     """Rows (q, |A_q|, beta(q)|source|, r(q)) for all square-free q < cutoff."""
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
-    primorial = _primorial(cutoff - 1)
-    kernels: Counter = Counter()  # gcd(value, primorial) -> multiplicity
-    for value, mult in seq.values:
-        kernels[gcd(value, primorial)] += mult
-    counts: Counter = Counter()
-    small = primes_up_to(cutoff - 1)
-    for kernel, mult in kernels.items():
-        divisors = [1]
-        for p in small:
-            if p * p > kernel:  # what is left is 1 or a prime
-                break
-            if kernel % p == 0:
-                divisors += [d * p for d in divisors if d * p < cutoff]
-                kernel //= p
-        if kernel > 1:
-            divisors += [d * kernel for d in divisors if d * kernel < cutoff]
-        for q in divisors:
-            counts[q] += mult
+    primes = primes_up_to(cutoff - 1)
+    counts = {1: int(seq.mult.sum())}
+
+    def visit(q: int, first: int, idx: np.ndarray | None) -> None:
+        # idx: the indices of the values q divides; None at the root, for all of them
+        value = seq.value if idx is None else seq.value[idx]
+        stop = bisect_right(primes, (cutoff - 1) // q, first)  # q p < cutoff
+        for i, divides in enumerate(_masks(value, primes[first:stop]), first):
+            hit = np.flatnonzero(divides)
+            if len(hit):
+                child = q * primes[i]
+                hit = hit if idx is None else idx[hit]
+                counts[child] = int(seq.mult[hit].sum())
+                visit(child, i + 1, hit)
+
+    visit(1, 0, None)
     rows = []
     total = Fraction(0)
     for q in range(1, cutoff):
         if not is_squarefree(q):
             continue
-        count = counts[q]
+        count = counts.get(q, 0)
         expected = beta(q) * seq.source_size
         r = count - expected
         rows.append(RemainderRow(q, count, expected, r))
@@ -162,8 +251,10 @@ def almost_prime_census(seq: SiftingSequence, z: int) -> int:
     """Count values (with multiplicity) all of whose prime factors exceed z."""
     if z < 2:
         raise ValueError("threshold must be >= 2")
-    primorial = _primorial(z)
-    return sum(mult for value, mult in seq.values if value >= 2 and gcd(value, primorial) == 1)
+    keep = seq.value >= 2
+    for divides in _masks(seq.value, primes_up_to(z)):
+        keep &= ~divides
+    return int(seq.mult[keep].sum())
 
 
 def _squarefree_trace(t: int) -> bool:

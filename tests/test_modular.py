@@ -13,6 +13,7 @@ from thinsieve.arith import is_squarefree, nu, primes_up_to
 from thinsieve.errors import CapExceededError
 from thinsieve.modular import (
     DEFAULT_MODULUS_CAP,
+    DENSITY_MODULUS_CAP,
     _charsum_prime,
     _sl2_table,
     _trace_counts,
@@ -24,6 +25,7 @@ from thinsieve.modular import (
     sl2_enumerate,
     sl2_order,
     sqrt4_count,
+    sqrt4_counts,
 )
 
 # ---------------------------------------------------------------------------
@@ -72,6 +74,15 @@ def sqrt4_count_oracle(q: int) -> int:
     return sum(1 for t in range(q) if (t * t - 4) % q == 0)
 
 
+def kloosterman_oracle(a: int, b: int, p: int) -> float:
+    """K(a, b; p) term by term: one pow and one np.cos per x, added left to right."""
+    total = 0.0
+    for x in range(1, p):
+        inv = pow(x, p - 2, p)
+        total += np.cos(math.tau * ((a * x + b * inv) % p) / p)
+    return float(total)
+
+
 ORACLE_PRIMES = (2, 3, 5, 7, 11, 13, 31)
 
 
@@ -117,6 +128,28 @@ def test_sqrt4_count_equals_the_loop():
     for q in range(1, 3001):
         if is_squarefree(q):
             assert sqrt4_count(q) == sqrt4_count_oracle(q), q
+
+
+def test_sqrt4_counts_equal_one_scan_per_modulus():
+    counts = sqrt4_counts(3000)
+    assert counts.shape == (3001,) and counts[0] == 0
+    for q in range(1, 3001):
+        assert counts[q] == (sqrt4_count(q) if is_squarefree(q) else 0), q
+    assert sqrt4_counts(0).tolist() == [0]
+    assert sqrt4_counts(1).tolist() == [0, 1]
+    with pytest.raises(CapExceededError, match="exceeds cap"):
+        sqrt4_counts(DENSITY_MODULUS_CAP + 1)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 13, 113))
+def test_kloosterman_equals_the_loop_bit_for_bit(p):
+    for m in range(1, p):
+        assert repr(kloosterman(1, m, p)) == repr(kloosterman_oracle(1, m, p)), m
+    rng = random.Random(p)  # arguments of any size and sign reduce mod p first
+    for _ in range(8):
+        a, b = rng.randrange(-10**30, 10**30), rng.randrange(-10**30, 10**30)
+        if (a * b) % p:
+            assert repr(kloosterman(a, b, p)) == repr(kloosterman_oracle(a, b, p)), (a, b)
 
 
 def test_sl2_orders_and_enumeration():

@@ -1,5 +1,7 @@
 from collections import Counter
+from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -397,6 +399,46 @@ def test_build_pi_single_product():
     assert elem.word == (1, 1, 2, 2, 1, 2)
     assert elem.matrix == word_to_matrix((1, 1, 2, 2, 1, 2))
     assert list(pi.iter_traces()) == [elem.trace]
+
+
+# Xi and Omega: words of one length each; Aleph: even alphabet-2 words.
+# Digits up to 10^12 or 10^20 can push the traces' worst case past 2^62, onto
+# Python ints.
+@st.composite
+def _bilinear_sets(draw):
+    top = draw(st.sampled_from([3, 10**6, 10**12, 10**20]))
+
+    def fixed_length(length):
+        word = st.lists(st.integers(1, top), min_size=length, max_size=length).map(tuple)
+        return st.lists(word, min_size=1, max_size=5)
+
+    even = st.integers(1, 2).flatmap(
+        lambda k: st.lists(st.integers(1, 2), min_size=2 * k, max_size=2 * k).map(tuple)
+    )
+    xi = draw(st.integers(1, 3).flatmap(fixed_length))
+    omega = draw(st.integers(1, 3).flatmap(fixed_length))
+    return build_pi(xi, draw(st.lists(even, min_size=1, max_size=5)), omega)
+
+
+@given(_bilinear_sets(), st.sampled_from([1, 7, 1 << 18]))
+@settings(max_examples=80, deadline=None)
+def test_trace_tally_equals_the_trace_stream(pi, shard):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semigroup, "_SHARD", shard)  # 1 and 7: one Xi row per shard
+        traces, mult = pi.trace_tally()
+    assert list(zip(traces.tolist(), mult.tolist())) == sorted(Counter(pi.iter_traces()).items())
+    worst = prod(max(e.norm_sq for e in f) for f in (pi.xi, pi.aleph, pi.omega))
+    assert traces.dtype == (np.int64 if worst < 2**124 else object)
+
+
+def test_trace_tally_of_the_golden_pi():
+    # tests/test_cli.py's PI_BOUNDS: 660 elements, int64 traces
+    pi = build_pi(
+        build_fixed_length_ball(2, 40), aleph_construct(1e6, 2), build_fixed_length_ball(2, 12)
+    )
+    traces, mult = pi.trace_tally()
+    assert traces.dtype == np.int64 and mult.sum() == pi.size == 660
+    assert list(zip(traces.tolist(), mult.tolist())) == sorted(Counter(pi.iter_traces()).items())
 
 
 def test_build_pi_products_distinct_and_bounded():

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -242,7 +243,7 @@ def _remainder_profile_by_scan(seq, cutoff):
     for q in range(1, cutoff):
         if not is_squarefree(q):
             continue
-        count = A_q(seq, q)
+        count = sum(m for v, m in seq.values if v % q == 0)
         expected = beta(q) * seq.source_size
         rows.append(RemainderRow(q, count, expected, count - expected))
         total += abs(count - expected)
@@ -305,3 +306,70 @@ def test_almost_prime_census_equals_trial_division(values, z):
 def test_almost_prime_census_on_pi_equals_trial_division():
     for z in (2, 7, 100, 1000):
         assert almost_prime_census(_PI_SEQ, z) == _almost_prime_census_by_trial(_PI_SEQ, z)
+
+
+def test_remainder_profile_on_zero_and_negative_values():
+    seq = SiftingSequence.from_values([0, 0, -30, -7, -4, 35, 6], norm_bound=1.0)
+    profile = remainder_profile(seq, 100)
+    assert profile == _remainder_profile_by_scan(seq, 100)
+    counts = {row.q: row.count for row in profile.rows}
+    assert (counts[1], counts[2], counts[3], counts[5], counts[7]) == (7, 5, 4, 4, 4)
+    assert (counts[30], counts[35], counts[97]) == (3, 3, 2)  # 0 counts at every q
+    assert A_q(seq, 35) == 3 and A_q(seq, 1) == 7
+    assert almost_prime_census(seq, 2) == 1  # 35; negative values and 0 never count
+    assert almost_prime_census(seq, 5) == 0
+
+
+def test_values_are_int64_in_their_window_and_python_ints_outside():
+    # int64 holds [-2^62, 2^63): there value // p * p cannot overflow
+    seq = SiftingSequence.from_values([-(2**62), 0, 2**62, 2**63 - 1], norm_bound=1.0)
+    assert seq.value.dtype == np.int64 and seq.mult.dtype == np.int64
+    for edge in (2**63, -(2**62) - 1):
+        seq = SiftingSequence.from_values([edge, 5], norm_bound=1.0)
+        assert seq.value.dtype == object
+        assert seq.values == tuple(sorted([(edge, 1), (5, 1)]))
+    # traces square exactly in int64 while |t| <= isqrt(2^63 + 3) = 3037000499
+    top = 3037000499
+    seq = SiftingSequence.from_traces(np.array([2**31, top]), np.array([1, 2]), 1.0)
+    assert seq.value.dtype == np.int64 and seq.values == ((2**62 - 4, 1), (top * top - 4, 2))
+    seq = SiftingSequence.from_traces(np.array([top + 1]), np.array([1]), 1.0)
+    assert seq.value.dtype == object and seq.values == (((top + 1) ** 2 - 4, 1),)
+
+
+def test_traces_t_and_minus_t_give_one_value():
+    seq = SiftingSequence.from_traces(np.array([-4, 3, 4]), np.array([1, 2, 5]), 1.0)
+    assert seq.values == ((5, 2), (12, 6)) and seq.source_size == 8
+
+
+def test_sifting_sequences_compare_and_hash_by_content():
+    a = SiftingSequence.from_values([30, 42, 30], norm_bound=2.0)
+    b = SiftingSequence.from_values([42, 30, 30], norm_bound=2.0)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != SiftingSequence.from_values([30, 42, 42], norm_bound=2.0)
+    assert a != SiftingSequence.from_values([30, 42, 30], norm_bound=3.0)
+    assert a != a.values
+    with pytest.raises(ValueError, match="read-only"):
+        a.value[0] = 0
+
+
+# values near and past -2^62 and 2^63, many with small prime factors, of either sign
+_wide_values = st.lists(
+    st.builds(
+        lambda sign, k, m: sign * k * m,
+        st.sampled_from([1, -1]),
+        st.one_of(st.integers(0, 50), st.integers(2**45, 2**64), st.integers(2**62, 2**200)),
+        st.sampled_from([1, 6, 30, 210, 2310, 30030, 510510]),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+@given(_wide_values, st.integers(2, 400))
+@settings(max_examples=80, deadline=None)
+def test_ledger_A_q_and_census_equal_the_oracles_at_the_int64_edges(values, cutoff):
+    seq = SiftingSequence.from_values(values, norm_bound=1.0)
+    assert remainder_profile(seq, cutoff) == _remainder_profile_by_scan(seq, cutoff)
+    for q in (1, 6, 30, 2310, cutoff if is_squarefree(cutoff) else 1):
+        assert A_q(seq, q) == sum(m for v, m in seq.values if v % q == 0)
+    assert almost_prime_census(seq, cutoff) == _almost_prime_census_by_trial(seq, cutoff)
