@@ -11,9 +11,9 @@ The ledger walks the square-free q < Q depth first by increasing primes,
 keeping at each node the indices of the values that q divides: a child q p
 keeps those of its parent's values that p divides, so |A_q| is one sum of
 multiplicities per node, with no gcd or factorisation of a value, and the
-walk holds one index array per level.  A node no value reaches has no
-descendants that any value reaches.  A_q and the almost-prime census take
-the same per-prime masks.  Python-int values are reduced modulo a product
+walk holds one index array per level.  Each node also carries beta(q), the
+product of its primes' local densities.  A_q and the almost-prime census
+take the same per-prime masks.  Python-int values are reduced modulo a product
 of primes below 2^62 first, so each prime is tested in int64.
 Square-freeness of t^2 - 4 is decided by trial division.
 """
@@ -32,7 +32,7 @@ from .arith import factorize, is_squarefree, primes_up_to
 from .cf import word_to_matrix
 from .errors import CapExceededError, InternalInvariantError
 from .forms import FormCycle, cycle, is_fundamental, matrix_to_form, reduce_form
-from .modular import beta
+from .modular import DENSITY_MODULUS_CAP, beta
 from .semigroup import (
     _INT64_SAFE,
     BilinearSet,
@@ -218,8 +218,11 @@ def remainder_profile(seq: SiftingSequence, cutoff: int) -> RemainderProfile:
     """Rows (q, |A_q|, beta(q)|source|, r(q)) for all square-free q < cutoff."""
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
+    if cutoff - 1 > DENSITY_MODULUS_CAP:
+        raise CapExceededError(f"modulus {cutoff - 1} exceeds cap {DENSITY_MODULUS_CAP}")
     primes = primes_up_to(cutoff - 1)
-    counts = {1: int(seq.mult.sum())}
+    local = [beta(p) for p in primes]  # beta is multiplicative
+    found = {1: (int(seq.mult.sum()), Fraction(1))}  # q -> (|A_q|, beta(q))
 
     def visit(q: int, first: int, idx: np.ndarray | None) -> None:
         # idx: the indices of the values q divides; None at the root, for all of them
@@ -227,20 +230,17 @@ def remainder_profile(seq: SiftingSequence, cutoff: int) -> RemainderProfile:
         stop = bisect_right(primes, (cutoff - 1) // q, first)  # q p < cutoff
         for i, divides in enumerate(_masks(value, primes[first:stop]), first):
             hit = np.flatnonzero(divides)
-            if len(hit):
-                child = q * primes[i]
-                hit = hit if idx is None else idx[hit]
-                counts[child] = int(seq.mult[hit].sum())
-                visit(child, i + 1, hit)
+            hit = hit if idx is None else idx[hit]
+            child = q * primes[i]
+            found[child] = int(seq.mult[hit].sum()), found[q][1] * local[i]
+            visit(child, i + 1, hit)
 
     visit(1, 0, None)
     rows = []
     total = Fraction(0)
-    for q in range(1, cutoff):
-        if not is_squarefree(q):
-            continue
-        count = counts.get(q, 0)
-        expected = beta(q) * seq.source_size
+    for q in sorted(found):
+        count, density = found[q]
+        expected = density * seq.source_size
         r = count - expected
         rows.append(RemainderRow(q, count, expected, r))
         total += abs(r)

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thinsieve.arith import is_squarefree, primes_up_to
+from thinsieve.errors import CapExceededError
 from thinsieve.forms import is_fundamental
-from thinsieve.modular import beta, sl2_enumerate
+from thinsieve.modular import DENSITY_MODULUS_CAP, beta, sl2_enumerate
 from thinsieve.semigroup import (
     aleph_construct,
     ball_count,
@@ -287,6 +288,12 @@ def test_remainder_profile_counts_zero_values_at_every_q():
     profile = remainder_profile(seq, 1000)
     assert profile == _remainder_profile_by_scan(seq, 1000)
     assert all(row.count >= 2 for row in profile.rows)
+
+
+def test_remainder_profile_checks_the_density_cap_first():
+    seq = SiftingSequence.from_values([5], norm_bound=3.0)
+    with pytest.raises(CapExceededError, match="exceeds cap"):
+        remainder_profile(seq, DENSITY_MODULUS_CAP + 2)  # q = 1000001 = 101 * 9901
 
 
 def test_remainder_profile_on_pi_at_cutoff_1000():
