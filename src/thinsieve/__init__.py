@@ -55,7 +55,6 @@ from .modular import (
     sl2_enumerate,
     sl2_order,
     sqrt4_count,
-    sqrt4_counts,
 )
 from .semigroup import (
     AlephSet,

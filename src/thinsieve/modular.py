@@ -148,7 +148,7 @@ def sqrt4_count(q: int, cap: int = DENSITY_MODULUS_CAP) -> int:
     return int(np.count_nonzero((t * t - 4) % q == 0))
 
 
-def sqrt4_counts(n: int, cap: int = DENSITY_MODULUS_CAP) -> np.ndarray:
+def sqrt4_counts(n: int) -> np.ndarray:
     """counts[q] = sqrt4_count(q) for the square-free q <= n; 0 at q = 0 and at
     the q that are not square-free.
 
@@ -156,8 +156,8 @@ def sqrt4_counts(n: int, cap: int = DENSITY_MODULUS_CAP) -> np.ndarray:
     prime (one root mod 2), so it is 2^(nu(q) - [2 | q]).  One sieve over the
     primes <= n counts nu and strikes the multiples of squares.
     """
-    if n > cap:
-        raise CapExceededError(f"modulus {n} exceeds cap {cap}")
+    if n > DENSITY_MODULUS_CAP:
+        raise CapExceededError(f"modulus {n} exceeds cap {DENSITY_MODULUS_CAP}")
     nu = np.zeros(n + 1, dtype=np.int64)
     free = np.ones(n + 1, dtype=bool)
     free[0] = False

@@ -252,30 +252,41 @@ def _tally(runs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.nd
 
 
 def _count(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct entries of a non-empty array, ascending, and their
-    multiplicities.  Sorts the array in place."""
+    """The distinct entries of an array, ascending, and their multiplicities.
+    Sorts the array in place."""
+    if not len(values):
+        return values, np.zeros(0, dtype=np.int64)
     values.sort()
     first = _starts(values)
     return values[first], np.diff(first, append=len(values))
+
+
+def _merge(runs: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Tally a stream of (values, multiplicities) runs into one run of sorted
+    distinct values.
+
+    Pending runs are merged into the running tally once they are as long as
+    it, so the merge holds the distinct values, about as many pending ones
+    and one run.
+    """
+    held = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))]  # held[0]: the tally
+    pending = 0
+    for run in runs:
+        held.append(run)
+        pending += len(run[0])
+        if pending >= len(held[0][0]):
+            held, pending = [_tally(held)], 0
+    return _tally(held) if pending else held[0]
 
 
 def ball_traces(alphabet: int, norm: float) -> tuple[np.ndarray, np.ndarray]:
     """The distinct traces of the even words in the closed ball, ascending, and
     their multiplicities.
 
-    Blocks of traces are merged into the running tally once they are as
-    long as it, so the walk holds the distinct traces, about as many pending
-    ones and one block.  Raises CapExceededError once the ball passes
-    DEFAULT_MAX_ELEMENTS even words.
+    Raises CapExceededError once the ball passes DEFAULT_MAX_ELEMENTS even words.
     """
-    runs = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))]
-    pending = 0
-    for a, _, _, d in _ball_blocks(alphabet, _norm_sq_cap(norm), "even", DEFAULT_MAX_ELEMENTS):
-        runs.append((a + d, np.ones(len(a), dtype=np.int64)))
-        pending += len(a)
-        if pending >= len(runs[0][0]):
-            runs, pending = [_tally(runs)], 0
-    return _tally(runs)
+    blocks = _ball_blocks(alphabet, _norm_sq_cap(norm), "even", DEFAULT_MAX_ELEMENTS)
+    return _merge((a + d, np.ones(len(a), dtype=np.int64)) for a, _, _, d in blocks)
 
 
 class HensleyFit(NamedTuple):
@@ -575,10 +586,9 @@ class BilinearSet:
         tr(L T) = La Ta + Lb Tc + Lc Tb + Ld Td, so the traces are one integer
         matrix product: the |Xi| x 4 rows (La, Lb, Lc, Ld) times the 4 x
         |Aleph||Omega| columns (Ta, Tc, Tb, Td) of the tails T = A O.  It is
-        formed about _SHARD traces at a time, a shard of Xi rows; each shard
-        is counted in place and merged into the running tally once the
-        pending counts are as long as it, so memory grows with the shard and
-        the distinct traces, not with the set.
+        formed about _SHARD traces at a time, a shard of Xi rows, and each
+        shard is counted in place and fed to _merge, so memory grows with the
+        shard and the distinct traces, not with the set.
         By Cauchy-Schwarz and submultiplicativity every entry of T, every
         partial sum and every trace is at most the square root of the product
         of the factors' largest squared norms; entries are int64 while that
@@ -595,12 +605,8 @@ class BilinearSet:
         right = tails.transpose(0, 1, 3, 2).reshape(-1, 4).T  # columns (Ta, Tc, Tb, Td)
         left = entries(self.xi).reshape(-1, 4)
         rows = max(1, _SHARD // right.shape[1])
-        runs = []  # runs[0] is the running tally, the rest are pending
-        for i in range(0, len(left), rows):
-            runs.append(_count((left[i : i + rows] @ right).ravel()))
-            if len(runs) > 1 and sum(len(v) for v, _ in runs[1:]) >= len(runs[0][0]):
-                runs = [_tally(runs)]
-        return _tally(runs) if len(runs) > 1 else runs[0]
+        return _merge(_count((left[i : i + rows] @ right).ravel())
+                      for i in range(0, len(left), rows))
 
 
 def _as_elements(factor) -> tuple[SemigroupElement, ...]:

@@ -37,6 +37,7 @@ from .semigroup import (
     _INT64_SAFE,
     BilinearSet,
     SemigroupElement,
+    _count,
     _tally,
     ball_traces,
     cyclic_classes,
@@ -80,11 +81,6 @@ def _masks(values: np.ndarray, primes: list[int]) -> Iterator[np.ndarray]:
         start = stop
 
 
-def _tally_of(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values, ascending, as Python ints, and their multiplicities."""
-    return _tally([(np.array(values, dtype=object), np.ones(len(values), dtype=np.int64))])
-
-
 def _exact(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Ascending values as int64 while all lie in [lo, hi), else as Python ints."""
     fits = not len(values) or (lo <= int(values[0]) and int(values[-1]) < hi)
@@ -105,7 +101,7 @@ class SiftingSequence:
 
     `value` holds the distinct values in ascending order (int64 while they
     lie in [-2^62, 2^63), Python ints otherwise) and `mult` their
-    multiplicities (int64).
+    multiplicities (int64).  Both are kept as read-only views.
     """
 
     value: np.ndarray
@@ -114,8 +110,10 @@ class SiftingSequence:
     norm_bound: float
 
     def __post_init__(self):
-        self.value.flags.writeable = False
-        self.mult.flags.writeable = False
+        for name in ("value", "mult"):
+            view = getattr(self, name).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     @property
     def values(self) -> tuple[tuple[int, int], ...]:
@@ -140,7 +138,7 @@ class SiftingSequence:
 
     @classmethod
     def from_values(cls, values: Iterable[int], norm_bound: float = 0.0) -> "SiftingSequence":
-        value, mult = _tally_of(list(values))
+        value, mult = _count(np.array(list(values), dtype=object))
         if not norm_bound:
             top = int(value[-1]) if len(value) else -4
             if top < -4:
@@ -182,7 +180,7 @@ def sift_values(source) -> SiftingSequence:
             e if isinstance(e, SemigroupElement) else SemigroupElement.from_word(e)
             for e in source
         ]
-        traces, mult = _tally_of([e.trace for e in elements])
+        traces, mult = _count(np.array([e.trace for e in elements], dtype=object))
         norm = sqrt(max((e.norm_sq for e in elements), default=0))
     if not len(traces):
         raise ValueError("empty sifting source")
@@ -191,10 +189,10 @@ def sift_values(source) -> SiftingSequence:
 
 def A_q(seq: SiftingSequence, q: int) -> int:
     """Total multiplicity of values divisible by q."""
-    if q < 1 or not is_squarefree(q):
+    if q < 1 or max((exponents := factorize(q)).values(), default=1) > 1:
         raise ValueError(f"modulus must be square-free and positive, got {q}")
     hit = np.ones(len(seq.value), dtype=bool)
-    for divides in _masks(seq.value, list(factorize(q))):
+    for divides in _masks(seq.value, list(exponents)):
         hit &= divides
     return int(seq.mult[hit].sum())
 

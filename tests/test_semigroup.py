@@ -431,6 +431,19 @@ def test_trace_tally_equals_the_trace_stream(pi, shard):
     assert traces.dtype == (np.int64 if worst < 2**124 else object)
 
 
+@given(st.lists(st.lists(st.integers(-50, 50), max_size=40), max_size=12), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_merge_equals_one_counter_over_the_runs(runs, counted):
+    def run(values):
+        values = np.array(values, dtype=np.int64)
+        return semigroup._count(values) if counted else (values, np.ones(len(values), np.int64))
+
+    values, mult = semigroup._merge(run(r) for r in runs)
+    assert values.dtype == mult.dtype == np.int64
+    expected = sorted(Counter(v for r in runs for v in r).items())
+    assert list(zip(values.tolist(), mult.tolist())) == expected
+
+
 def test_trace_tally_of_the_golden_pi():
     # tests/test_cli.py's PI_BOUNDS: 660 elements, int64 traces
     pi = build_pi(

@@ -95,8 +95,9 @@ def test_A_q_examples():
     seq = sift_values([(1, 35), (5, 7)])
     assert A_q(seq, 15) == 2
     assert A_q(seq, 2) == 0
-    with pytest.raises(ValueError):
-        A_q(seq, 12)
+    for q in (12, 0, -6):
+        with pytest.raises(ValueError):
+            A_q(seq, q)
 
 
 def test_A_q_inclusion_structure():
@@ -346,6 +347,15 @@ def test_values_are_int64_in_their_window_and_python_ints_outside():
 def test_traces_t_and_minus_t_give_one_value():
     seq = SiftingSequence.from_traces(np.array([-4, 3, 4]), np.array([1, 2, 5]), 1.0)
     assert seq.values == ((5, 2), (12, 6)) and seq.source_size == 8
+
+
+def test_from_traces_leaves_the_callers_arrays_writable():
+    traces, mult = np.array([3, 4]), np.array([2, 5])
+    seq = SiftingSequence.from_traces(traces, mult, 1.0)
+    traces[0], mult[0] = 7, 9  # no error
+    assert seq.values == ((5, 9), (12, 5))  # mult is shared as a read-only view
+    with pytest.raises(ValueError, match="read-only"):
+        seq.mult[0] = 0
 
 
 def test_sifting_sequences_compare_and_hash_by_content():
