@@ -188,6 +188,10 @@ GOLDEN = [
      "ebd9ef1937c0011ff18a6b6a72b935c4bcc7cca771336c9e019ebc8bb24f5618"),
     (["dimension", "--alphabets", "2,3", "--depth", 6], "dimension.csv",
      "36948993616e98e232f3dc084874ebbfaea9ee52015cc12c0b07a1500214ec5e"),
+    (["dimension", "--alphabets", "2,3", "--depth", 13], "dimension.csv",  # the bench step
+     "3ef82b3fbad986cde158eb02357f0c8512d510969d5bba1352288f129c11afb4"),
+    (["dimension", "--alphabets", "4", "--depth", 11], "dimension.csv",
+     "1ab99559f8c1c41ef67d7c98f790dbf7902a33d136f079acbc125894fc9d12a9"),
     (["densities", "--modulus", 30], "densities.csv",
      "c6fe88acb9ed5615ae453b8dacd68aa470ce6739d0dfb1f9d861ca83c5e3d77f"),
     (["expsum", "--prime", 7, "--samples", 3, "--seed", 1], "expsum.csv",
@@ -233,8 +237,8 @@ def test_golden_artifacts(tmp_path, monkeypatch, argv, artifact, digest):
 @pytest.mark.parametrize("text, argv, golden", [
     ("# enumerate settings\nalphabet = 3\nparity=any\n", ["enumerate", "--norm", 12], 0),
     ("use-pi = yes\nxi_bound=40\naleph-bound=1e6\nomega_bound=12\nthreshold=5\n",
-     ["almost-prime"], 13),
-    ("emit=profile.json\n", ["geodesic", "--word", "1,35"], 20),
+     ["almost-prime"], 15),
+    ("emit=profile.json\n", ["geodesic", "--word", "1,35"], 22),
 ])
 def test_config_file_gives_golden_artifact(tmp_path, monkeypatch, text, argv, golden):
     monkeypatch.chdir(tmp_path)
