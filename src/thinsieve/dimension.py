@@ -17,14 +17,43 @@ pressure root from both sides:
 
 Brackets from depths k and k-1 are intersected.  This is a cylinder-sum
 method throughout; no transfer-operator discretisation is involved.
+
+Certified signs.  Bisection reads only the sign of g(s) = log S(s) - sign s log C,
+S(s) = sum len^s, and S in full is a pass of np.power over all A^k lengths.
+So each depth is summarised once: x = -log(len) is cut into BINS equal bins
+[a, a + w] spanning [min x, max x], each keeping its count n and its mean as
+an offset m in [0, 1] bin widths from a.  As e^{-sx} is convex, a bin adds
+to S at least n e^{-s(a + m w)} (Jensen) and at most the chord value
+n e^{-sa} (1 - m (1 - e^{-sw})).  A midpoint whose lower bound gives
+g > MARGIN is +, one whose upper bound gives g < -MARGIN is -, and any
+other, like the endpoints s = 0 and 1, takes the full sum.  Every sign is
+then the one the full sum gives, so the bracket is bit for bit the full
+bisection's.
+
+Error budget (u = 2^-53; N <= DEPTH_BUDGET terms; x < 64, as
+x <= log 2 + 2k log(A + 1) when A^k <= DEPTH_BUDGET and A >= 2, while the
+one word of alphabet 1 stops the bisection at s = 0):
+  * the full sum: np.power errs by a few ulp per term, numpy's pairwise sum
+    by under (log2 N + 16) u relatively, log by an ulp of |log S| < 64:
+    under 1e-13 in g;
+  * the computed x: even 10^3 ulp of error in np.log moves each e^{-sx} by
+    a factor within e^{+-2e-11}, and binning moves each point into its bin
+    by at most 8u (max x - min x);
+  * the bin means: np.bincount adds each bin's offsets in sequence, an
+    error of at most (n - 1) u bin widths (each offset is in [0, 1]) plus u
+    for the division, so every mean is widened by n 2^-52 in the direction
+    that weakens its bound; this holds for any BINS;
+  * the bounds themselves: exp, expm1, the sum of at most BINS terms and
+    the final log err by under 1e-13.
+MARGIN = 1e-9 exceeds the sum of these by more than an order of magnitude.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import log, sqrt
+from functools import cached_property
+from math import expm1, isfinite, log, sqrt
 
 import numpy as np
 
@@ -32,6 +61,9 @@ from .cf import check_word, word_to_matrix
 from .errors import CapExceededError, InternalInvariantError
 
 DEPTH_BUDGET = 10**7
+TOL_CAP = 1e-2  # coarsest bisection tolerance estimate accepts
+BINS = 4096  # equal log-length bins of the certified-sign summary
+MARGIN = 1e-9  # slack on every certified sign; see the error budget above
 
 
 def cylinder_length(word) -> Fraction:
@@ -52,9 +84,15 @@ def distortion_constant(alphabet: int) -> float:
     return 1.0 + (sqrt(a * a + 4.0 * a) - a) / 2.0
 
 
-@lru_cache(maxsize=8)
-def _length_array(alphabet: int, depth: int) -> np.ndarray:
-    """Cylinder lengths of all depth-k words, as float64."""
+def _cylinder_lengths(alphabet: int, depth: int) -> list[np.ndarray]:
+    """Float64 cylinder lengths of every word at depths k-1 and k (only k when k = 1).
+
+    Words run in lexicographic order.  Each step extends every continuant pair
+    (q, q') by every digit d to (d q + q', q) in one broadcast, so depth k-1
+    is the loop's next-to-last step rather than a second build.
+    """
+    if alphabet < 1:
+        raise ValueError("alphabet bound must be >= 1")
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if alphabet**depth > DEPTH_BUDGET:
@@ -62,30 +100,79 @@ def _length_array(alphabet: int, depth: int) -> np.ndarray:
             f"alphabet^depth = {alphabet**depth} exceeds budget {DEPTH_BUDGET}"
         )
     digits = np.arange(1, alphabet + 1, dtype=np.int64)
-    q = digits.copy()
-    q_prev = np.ones(alphabet, dtype=np.int64)
-    for _ in range(depth - 1):
-        n = q.shape[0]
-        q_rep = np.repeat(q, alphabet)
-        qp_rep = np.repeat(q_prev, alphabet)
-        dig = np.tile(digits, n)
-        q, q_prev = dig * q_rep + qp_rep, q_rep
-    return 1.0 / (q.astype(np.float64) * (q + q_prev).astype(np.float64))
+    q, q_prev = digits, np.ones(alphabet, dtype=np.int64)
+    lengths = []
+    for k in range(1, depth + 1):
+        if k >= depth - 1:
+            den = q.astype(np.float64)
+            den *= q + q_prev
+            lengths.append(np.divide(1.0, den, out=den))
+        if k < depth:
+            step = np.multiply.outer(q, digits)
+            step += q_prev[:, None]
+            q, q_prev = step.ravel(), np.repeat(q, alphabet)
+    return lengths
 
 
 def pressure_sum(alphabet: int, depth: int, s: float) -> float:
     """Sum of cylinder_length(w)^s over all depth-k words; strictly decreasing in s."""
-    lengths = _length_array(alphabet, depth)
-    return float(np.power(lengths, s).sum())
+    if not isfinite(s):
+        raise ValueError(f"s must be finite, got {s!r}")
+    return float(np.power(_cylinder_lengths(alphabet, depth)[-1], s).sum())
 
 
-def _root(alphabet: int, depth: int, sign: int, tol: float) -> float:
-    """Solve  log pressure_sum(s) = sign * s * log C  for s in [0, 1]."""
-    log_c = log(distortion_constant(alphabet))
-    lengths = _length_array(alphabet, depth)
+def _log_sum(lengths: np.ndarray, s: float) -> float:
+    """log of the pressure sum in full: the value every certified sign agrees with."""
+    return log(float(np.power(lengths, s).sum()))
+
+
+class _Pressure:
+    """The pressure sum S(s) = sum len^s of one depth: in full, and bounded from bins."""
+
+    def __init__(self, lengths: np.ndarray):
+        self.lengths = lengths
+        self._full: dict[float, float] = {}  # shared by the two roots' endpoints
+
+    def log_sum(self, s: float) -> float:
+        if s not in self._full:
+            self._full[s] = _log_sum(self.lengths, s)
+        return self._full[s]
+
+    @cached_property
+    def _bins(self) -> tuple:
+        """x = -log(len) in BINS equal bins: left edges, counts and widened mean offsets."""
+        t = np.log(self.lengths)  # -x
+        log_max = float(t.max())
+        width = (log_max - float(t.min())) / BINS
+        np.subtract(log_max, t, out=t)  # x - min x, exactly >= 0
+        t *= 1.0 / width if width > 0.0 else 0.0
+        np.minimum(t, np.nextafter(BINS, 0), out=t)
+        bin_of = t.astype(np.intp)
+        t -= bin_of  # offset from the bin's left edge, in [0, 1) bin widths
+        count = np.bincount(bin_of, minlength=BINS)
+        offset = np.bincount(bin_of, weights=t, minlength=BINS)
+        full = np.flatnonzero(count)
+        n = count[full].astype(np.float64)
+        mean = offset[full] / n
+        slack = n * 2.0**-52  # the sequential sum's error, in bin widths
+        m_lo = np.clip(mean - slack, 0.0, 1.0)
+        m_hi = np.clip(mean + slack, 0.0, 1.0)
+        left = full * width
+        return -log_max, width, n, left, left + width * m_hi, m_lo
+
+    def log_bounds(self, s: float) -> tuple[float, float]:
+        """Rigorous (lower, upper) bounds on log S(s), up to the rounding MARGIN covers."""
+        x_min, width, n, left, mean_hi, m_lo = self._bins
+        lower = (n * np.exp(-s * mean_hi)).sum()  # Jensen, per bin
+        upper = (n * np.exp(-s * left) * (1.0 + m_lo * expm1(-s * width))).sum()  # chord
+        return log(float(lower)) - s * x_min, log(float(upper)) - s * x_min
+
+
+def _root(pressure: _Pressure, sign: int, log_c: float, tol: float) -> float:
+    """Solve  log S(s) = sign * s * log C  for s in [0, 1] by bisection."""
 
     def g(s: float) -> float:
-        return log(float(np.power(lengths, s).sum())) - sign * s * log_c
+        return pressure.log_sum(s) - sign * s * log_c
 
     lo, hi = 0.0, 1.0
     g_lo = g(lo)
@@ -97,7 +184,15 @@ def _root(alphabet: int, depth: int, sign: int, tol: float) -> float:
         return 1.0  # root beyond 1; clip (dimension never exceeds 1)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
+        low, high = pressure.log_bounds(mid)
+        tilt = sign * mid * log_c
+        if low - MARGIN - tilt > 0.0:
+            positive = True
+        elif high + MARGIN - tilt < 0.0:
+            positive = False
+        else:
+            positive = g(mid) > 0.0
+        if positive:
             lo = mid
         else:
             hi = mid
@@ -125,14 +220,20 @@ class DimensionEstimate:
 
 
 def estimate(alphabet: int, depth: int, tol: float = 1e-6) -> DimensionEstimate:
-    """Bracket the dimension using the pressure sums at depths k-1 and k."""
-    if tol < 1e-6:
-        raise ValueError("tol below the supported bisection resolution 1e-6")
-    depths = [depth] if depth <= 1 else [depth - 1, depth]
+    """Bracket the dimension using the pressure sums at depths k-1 and k.
+
+    lower and upper are bisection midpoints, each within tol/2 of the pressure
+    root it approximates (0 and 1 are exact clips), so the dimension lies in
+    [lower - tol/2, upper + tol/2].  tol must lie in [1e-6, TOL_CAP].
+    """
+    if not 1e-6 <= tol <= TOL_CAP:
+        raise ValueError(f"tol must lie in [1e-6, {TOL_CAP}], got {tol!r}")
+    log_c = log(distortion_constant(alphabet))
     lower, upper = 0.0, 1.0
-    for k in depths:
-        lower = max(lower, _root(alphabet, k, +1, tol))
-        upper = min(upper, _root(alphabet, k, -1, tol))
+    for lengths in _cylinder_lengths(alphabet, depth):
+        pressure = _Pressure(lengths)
+        lower = max(lower, _root(pressure, +1, log_c, tol))
+        upper = min(upper, _root(pressure, -1, log_c, tol))
     if lower > upper + 4 * tol:
         raise InternalInvariantError("depth brackets are inconsistent")
     lower = min(lower, upper)

@@ -325,6 +325,8 @@ BAD_INPUTS = [
     ["dimension", "--tol", "-1e-3"],
     ["dimension", "--depth", "0"],
     ["dimension", "--alphabets", "2,0"],
+    ["dimension", "--alphabets", "2", "--depth", "10", "--tol", "0.5"],  # above estimate's cap
+    ["dimension", "--tol", "1e-9"],  # below the bisection resolution
     ["densities", "--modulus", "0"],
     ["expsum", "--prime", "7", "--samples", "-3"],
     ["expsum", "--prime", "1", "--samples", "1"],  # no nonzero sample exists mod 1

@@ -1,8 +1,13 @@
 from fractions import Fraction
 from itertools import product
+from math import log
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from thinsieve import dimension
 from thinsieve.dimension import (
     asymptote,
     cylinder_length,
@@ -10,7 +15,97 @@ from thinsieve.dimension import (
     estimate,
     pressure_sum,
 )
-from thinsieve.errors import CapExceededError
+from thinsieve.errors import CapExceededError, InternalInvariantError
+
+
+# ---------------------------------------------------------------------------
+# exact-bisection oracle: every sign from the full pressure sum, over lengths
+# built with np.repeat / np.tile, as estimate computed them before its signs
+# were certified from binned bounds
+
+def _oracle_lengths(alphabet, depth):
+    digits = np.arange(1, alphabet + 1, dtype=np.int64)
+    q = digits.copy()
+    q_prev = np.ones(alphabet, dtype=np.int64)
+    for _ in range(depth - 1):
+        n = q.shape[0]
+        q_rep = np.repeat(q, alphabet)
+        qp_rep = np.repeat(q_prev, alphabet)
+        dig = np.tile(digits, n)
+        q, q_prev = dig * q_rep + qp_rep, q_rep
+    return 1.0 / (q.astype(np.float64) * (q + q_prev).astype(np.float64))
+
+
+def _oracle_root(alphabet, depth, sign, tol):
+    log_c = log(distortion_constant(alphabet))
+    lengths = _oracle_lengths(alphabet, depth)
+
+    def g(s):
+        return log(float(np.power(lengths, s).sum())) - sign * s * log_c
+
+    lo, hi = 0.0, 1.0
+    g_lo = g(lo)
+    if g_lo == 0.0:
+        return 0.0
+    if g_lo < 0.0:
+        raise InternalInvariantError("pressure not bracketed at s = 0")
+    if g(hi) >= 0.0:
+        return 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if g(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _oracle_estimate(alphabet, depth, tol):
+    lower, upper = 0.0, 1.0
+    for k in [depth] if depth <= 1 else [depth - 1, depth]:
+        lower = max(lower, _oracle_root(alphabet, k, +1, tol))
+        upper = min(upper, _oracle_root(alphabet, k, -1, tol))
+    return min(lower, upper), min(upper, 1.0)
+
+
+@st.composite
+def _cases(draw):
+    alphabet = draw(st.integers(1, 8))
+    top = 30 if alphabet == 1 else int(log(2e5) / log(alphabet))
+    depth = draw(st.integers(1, top))
+    tol = draw(st.floats(1e-6, 1e-2))
+    return alphabet, depth, tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(_cases())
+def test_estimate_equals_the_exact_bisection(case):
+    est = estimate(*case)
+    assert (est.lower, est.upper) == _oracle_estimate(*case)
+
+
+@pytest.mark.parametrize("constant, value", [("BINS", 1), ("MARGIN", float("inf"))],
+                         ids=["one-bin", "every-sign-in-full"])
+@pytest.mark.parametrize("alphabet, depth, tol", [
+    (2, 12, 1e-6), (3, 9, 1e-6), (5, 6, 3e-4), (8, 5, 1e-2), (1, 7, 1e-6), (20, 3, 1e-6),
+])
+def test_fallback_equals_the_exact_bisection(monkeypatch, constant, value, alphabet, depth, tol):
+    monkeypatch.setattr(dimension, constant, value)
+    est = estimate(alphabet, depth, tol)
+    assert (est.lower, est.upper) == _oracle_estimate(alphabet, depth, tol)
+
+
+def test_certified_signs_leave_few_full_sums(monkeypatch):
+    full, builds = [], []
+    log_sum, lengths = dimension._log_sum, dimension._cylinder_lengths
+    monkeypatch.setattr(dimension, "_log_sum", lambda v, s: full.append(s) or log_sum(v, s))
+    monkeypatch.setattr(dimension, "_cylinder_lengths",
+                        lambda a, k: builds.append((a, k)) or lengths(a, k))
+    est = estimate(3, 13)
+    assert builds == [(3, 13)]  # one build gives both depths
+    assert [s for s in full if s in (0.0, 1.0)] == [0.0, 1.0] * 2  # endpoints once per depth
+    assert sum(0 < s < 1 for s in full) <= 3  # of 80 bisection midpoints
+    assert (est.lower, est.upper) == (0.686495304107666, 0.7307906150817871)
 
 
 def test_cylinder_length_examples():
@@ -100,6 +195,21 @@ def test_large_alphabet_asymptote():
         assert est.lower - 0.02 <= target <= est.upper + 0.02
 
 
-def test_tolerance_contract():
+@pytest.mark.parametrize("tol", [1e-9, 0.0, -1e-3, 0.5, 2e-2, float("nan"), float("inf")])
+def test_tolerance_contract(tol):
     with pytest.raises(ValueError):
-        estimate(2, 8, tol=1e-9)
+        estimate(2, 8, tol=tol)
+
+
+def test_tolerance_bounds_are_accepted():
+    fine, coarse = estimate(2, 8, tol=1e-6), estimate(2, 8, tol=1e-2)
+    # each end is a bisection midpoint within tol / 2 of the same pressure root
+    assert abs(fine.lower - coarse.lower) <= (1e-6 + 1e-2) / 2
+    assert abs(fine.upper - coarse.upper) <= (1e-6 + 1e-2) / 2
+
+
+@pytest.mark.parametrize("args", [(0, 3, 0.5), (-1, 3, 0.5), (2, 0, 0.5), (2, 3, float("nan")),
+                                  (2, 3, float("inf")), (2, 3, float("-inf"))])
+def test_pressure_sum_rejects_bad_inputs(args):
+    with pytest.raises(ValueError):
+        pressure_sum(*args)
