@@ -88,8 +88,10 @@ def _cylinder_lengths(alphabet: int, depth: int) -> list[np.ndarray]:
     """Float64 cylinder lengths of every word at depths k-1 and k (only k when k = 1).
 
     Words run in lexicographic order.  Each step extends every continuant pair
-    (q, q') by every digit d to (d q + q', q) in one broadcast, so depth k-1
-    is the loop's next-to-last step rather than a second build.
+    (q, q') by every digit d to (d q + q', q) in one broadcast, carried as
+    (q, r = q + q') so that r' = d q + r and q' = r' - q, and the lengths
+    1 / (q r) need no further temporary; depth k-1 is the loop's
+    next-to-last step rather than a second build.
     """
     if alphabet < 1:
         raise ValueError("alphabet bound must be >= 1")
@@ -100,17 +102,17 @@ def _cylinder_lengths(alphabet: int, depth: int) -> list[np.ndarray]:
             f"alphabet^depth = {alphabet**depth} exceeds budget {DEPTH_BUDGET}"
         )
     digits = np.arange(1, alphabet + 1, dtype=np.int64)
-    q, q_prev = digits, np.ones(alphabet, dtype=np.int64)
+    q, r = digits, digits + 1
     lengths = []
     for k in range(1, depth + 1):
         if k >= depth - 1:
             den = q.astype(np.float64)
-            den *= q + q_prev
+            den *= r
             lengths.append(np.divide(1.0, den, out=den))
         if k < depth:
-            step = np.multiply.outer(q, digits)
-            step += q_prev[:, None]
-            q, q_prev = step.ravel(), np.repeat(q, alphabet)
+            r = np.multiply.outer(q, digits) + r[:, None]
+            q = (r - q[:, None]).ravel()
+            r = r.ravel()
     return lengths
 
 
