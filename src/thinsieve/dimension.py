@@ -148,7 +148,7 @@ class _Pressure:
         width = (log_max - float(t.min())) / BINS
         np.subtract(log_max, t, out=t)  # x - min x, exactly >= 0
         t *= 1.0 / width if width > 0.0 else 0.0
-        np.minimum(t, np.nextafter(BINS, 0), out=t)
+        np.minimum(t, np.nextafter(BINS, 0), out=t)  # max x into the last bin
         bin_of = t.astype(np.intp)
         t -= bin_of  # offset from the bin's left edge, in [0, 1) bin widths
         count = np.bincount(bin_of, minlength=BINS)

@@ -188,10 +188,6 @@ GOLDEN = [
      "ebd9ef1937c0011ff18a6b6a72b935c4bcc7cca771336c9e019ebc8bb24f5618"),
     (["dimension", "--alphabets", "2,3", "--depth", 6], "dimension.csv",
      "36948993616e98e232f3dc084874ebbfaea9ee52015cc12c0b07a1500214ec5e"),
-    (["dimension", "--alphabets", "2,3", "--depth", 13], "dimension.csv",  # the bench step
-     "3ef82b3fbad986cde158eb02357f0c8512d510969d5bba1352288f129c11afb4"),
-    (["dimension", "--alphabets", "4", "--depth", 11], "dimension.csv",
-     "1ab99559f8c1c41ef67d7c98f790dbf7902a33d136f079acbc125894fc9d12a9"),
     (["densities", "--modulus", 30], "densities.csv",
      "c6fe88acb9ed5615ae453b8dacd68aa470ce6739d0dfb1f9d861ca83c5e3d77f"),
     (["expsum", "--prime", 7, "--samples", 3, "--seed", 1], "expsum.csv",
@@ -237,8 +233,8 @@ def test_golden_artifacts(tmp_path, monkeypatch, argv, artifact, digest):
 @pytest.mark.parametrize("text, argv, golden", [
     ("# enumerate settings\nalphabet = 3\nparity=any\n", ["enumerate", "--norm", 12], 0),
     ("use-pi = yes\nxi_bound=40\naleph-bound=1e6\nomega_bound=12\nthreshold=5\n",
-     ["almost-prime"], 15),
-    ("emit=profile.json\n", ["geodesic", "--word", "1,35"], 22),
+     ["almost-prime"], 13),
+    ("emit=profile.json\n", ["geodesic", "--word", "1,35"], 20),
 ])
 def test_config_file_gives_golden_artifact(tmp_path, monkeypatch, text, argv, golden):
     monkeypatch.chdir(tmp_path)
@@ -262,6 +258,20 @@ def test_golden_pi_ledger_at_cutoff_1000(tmp_path, monkeypatch):
     assert run(["sieve-remainders", "--use-pi", *PI_BOUNDS, "--cutoff", 1000]) == 0
     digest = hashlib.sha256((tmp_path / "remainders.csv").read_bytes()).hexdigest()
     assert digest == "4fe323edceda86bcec00de69deb05ca42d763db4b39225d0d289bdcc6fe5d4ab"
+
+
+# digests recorded while every bisection sign of estimate came from the full
+# pressure sum; the first is the dimension step of the fiber_forms benchmark
+@pytest.mark.parametrize("argv, digest", [
+    (["dimension", "--alphabets", "2,3", "--depth", 13],
+     "3ef82b3fbad986cde158eb02357f0c8512d510969d5bba1352288f129c11afb4"),
+    (["dimension", "--alphabets", "4", "--depth", 11],
+     "1ab99559f8c1c41ef67d7c98f790dbf7902a33d136f079acbc125894fc9d12a9"),
+], ids=["2,3-depth-13", "4-depth-11"])
+def test_golden_dimension_at_bench_depths(tmp_path, monkeypatch, argv, digest):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 0
+    assert hashlib.sha256((tmp_path / "dimension.csv").read_bytes()).hexdigest() == digest
 
 
 # digests recorded while densities scanned every t < q for each q and
