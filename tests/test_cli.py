@@ -274,6 +274,19 @@ def test_golden_dimension_at_bench_depths(tmp_path, monkeypatch, argv, digest):
     assert hashlib.sha256((tmp_path / "dimension.csv").read_bytes()).hexdigest() == digest
 
 
+# digests recorded while class_cycles walked rho one validated Form at a time,
+# walked each partner cycle again and took least rotations over all rotations;
+# the two discriminants are the class-cycles steps of the fiber_forms benchmark
+@pytest.mark.parametrize("disc, digest", [
+    (4006209, "afac85d0d7b31e77f523bf55922ee6cd1c3f7b0a15d361a52c1d09f2d0443128"),
+    (10007293, "81e8c81d1b03740b804d3bae10f5ac0fe6fe0f792d8ebefd018382d1cd24845a"),
+], ids=["4006209", "10007293"])
+def test_golden_class_cycles_at_bench_discriminants(tmp_path, monkeypatch, disc, digest):
+    monkeypatch.chdir(tmp_path)
+    assert run(["class-cycles", "--disc", disc]) == 0
+    assert hashlib.sha256((tmp_path / "class_cycles.json").read_bytes()).hexdigest() == digest
+
+
 # digests recorded while densities scanned every t < q for each q and
 # kloosterman summed its terms in a Python loop
 @pytest.mark.parametrize("argv, artifact, digest", [
