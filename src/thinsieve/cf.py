@@ -34,8 +34,31 @@ def rotations(word: Word) -> list[Word]:
 
 
 def canonical_rotation(word: Word) -> Word:
-    """Lexicographically least rotation; canonical representative of a cyclic class."""
-    return min(rotations(word))
+    """Lexicographically least rotation; canonical representative of a cyclic class.
+
+    Linear time: two candidate starts i != j are compared along the doubled
+    word.  When their first k digits agree and digit k of start i is the
+    larger, no start in i..i+k begins the least rotation (start j+t beats
+    start i+t), so i jumps to i+k+1; likewise for j.  Each comparison either
+    extends k or moves a start past k+1 digits, so at most 3n are made.
+    """
+    w = tuple(word)
+    n = len(w)
+    ww = w + w
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        x, y = ww[i + k], ww[j + k]
+        if x == y:
+            k += 1
+            continue
+        if x > y:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        i, j, k = min(i, j), max(i, j), 0
+    return ww[i : i + n]
 
 
 @dataclass(frozen=True)

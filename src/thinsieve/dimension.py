@@ -61,6 +61,7 @@ from .cf import check_word, word_to_matrix
 from .errors import CapExceededError, InternalInvariantError
 
 DEPTH_BUDGET = 10**7
+MAX_DEPTH = 10**5  # deepest level; only alphabet 1 gets past depth 23 (about 0.8 s there)
 TOL_CAP = 1e-2  # coarsest bisection tolerance estimate accepts
 BINS = 4096  # equal log-length bins of the certified-sign summary
 MARGIN = 1e-9  # slack on every certified sign; see the error budget above
@@ -84,6 +85,16 @@ def distortion_constant(alphabet: int) -> float:
     return 1.0 + (sqrt(a * a + 4.0 * a) - a) / 2.0
 
 
+def _fits_int64(alphabet: int, depth: int) -> bool:
+    """Whether every (q, r) formed up to depth stays below 2^62; the all-A word's is largest."""
+    q, r = alphabet, alphabet + 1
+    for _ in range(depth - 1):
+        q, r = alphabet * q + r - q, alphabet * q + r
+        if r > 2**62:
+            return False
+    return True
+
+
 def _cylinder_lengths(alphabet: int, depth: int) -> list[np.ndarray]:
     """Float64 cylinder lengths of every word at depths k-1 and k (only k when k = 1).
 
@@ -91,21 +102,28 @@ def _cylinder_lengths(alphabet: int, depth: int) -> list[np.ndarray]:
     (q, q') by every digit d to (d q + q', q) in one broadcast, carried as
     (q, r = q + q') so that r' = d q + r and q' = r' - q, and the lengths
     1 / (q r) need no further temporary; depth k-1 is the loop's
-    next-to-last step rather than a second build.
+    next-to-last step rather than a second build.  Continuants that could
+    pass 2^62 (only alphabet 1 gets there within the budget) are Python ints,
+    and their lengths the correctly rounded 1 / (q r), 0.0 once it underflows.
     """
     if alphabet < 1:
         raise ValueError("alphabet bound must be >= 1")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if alphabet**depth > DEPTH_BUDGET:
-        raise CapExceededError(
-            f"alphabet^depth = {alphabet**depth} exceeds budget {DEPTH_BUDGET}"
-        )
+    if depth > MAX_DEPTH:
+        raise CapExceededError(f"depth {depth} exceeds cap {MAX_DEPTH}")
+    # 2^bit_length > DEPTH_BUDGET, so clipping the exponent there keeps the test exact
+    if alphabet ** min(depth, DEPTH_BUDGET.bit_length()) > DEPTH_BUDGET:
+        raise CapExceededError(f"alphabet^depth = {alphabet}^{depth} exceeds budget {DEPTH_BUDGET}")
     digits = np.arange(1, alphabet + 1, dtype=np.int64)
+    if not _fits_int64(alphabet, depth):
+        digits = digits.astype(object)
     q, r = digits, digits + 1
     lengths = []
     for k in range(1, depth + 1):
-        if k >= depth - 1:
+        if k >= depth - 1 and q.dtype == object:
+            lengths.append(np.array([1 / x for x in q * r], dtype=np.float64))
+        elif k >= depth - 1:
             den = q.astype(np.float64)
             den *= r
             lengths.append(np.divide(1.0, den, out=den))

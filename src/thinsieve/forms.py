@@ -17,8 +17,13 @@ from math import isqrt
 import numpy as np
 
 from .arith import is_squarefree
-from .cf import Mat2, Word, _floor_surd
-from .errors import InternalInvariantError
+from .cf import Mat2, Word, canonical_rotation
+from .errors import CapExceededError, InternalInvariantError
+
+# largest discriminant reduced_forms enumerates: its windows hold about d/4
+# candidates in all, so the time grows like d (about 1.5-1.9 s at 10^9 and
+# 17 s at 10^10 on a 2-vCPU VM)
+DISCRIMINANT_CAP = 10**9
 
 _FORM_RE = re.compile(r"^\[(-?\d+),(-?\d+),(-?\d+)\]$")
 
@@ -96,17 +101,21 @@ def is_reduced_form(f: Form) -> bool:
     return t <= f.b or (t - f.b) ** 2 < d  # need 2|A| - B < sqrt(D)
 
 
+def _rho(a: int, b: int, c: int, d: int, s: int) -> tuple[int, int, int]:
+    """rho on plain ints, with s = isqrt(d) taken once by the caller."""
+    m = 2 * abs(c)
+    if c * c > d:
+        lo = -abs(c) + 1  # window (-|c|, |c|]
+    else:
+        lo = s + 1 - m  # window (sqrt(d) - 2|c|, sqrt(d))
+    r = lo + ((-b - lo) % m)
+    return c, r, (r * r - d) // (4 * c)
+
+
 def rho(f: Form) -> Form:
     """One reduction / cycle step."""
     d = f.discriminant
-    s = isqrt(d)
-    m = 2 * abs(f.c)
-    if f.c * f.c > d:
-        lo = -abs(f.c) + 1  # window (-|c|, |c|]
-    else:
-        lo = s + 1 - m  # window (sqrt(d) - 2|c|, sqrt(d))
-    r = lo + ((-f.b - lo) % m)
-    return Form(f.c, r, (r * r - d) // (4 * f.c))
+    return Form(*_rho(f.a, f.b, f.c, d, isqrt(d)))
 
 
 def reduce_form(f: Form) -> Form:
@@ -147,11 +156,14 @@ def cycle(f: Form) -> FormCycle:
     """The rho-orbit through a reduced form (even length)."""
     if not is_reduced_form(f):
         raise ValueError("cycle requires a reduced form")
+    d = f.discriminant
+    s = isqrt(d)
+    start = f.coefficients()
     forms = [f]
-    g = rho(f)
-    while g != f:
-        forms.append(g)
-        g = rho(g)
+    g = _rho(*start, d, s)
+    while g != start:
+        forms.append(Form(*g))
+        g = _rho(*g, d, s)
         if len(forms) > 1_000_000:
             raise InternalInvariantError("cycle failed to close")
     if len(forms) % 2 != 0:
@@ -166,55 +178,66 @@ def reduced_forms(d: int) -> list[Form]:
     s = isqrt(d)
     if s * s == d:
         raise ValueError("square discriminants are rejected")
-    dtype = np.int64 if d < 2**62 else object  # exact either way
+    if d > DISCRIMINANT_CAP:
+        raise CapExceededError(f"discriminant {d} exceeds cap {DISCRIMINANT_CAP}")
     out = []
     for b in range(1 + (d + 1) % 2, s + 1, 2):  # b = d mod 2
         n = (d - b * b) // 4  # |A| divides n, and 2|A| lies in (sqrt(d) - b, sqrt(d) + b)
-        window = np.arange((s + 2 - b) // 2, (s + b) // 2 + 1, dtype=dtype)
+        window = np.arange((s + 2 - b) // 2, (s + b) // 2 + 1, dtype=np.int64)
         for abs_a in window[n % window == 0].tolist():
-            out += [Form(abs_a, b, -n // abs_a), Form(-abs_a, b, n // abs_a)]
-    return sorted(out, key=Form.coefficients)
+            out += [(abs_a, b, -n // abs_a), (-abs_a, b, n // abs_a)]
+    return [Form(*t) for t in sorted(out)]
 
 
 def class_cycles(d: int) -> list[FormCycle]:
-    """Partition the reduced forms of discriminant d into rho-cycles."""
-    remaining = set(reduced_forms(d))
+    """Partition the reduced forms of discriminant d into rho-cycles.
+
+    rho permutes the reduced forms, so one walk on plain ints per cycle, each
+    step looked up among the forms reduced_forms built, visits every form once.
+    Taking the least unvisited form as each start gives every cycle from its
+    least member, and the cycles in order of it.
+    """
+    unvisited = {f.coefficients(): f for f in reduced_forms(d)}
+    s = isqrt(d)
     cycles = []
-    while remaining:
-        f = min(remaining, key=Form.coefficients)
-        cy = cycle(f)
-        missing = set(cy.forms) - remaining
-        if missing:
-            raise InternalInvariantError(f"cycle escaped the reduced window: {missing}")
-        remaining -= set(cy.forms)
-        cycles.append(cy)
-    return sorted(cycles, key=lambda cy: cy.forms[0].coefficients())
-
-
-def mirror_cycle(cy: FormCycle) -> FormCycle:
-    return cycle(reduce_form(cy.forms[0].mirror()))
-
-
-def negated_cycle(cy: FormCycle) -> FormCycle:
-    f = cy.forms[0]
-    return cycle(reduce_form(Form(-f.a, -f.b, -f.c)))
+    for start in list(unvisited):
+        if start not in unvisited:
+            continue
+        members = [unvisited.pop(start)]
+        g = _rho(*start, d, s)
+        while g != start:
+            if g not in unvisited:  # outside the window, or met twice
+                raise InternalInvariantError(f"cycle escaped the reduced window: {g}")
+            members.append(unvisited.pop(g))
+            g = _rho(*g, d, s)
+        if len(members) % 2 != 0:
+            raise InternalInvariantError("cycle length must be even")
+        cycles.append(FormCycle(tuple(members)))
+    return cycles
 
 
 def _count_merged(cycles: list[FormCycle], partner) -> int:
-    seen: set[FormCycle] = set()
+    """Classes after merging each cycle with the cycle through partner(its least form)."""
+    head = {f.coefficients(): cy.forms[0] for cy in cycles for f in cy.forms}
+    seen: set[Form] = set()
     merged = 0
     for cy in cycles:
-        if cy in seen:
+        f = cy.forms[0]
+        if f in seen:
             continue
         merged += 1
-        seen.add(cy)
-        seen.add(partner(cy))
+        seen.add(f)
+        seen.add(head.get(partner(f)))
     return merged
 
 
 def count_mirror_merged(cycles: list[FormCycle]) -> int:
-    """Classes after merging each cycle with its [A,-B,C] (inverse-class) partner."""
-    return _count_merged(cycles, mirror_cycle)
+    """Classes after merging each cycle with its [A,-B,C] (inverse-class) partner.
+
+    For reduced [A, B, C] the form [C, B, A] is reduced and properly equivalent
+    to [A, -B, C] (by (x, y) -> (-y, x)), so it lies on the partner cycle.
+    """
+    return _count_merged(cycles, lambda f: (f.c, f.b, f.a))
 
 
 def count_sign_merged(cycles: list[FormCycle]) -> int:
@@ -222,9 +245,10 @@ def count_sign_merged(cycles: list[FormCycle]) -> int:
 
     Cycle counting sees one class per rho-orbit (the narrow convention); when
     the fundamental automorph has norm +1 the negation pairs orbits two by
-    two, and this merged count is the plain (wide) class number.
+    two, and this merged count is the plain (wide) class number.  The partner
+    cycle holds the reduced form [-C, B, -A], equivalent to [-A, -B, -C].
     """
-    return _count_merged(cycles, negated_cycle)
+    return _count_merged(cycles, lambda f: (-f.c, f.b, -f.a))
 
 
 def cycle_to_word(cy: FormCycle) -> Word:
@@ -235,7 +259,5 @@ def cycle_to_word(cy: FormCycle) -> Word:
     so an odd continued-fraction period appears doubled, matching the
     determinant-one (even word) convention.
     """
-    d = cy.discriminant
-    digits = [_floor_surd(f.b, d, 2 * abs(f.c)) for f in cy.forms]
-    n = len(digits)
-    return min(tuple(digits[i:] + digits[:i]) for i in range(n))
+    s = isqrt(cy.discriminant)
+    return canonical_rotation(tuple((f.b + s) // (2 * abs(f.c)) for f in cy.forms))

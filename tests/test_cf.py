@@ -14,6 +14,7 @@ from thinsieve.cf import (
     fixed_point,
     is_reduced,
     parse_word,
+    rotations,
     serialize_word,
     word_from_matrix,
     word_to_matrix,
@@ -248,3 +249,15 @@ def test_serialization():
     x = Surd(-27, 1337, 38)
     assert str(x) == "(-27+sqrt(1337))/38"
     assert Surd.parse(str(x)) == x
+
+
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=40), st.integers(1, 5))
+def test_canonical_rotation_equals_the_min_over_rotations(word, repeat):
+    for w in (tuple(word), tuple(word) * repeat, (word[0],) * len(word)):
+        assert canonical_rotation(w) == min(rotations(w))
+
+
+@pytest.mark.parametrize("word", [(1, 2) * 7, (2, 1) * 7, (1,), (5,) * 9, (1, 1, 2) * 4,
+                                  (2, 1, 1, 2, 1, 1, 2, 1), (3, 1, 3, 1, 2)])
+def test_canonical_rotation_of_periodic_and_constant_words(word):
+    assert canonical_rotation(word) == min(rotations(word))

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -396,6 +397,34 @@ def test_caps_exit_3_before_the_loops(tmp_path, monkeypatch, capsys, argv, untou
     assert run(argv) == 3
     err = capsys.readouterr().err
     assert "Traceback" not in err and "exceeds cap" in err
+
+
+# over their caps, exit 3 at once: reduced_forms checks the discriminant before
+# it enumerates, and dimension its depth before it forms alphabet^depth
+OVER_CAP_INPUTS = [
+    ["class-cycles", "--disc", "1000000000000000000000"],
+    ["class-cycles", "--disc", "1000000001"],
+    ["dimension", "--alphabets", "1", "--depth", "1000000000"],
+    ["dimension", "--alphabets", "2", "--depth", "1000000000000000000"],
+]
+
+
+@pytest.mark.parametrize("argv", OVER_CAP_INPUTS, ids=" ".join)
+def test_over_cap_inputs_exit_3_at_once(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    assert run(argv) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and ("exceeds cap" in err or "exceeds budget" in err)
+
+
+@pytest.mark.parametrize("depth", (92, 2000))
+def test_dimension_of_alphabet_one_past_int64(tmp_path, monkeypatch, depth):
+    monkeypatch.chdir(tmp_path)
+    assert run(["dimension", "--alphabets", 1, "--depth", depth]) == 0
+    row = next(csv.DictReader((tmp_path / "dimension.csv").open()))
+    assert row["lower"] == row["upper"] == "0.0"
 
 
 def test_expsum_without_samples_has_no_cap(tmp_path, monkeypatch):

@@ -161,9 +161,29 @@ def test_distortion_bound_exhaustive():
 
 
 def test_alphabet_one_collapses_to_zero():
-    for depth in (4, 8):
+    for depth in (4, 8, 92, 2000):
         est = estimate(1, depth)
         assert est.lower == est.upper == 0.0
+
+
+@pytest.mark.parametrize("depth", (90, 91, 92, 100, 300))
+def test_alphabet_one_lengths_past_int64(depth):
+    # the all-ones continuants pass 2^62 at depth 88 and wrap int64 at 92
+    exact = float(cylinder_length((1,) * depth)) ** 0.5
+    assert pressure_sum(1, depth, 0.5) == pytest.approx(exact, rel=1e-12)
+
+
+def test_alphabet_one_lengths_underflow_to_zero():
+    assert float(cylinder_length((1,) * 800)) == 0.0
+    assert pressure_sum(1, 800, 1.0) == 0.0
+    assert pressure_sum(1, 800, 0.0) == 1.0
+
+
+def test_depth_caps_take_no_huge_power():
+    with pytest.raises(CapExceededError, match="depth"):
+        pressure_sum(1, dimension.MAX_DEPTH + 1, 0.5)
+    with pytest.raises(CapExceededError, match="budget"):
+        pressure_sum(10**6, dimension.MAX_DEPTH, 0.5)  # (10^6)^MAX_DEPTH is never formed
 
 
 def test_bracket_depth_14_contains_literature_value():

@@ -5,9 +5,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from thinsieve.cf import Surd, canonical_rotation, cf_expand, fixed_point, word_to_matrix
+from thinsieve import forms
+from thinsieve.cf import (
+    Surd,
+    _floor_surd,
+    canonical_rotation,
+    cf_expand,
+    fixed_point,
+    rotations,
+    word_to_matrix,
+)
+from thinsieve.errors import CapExceededError, InternalInvariantError
 from thinsieve.forms import (
+    DISCRIMINANT_CAP,
     Form,
+    FormCycle,
     class_cycles,
     count_mirror_merged,
     count_sign_merged,
@@ -194,6 +206,108 @@ def test_class_cycles_rejects_bad_discriminants():
         class_cycles(7)  # 3 mod 4
     with pytest.raises(ValueError):
         class_cycles(16)  # square
+
+
+def test_reduced_forms_cap_is_checked_before_enumerating(monkeypatch):
+    monkeypatch.setattr(forms, "np", None)  # any enumeration would fail on it
+    with pytest.raises(CapExceededError, match="exceeds cap"):
+        reduced_forms(DISCRIMINANT_CAP + 1 + DISCRIMINANT_CAP % 4 % 2)  # 0 or 1 mod 4
+    with pytest.raises(CapExceededError, match="exceeds cap"):
+        class_cycles(10**21)
+
+
+def test_class_cycles_raise_when_a_cycle_leaves_the_reduced_forms(monkeypatch):
+    full = reduced_forms(1365)
+    monkeypatch.setattr(forms, "reduced_forms", lambda d: full[:-1])
+    with pytest.raises(InternalInvariantError, match="escaped the reduced window"):
+        class_cycles(1365)
+
+
+# ---------------------------------------------------------------------------
+# oracles: a cycle walked one validated Form per rho step, each partner cycle
+# reduced and walked again, and the least rotation as a min over all rotations
+
+
+def cycle_oracle(f: Form) -> FormCycle:
+    members = [f]
+    g = rho(f)
+    while g != f:
+        members.append(g)
+        g = rho(g)
+    assert len(members) % 2 == 0
+    return FormCycle.from_forms(members)
+
+
+def class_cycles_oracle(d: int) -> list[FormCycle]:
+    remaining = set(reduced_forms(d))
+    cycles = []
+    while remaining:
+        cy = cycle_oracle(min(remaining, key=Form.coefficients))
+        assert set(cy.forms) <= remaining
+        remaining -= set(cy.forms)
+        cycles.append(cy)
+    return sorted(cycles, key=lambda cy: cy.forms[0].coefficients())
+
+
+def mirror_cycle(cy: FormCycle) -> FormCycle:
+    return cycle_oracle(reduce_form(cy.forms[0].mirror()))
+
+
+def negated_cycle(cy: FormCycle) -> FormCycle:
+    f = cy.forms[0]
+    return cycle_oracle(reduce_form(Form(-f.a, -f.b, -f.c)))
+
+
+def count_merged_oracle(cycles: list[FormCycle], partner) -> int:
+    seen: set[FormCycle] = set()
+    merged = 0
+    for cy in cycles:
+        if cy in seen:
+            continue
+        merged += 1
+        seen.add(cy)
+        seen.add(partner(cy))
+    return merged
+
+
+def cycle_to_word_oracle(cy: FormCycle):
+    d = cy.discriminant
+    return min(rotations(tuple(_floor_surd(f.b, d, 2 * abs(f.c)) for f in cy.forms)))
+
+
+def _assert_cycles_equal_the_oracles(d: int):
+    cycles = class_cycles(d)
+    assert cycles == class_cycles_oracle(d)
+    assert count_mirror_merged(cycles) == count_merged_oracle(cycles, mirror_cycle)
+    assert count_sign_merged(cycles) == count_merged_oracle(cycles, negated_cycle)
+    assert [cycle_to_word(cy) for cy in cycles] == [cycle_to_word_oracle(cy) for cy in cycles]
+
+
+@given(st.integers(1, 5_000), st.sampled_from((0, 1)))
+def test_class_cycles_equal_the_oracles(k, r):
+    d = 4 * k + r
+    if isqrt(d) ** 2 == d:
+        return
+    _assert_cycles_equal_the_oracles(d)
+
+
+# the two discriminants of the fiber_forms benchmark at seed 0 (4 cycles of
+# 1,162 and 1,206 forms, merging 4 / 2; one cycle of 2,386 forms) and one of
+# 328 cycles, merging to 166 and 164
+@pytest.mark.parametrize("d", (4_006_209, 10_007_293, 10_000_372))
+def test_class_cycles_equal_the_oracles_near_1e7(d):
+    _assert_cycles_equal_the_oracles(d)
+
+
+def test_partner_cycles_hold_the_swapped_forms():
+    # the facts the merged counts rest on: the mirror cycle holds [C,B,A] and
+    # the negated cycle [-C,B,-A] of every reduced [A,B,C] on the cycle
+    for d in (1365, 1337, 4_006_209):
+        for cy in class_cycles(d):
+            mirror, negated = set(mirror_cycle(cy).forms), set(negated_cycle(cy).forms)
+            for f in cy.forms:
+                assert Form(f.c, f.b, f.a) in mirror
+                assert Form(-f.c, f.b, -f.a) in negated
 
 
 def test_d1365_word_classes_pairwise_distinct():
