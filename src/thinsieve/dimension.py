@@ -121,12 +121,13 @@ def _cylinder_lengths(alphabet: int, depth: int) -> list[np.ndarray]:
     q, r = digits, digits + 1
     lengths = []
     for k in range(1, depth + 1):
-        if k >= depth - 1 and q.dtype == object:
-            lengths.append(np.array([1 / x for x in q * r], dtype=np.float64))
-        elif k >= depth - 1:
-            den = q.astype(np.float64)
-            den *= r
-            lengths.append(np.divide(1.0, den, out=den))
+        if k >= depth - 1:
+            if q.dtype == object:
+                lengths.append(np.array([1 / x for x in q * r], dtype=np.float64))
+            else:
+                den = q.astype(np.float64)
+                den *= r
+                lengths.append(np.divide(1.0, den, out=den))
         if k < depth:
             r = np.multiply.outer(q, digits) + r[:, None]
             q = (r - q[:, None]).ravel()

@@ -47,10 +47,6 @@ class Form:
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
 
-    def mirror(self) -> "Form":
-        """[a, -b, c]; representative of the inverse class."""
-        return Form(self.a, -self.b, self.c)
-
     def coefficients(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)
 

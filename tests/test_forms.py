@@ -211,7 +211,7 @@ def test_class_cycles_rejects_bad_discriminants():
 def test_reduced_forms_cap_is_checked_before_enumerating(monkeypatch):
     monkeypatch.setattr(forms, "np", None)  # any enumeration would fail on it
     with pytest.raises(CapExceededError, match="exceeds cap"):
-        reduced_forms(DISCRIMINANT_CAP + 1 + DISCRIMINANT_CAP % 4 % 2)  # 0 or 1 mod 4
+        reduced_forms(DISCRIMINANT_CAP + 1)  # 10^9 + 1 = 1 mod 4, not a square
     with pytest.raises(CapExceededError, match="exceeds cap"):
         class_cycles(10**21)
 
@@ -250,7 +250,8 @@ def class_cycles_oracle(d: int) -> list[FormCycle]:
 
 
 def mirror_cycle(cy: FormCycle) -> FormCycle:
-    return cycle_oracle(reduce_form(cy.forms[0].mirror()))
+    f = cy.forms[0]
+    return cycle_oracle(reduce_form(Form(f.a, -f.b, f.c)))
 
 
 def negated_cycle(cy: FormCycle) -> FormCycle:
