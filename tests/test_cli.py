@@ -288,6 +288,22 @@ def test_golden_class_cycles_at_bench_discriminants(tmp_path, monkeypatch, disc,
     assert hashlib.sha256((tmp_path / "class_cycles.json").read_bytes()).hexdigest() == digest
 
 
+# digests recorded while the SL2 character sums gathered one phase per row of
+# the p^3 - p table; the first is the expsum step of the fiber_forms benchmark
+@pytest.mark.parametrize("argv, digest", [
+    (["--prime", 113, "--samples", 4, "--seed", 325213],
+     "add699c7024cf9b177e450e5732089981f6edcb6ec31bb165cf25877fb0b1d7d"),
+    (["--prime", 113, "--samples", 32, "--seed", 1],
+     "10c98a5896cb613006c3adc4047ccb809f606398f46fe751acc16c8e1a9bc457"),
+    (["--prime", 2, "--samples", 5, "--seed", 0],
+     "37c49efb579a6249489eb4d348bd809d1f139a7f0fa516881ff289ece4ba4067"),
+], ids=["113-4-325213", "113-32-1", "2-5-0"])
+def test_golden_charsums_at_bench_primes(tmp_path, monkeypatch, argv, digest):
+    monkeypatch.chdir(tmp_path)
+    assert run(["expsum", *argv]) == 0
+    assert hashlib.sha256((tmp_path / "expsum.csv").read_bytes()).hexdigest() == digest
+
+
 # digests recorded while densities scanned every t < q for each q and
 # kloosterman summed its terms in a Python loop
 @pytest.mark.parametrize("argv, artifact, digest", [
