@@ -55,6 +55,11 @@ from .sieve import (
     sift_values,
 )
 
+# expsum's caps, each about 4 s of work on a 2-vCPU VM: the Kloosterman rows
+# at p = 9973, and 1000 SL2 character sums at p = 113
+KLOOSTERMAN_PRIME_CAP = 10**4
+MAX_SAMPLES = 10**3
+
 # ---------------------------------------------------------------------------
 # flag types: each turns a command-line or config-file string into a checked
 # value, or raises ValueError (reported as a config error, exit 2)
@@ -86,7 +91,9 @@ _POSITIVE = _checked(float, lambda v: isfinite(v) and v > 0, "finite and > 0")
 # norms and bounds are squared by the library, so the square must be finite too
 _RADIUS = _checked(float, lambda v: isfinite(v * v) and v > 0, "> 0 with a finite square")
 _PARITY = _checked(str, lambda v: v in ("even", "any"), "'even' or 'any'")
-_PRIME = _checked(int, is_prime, "a prime")
+# trial division costs sqrt(p), so a prime above expsum's cap is refused by the
+# cap (exit 3) before its primality is tested
+_PRIME = _checked(int, lambda v: v > KLOOSTERMAN_PRIME_CAP or is_prime(v), "a prime")
 _REQUIRED = object()  # the default of a flag that must be given on the command line
 
 
@@ -193,6 +200,10 @@ def _densities(a) -> Table:
 
 def _exponential_sums(a) -> Table:
     p = a.prime
+    if p > KLOOSTERMAN_PRIME_CAP:  # p - 1 rows of p terms each
+        raise CapExceededError(f"prime {p} exceeds cap {KLOOSTERMAN_PRIME_CAP}")
+    if a.samples > MAX_SAMPLES:
+        raise CapExceededError(f"samples {a.samples} exceeds cap {MAX_SAMPLES}")
     if a.samples and p > DEFAULT_MODULUS_CAP:  # sl2_charsum's cap, before the O(p^2) rows
         raise CapExceededError(f"modulus {p} exceeds cap {DEFAULT_MODULUS_CAP}")
     rows = [["kloosterman", p, f"1,{m}", repr(kloosterman(1, m, p)), repr(2 * p**0.5)]

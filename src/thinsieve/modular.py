@@ -67,14 +67,10 @@ def _sl2_table(p: int) -> np.ndarray:
 
     Rows ascend in (a, b), with p rows per nonzero first row: c runs over F_p
     (d = (1 + bc)/a) when a != 0, and d runs over F_p (c = -1/b) when a = 0.
-    The float sums over the table depend on this order, so it is fixed.
-    Entries stay below p, so int32 holds their products and the 4-term phases
-    for every p whose table fits in memory.
-
-    The character sums look each row's phase up in the p floats
-    np.exp(2j * np.pi * np.arange(p) / p).  That is the elementwise expression
-    np.exp(2j * np.pi * phase / p) on the same integer, so every term is the
-    same float and the pairwise sum over this row order is bit-identical.
+    Entries stay below p, so int32 holds their products for every p whose
+    table fits in memory.  ``_trace_counts`` and ``sl2_enumerate`` read it;
+    the character sums do not, but they add their terms in this row order,
+    so the order is fixed.
     """
     inv = _inverses(p).astype(np.int32)
     run = np.arange(p, dtype=np.int32)
@@ -201,10 +197,41 @@ def kloosterman(a: int, b: int, p: int) -> float:
     return float(np.cumsum(np.cos(tau * phase / p))[-1])
 
 
+@lru_cache(maxsize=32)
+def _root_windows(p: int) -> np.ndarray:
+    """Every length-p run of roots of unity that a block of SL2 rows can take.
+
+    Row b < p of the (2p, 2p) table is R_b twice over, R_b[i] = E[b i mod p]
+    for E = np.exp(2j * np.pi * np.arange(p) / p); row p + a is E[a] 2p times.
+    The result is its read-only (2p, p + 1, p) sliding window view.
+    """
+    roots = np.exp(2j * np.pi * np.arange(p) / p)
+    steps = np.outer(np.arange(p), np.arange(2 * p)) % p
+    table = np.concatenate((roots[steps], np.repeat(roots[:, None], 2 * p, axis=1)))
+    return np.lib.stride_tricks.sliding_window_view(table, p, axis=1)
+
+
 def _charsum_prime(p: int, s: tuple[int, int, int, int]) -> complex:
-    """Sum of e_p(a x + b y + c z + d w) over the table rows, for s reduced mod p."""
-    phase = (_sl2_table(p) @ np.array(s, dtype=np.int32)) % p
-    return complex(np.exp(2j * np.pi * np.arange(p) / p)[phase].sum())
+    """Sum of e_p(a x + b y + c z + d w) over SL2(F_p), for s reduced mod p.
+
+    Each block of p rows of ``_sl2_table(p)`` with a fixed (a, b) has phase
+    alpha + beta j in its running entry j: alpha = b y - z / b, beta = w
+    when a = 0, and alpha = a x + b y + w / a, beta = z + b w / a otherwise.
+    Its terms are E[alpha + beta j] = R_beta[j + alpha / beta], one window of
+    ``_root_windows``, or p copies of E[alpha] when beta = 0.  So the gathered
+    array holds the same floats in the table's row order, and numpy's pairwise
+    sum over that one contiguous array is the table sum bit for bit.
+    """
+    x, y, z, w = s
+    inv = _inverses(p)
+    b = np.arange(p, dtype=np.int64)
+    a, a_inv = b[1:, None], inv[1:, None]  # the a != 0 blocks: a row per a, a column per b
+    alpha = np.concatenate(((b[1:] * y - inv[1:] * z) % p,  # the a = 0 blocks, b = 1..p-1
+                            ((a * x + b * y + a_inv * w) % p).ravel()))
+    beta = np.concatenate((np.full(p - 1, w), ((z + a_inv * b * w) % p).ravel()))
+    row = np.where(beta, beta, p + alpha)
+    shift = alpha * inv[beta] % p  # 0 where beta = 0, as inv[0] = 0
+    return complex(_root_windows(p)[row, shift].sum())
 
 
 def sl2_charsum(

@@ -75,6 +75,8 @@ class SemigroupElement:
 
 def _norm_sq_cap(norm: float) -> int:
     """Integer cap for ||g||^2 <= norm^2 (norms on the grid are exact in floats)."""
+    if not (isfinite(norm) and norm >= 0):
+        raise ValueError(f"norm must be finite and >= 0, got {norm!r}")
     return round(norm * norm)
 
 

@@ -397,6 +397,7 @@ def test_bad_inputs_exit_2_without_traceback(tmp_path, monkeypatch, capsys, argv
 CAPPED_INPUTS = [
     (["densities", "--modulus", "2000000"], "beta"),
     (["expsum", "--prime", "10007", "--samples", "1"], "kloosterman"),
+    (["expsum", "--prime", "113", "--samples", "1001"], "kloosterman"),
 ]
 
 
@@ -416,12 +417,17 @@ def test_caps_exit_3_before_the_loops(tmp_path, monkeypatch, capsys, argv, untou
 
 
 # over their caps, exit 3 at once: reduced_forms checks the discriminant before
-# it enumerates, and dimension its depth before it forms alphabet^depth
+# it enumerates, dimension its depth before it forms alphabet^depth, and expsum
+# its prime and sample count before the Kloosterman rows
 OVER_CAP_INPUTS = [
     ["class-cycles", "--disc", "1000000000000000000000"],
     ["class-cycles", "--disc", "1000000001"],
     ["dimension", "--alphabets", "1", "--depth", "1000000000"],
     ["dimension", "--alphabets", "2", "--depth", "1000000000000000000"],
+    ["expsum", "--prime", "1000000000039", "--samples", "0"],
+    ["expsum", "--prime", "100003", "--samples", "0"],
+    ["expsum", "--prime", "113", "--samples", "100000000000"],
+    ["expsum", "--prime", "1000000000000000000000000000057", "--samples", "0"],  # not tested for primality
 ]
 
 

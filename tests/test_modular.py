@@ -108,6 +108,33 @@ def test_charsum_phase_lookup_is_bit_identical(p):
 
 
 @given(st.sampled_from(primes_up_to(113)), st.tuples(*[st.integers(0, 112)] * 4))
+@example(113, (3, 5, 7, 0))  # w = 0: every a = 0 block is constant
+@example(113, (3, 5, 0, 0))  # z = w = 0: every block is constant
+@example(113, (3, 0, 0, 0))  # y = z = w = 0: the a = 0 blocks are all ones
+@example(7, (2, 3, 6, 1))  # z = -b w / a at (a, b) = (1, 1): that block is constant
+@example(2, (0, 0, 0, 1))
+def test_charsum_windows_equal_the_table_row_sum(p, s):
+    s = tuple(x % p for x in s)
+    if not any(s):
+        return
+    phase = (_sl2_table(p) @ np.array(s, dtype=np.int32)) % p
+    table_sum = complex(np.exp(2j * np.pi * np.arange(p) / p)[phase].sum())
+    assert repr(_charsum_prime(p, s)) == repr(table_sum)
+
+
+def test_charsums_build_no_sl2_table(monkeypatch):
+    import thinsieve.modular as modular
+
+    def table(p):
+        raise AssertionError(f"the p = {p} SL2 table was read")
+
+    monkeypatch.setattr(modular, "_sl2_table", table)
+    expected = 113 * kloosterman(1, 1 * 5 - 2 * 3, 113)  # the closed form at p = 113
+    assert sl2_charsum(113, (1, 2, 3, 5)) == pytest.approx(expected, abs=1e-14 * 113**3)
+    assert abs(sl2_charsum(30, (7, 11, 13, 17))) <= 2 * 30**1.5
+
+
+@given(st.sampled_from(primes_up_to(113)), st.tuples(*[st.integers(0, 112)] * 4))
 @example(2, (0, 1, 0, 0))
 @example(7, (2, 3, 4, 6))
 @example(113, (1, 0, 0, 0))

@@ -128,6 +128,17 @@ def test_ball_walks_reject_a_bad_alphabet_or_parity(alphabet, parity):
         ball_count(alphabet, 10, parity)
 
 
+@pytest.mark.parametrize("norm", [-5.0, -1e-9, float("nan"), float("inf"), float("-inf")])
+def test_ball_walks_reject_a_negative_or_non_finite_norm(norm):
+    # a negative norm once read as its absolute value: ball_count(2, -5.0) gave 3
+    with pytest.raises(ValueError, match="norm"):
+        ball_count(2, norm)
+    with pytest.raises(ValueError, match="norm"):
+        enumerate_ball(2, norm)
+    with pytest.raises(ValueError, match="norm"):
+        hensley_exponent(2, [norm, 10, 30, 100])
+
+
 @given(st.integers(1, 5), st.floats(1, 300))
 @settings(max_examples=80, deadline=None)
 def test_block_ball_walks_equal_iter_ball(alphabet, norm):
