@@ -253,6 +253,21 @@ def test_geodesic_output_is_the_emit_destination(tmp_path, monkeypatch):
     assert not (tmp_path / "arcs.csv").exists()
 
 
+# digests recorded while enumerate walked its ball recursively and wrote one
+# json.dumps line per element; the first is the enumerate step of the
+# ball_sieve benchmark, the second runs its walk on Python ints, and the third
+# has digits above 127
+@pytest.mark.parametrize("alphabet, norm, digest", [
+    (3, 1000, "1498762ced4181dc29442dede7d08d60dcbd885321f01a0cd645ac64ad8eb258"),
+    (1, 1e30, "3ca53958d1648aeb39b6104554c9a0339703fcacdfc24cb0bb11c893e924577f"),
+    (200, 250, "baaad46b11ab6ce44eb73c01402789de0588ee975d0b7e57493bab3c460379a2"),
+], ids=["3-1000", "1-1e30", "200-250"])
+def test_golden_enumerate_at_bench_norms(tmp_path, monkeypatch, alphabet, norm, digest):
+    monkeypatch.chdir(tmp_path)
+    assert run(["enumerate", "--alphabet", alphabet, "--norm", norm, "--parity", "any"]) == 0
+    assert hashlib.sha256((tmp_path / "enumerate.jsonl").read_bytes()).hexdigest() == digest
+
+
 def test_golden_pi_ledger_at_cutoff_1000(tmp_path, monkeypatch):
     # digest recorded before the ledger became one pass (608 rows over 660 elements)
     monkeypatch.chdir(tmp_path)
