@@ -46,13 +46,11 @@ from .geodesics import (
     rotation_heights,
 )
 from .modular import (
-    ResidueMatrix,
     beta,
     beta_bruteforce,
     kloosterman,
     rho_t_bruteforce,
     sl2_charsum,
-    sl2_enumerate,
     sl2_order,
     sqrt4_count,
 )

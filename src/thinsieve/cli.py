@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import __version__
 from .arith import is_prime
@@ -36,12 +36,13 @@ from .forms import class_cycles, count_mirror_merged, count_sign_merged, cycle_t
 from .geodesics import emit_arcs, geodesic_profile
 from .modular import DEFAULT_MODULUS_CAP, beta, kloosterman, sl2_charsum, sqrt4_counts
 from .semigroup import (
+    _ball_words,
+    _norm_sq_cap,
     aleph_construct,
     aleph_error,
     ball_traces,
     build_fixed_length_ball,
     build_pi,
-    enumerate_ball,
     hensley_exponent,
     trace_fiber,
 )
@@ -59,6 +60,8 @@ from .sieve import (
 # at p = 9973, and 1000 SL2 character sums at p = 113
 KLOOSTERMAN_PRIME_CAP = 10**4
 MAX_SAMPLES = 10**3
+# rows of enumerate's JSON lines formed and written at once
+_CHUNK = 1 << 12
 
 # ---------------------------------------------------------------------------
 # flag types: each turns a command-line or config-file string into a checked
@@ -111,7 +114,7 @@ class Flag(NamedTuple):
 
 
 class Command(NamedTuple):
-    """``produce`` returns a ``Table``, a list of records, a mapping or a ``Summarised``."""
+    """``produce`` returns a ``Table``, an iterator of lines, a mapping or a ``Summarised``."""
 
     help: str
     artifact: str
@@ -134,14 +137,14 @@ class Summarised:
 
 
 def _write(path: Path, content) -> None:
-    """A ``Table`` goes out as CSV, a list of records as JSON lines, a mapping as JSON."""
+    """A ``Table`` goes out as CSV, an iterator of text as it comes, a mapping as JSON."""
     with open(path, "w", newline="") as fh:
         if isinstance(content, Table):
             writer = csv.writer(fh)
             writer.writerow(content.header)
             writer.writerows(content.rows)
-        elif isinstance(content, list):
-            fh.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in content)
+        elif isinstance(content, Iterator):
+            fh.writelines(content)
         else:
             json.dump(content, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -155,16 +158,29 @@ def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _element_records(elements) -> list[dict]:
-    return [
-        {
-            "word": serialize_word(e.word),
-            "matrix": list(e.matrix.entries()),
-            "trace": e.trace,
-            "normSq": e.norm_sq,
-        }
-        for e in elements
-    ]
+def _line(word, a, b, c, d, norm_sq, trace) -> str:
+    """An element's JSON line, as ``json.dumps(record, sort_keys=True)`` writes it."""
+    return (f'{{"matrix": [{a}, {b}, {c}, {d}], "normSq": {norm_sq}, "trace": {trace}, '
+            f'"word": "{serialize_word(word)}"}}\n')
+
+
+def _element_lines(elements) -> Iterator[str]:
+    return (_line(e.word, *e.matrix.entries(), e.norm_sq, e.trace) for e in elements)
+
+
+def _ball_lines(a) -> Iterator[str]:
+    """enumerate's lines, formed from the ball's arrays _CHUNK rows at a time.
+    The ball is walked, and its cap checked, before the first line is formed."""
+    words = _ball_words(a.alphabet, _norm_sq_cap(a.norm), a.parity)
+    return (_rows_lines(words, slice(lo, lo + _CHUNK))
+            for lo in range(0, len(words.lengths), _CHUNK))
+
+
+def _rows_lines(words, rows: slice) -> str:
+    a, b, c, d = (x[rows] for x in words.matrix)
+    columns = (x.tolist() for x in (a, b, c, d, a * a + b * b + c * c + d * d, a + d))
+    return "".join(_line(digits[:k], *m) for digits, k, *m in zip(
+        words.digits[rows].tolist(), words.lengths[rows].tolist(), *columns))
 
 
 def _cycle_records(cycles) -> list[dict]:
@@ -228,7 +244,7 @@ def _aleph_set(a) -> Summarised:
         "pivot_bound": aleph.pivot_bound,
         "error_at_q": {str(q): aleph_error(aleph, q) for q in (1, 2, 3)},
     }
-    return Summarised(_element_records(aleph), summary)
+    return Summarised(_element_lines(aleph), summary)
 
 
 def _pi_factors(a) -> tuple:
@@ -322,11 +338,11 @@ COMMANDS: dict[str, Command] = {
     "enumerate": Command(
         "list a semigroup norm ball as JSON lines", "enumerate.jsonl",
         (_ALPHABET, Flag("--norm", _RADIUS, _REQUIRED), Flag("--parity", _PARITY, "even")),
-        lambda a: _element_records(enumerate_ball(a.alphabet, a.norm, a.parity))),
+        _ball_lines),
     "trace-fiber": Command(
         "list all even words of a given trace", "trace_fiber.jsonl",
         (_ALPHABET, Flag("--trace", int, _REQUIRED)),
-        lambda a: _element_records(trace_fiber(a.alphabet, a.trace))),
+        lambda a: _element_lines(trace_fiber(a.alphabet, a.trace))),
     "hensley-fit": Command(
         "fit the ball-growth exponent on a norm grid", "hensley_fit.csv",
         (_ALPHABET, Flag("--norms", _items(_RADIUS),

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import tau
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -20,15 +18,6 @@ from .errors import CapExceededError
 
 DEFAULT_MODULUS_CAP = 120
 DENSITY_MODULUS_CAP = 10**6  # beta and sqrt4_count
-
-
-class ResidueMatrix(NamedTuple):
-    """Element of SL2(Z/q): entries reduced mod q, det = 1 mod q."""
-
-    a: int
-    b: int
-    c: int
-    d: int
 
 
 def _check_modulus(q: int, cap: int) -> list[int]:
@@ -43,12 +32,8 @@ def _check_modulus(q: int, cap: int) -> list[int]:
 
 def sl2_order(q: int) -> int:
     """|SL2(Z/q)| = q^3 prod_{p|q} (1 - 1/p^2) for square-free q."""
-    if q < 1:
-        raise ValueError("modulus must be positive")
-    if not is_squarefree(q):
-        raise ValueError(f"modulus must be square-free, got {q}")
     order = 1
-    for p in factorize(q):
+    for p in _check_modulus(q, q):  # a formula: no cap
         order *= p * (p - 1) * (p + 1)
     return order
 
@@ -68,9 +53,8 @@ def _sl2_table(p: int) -> np.ndarray:
     Rows ascend in (a, b), with p rows per nonzero first row: c runs over F_p
     (d = (1 + bc)/a) when a != 0, and d runs over F_p (c = -1/b) when a = 0.
     Entries stay below p, so int32 holds their products for every p whose
-    table fits in memory.  ``_trace_counts`` and ``sl2_enumerate`` read it;
-    the character sums do not, but they add their terms in this row order,
-    so the order is fixed.
+    table fits in memory.  ``_trace_counts`` reads it; the character sums do
+    not, but they add their terms in this row order, so the order is fixed.
     """
     inv = _inverses(p).astype(np.int32)
     run = np.arange(p, dtype=np.int32)
@@ -85,28 +69,6 @@ def _sl2_table(p: int) -> np.ndarray:
     table = table.reshape(-1, 4)
     table.flags.writeable = False
     return table
-
-
-def sl2_enumerate(q: int, cap: int = DEFAULT_MODULUS_CAP) -> Iterator[ResidueMatrix]:
-    """Yield each element of SL2(Z/q) exactly once (CRT product over primes)."""
-    primes = _check_modulus(q, cap)
-    if q == 1:
-        yield ResidueMatrix(0, 0, 0, 0)
-        return
-    residues = [_sl2_table(p).tolist() for p in primes]
-    # CRT basis: e_p = (q/p) * ((q/p)^-1 mod p), so x = sum_p x_p e_p mod q
-    basis = []
-    for p in primes:
-        m = q // p
-        basis.append(m * pow(m % p, -1, p))
-    for combo in product(*residues):
-        a = b = c = d = 0
-        for (ap, bp, cp, dp), e in zip(combo, basis):
-            a += ap * e
-            b += bp * e
-            c += cp * e
-            d += dp * e
-        yield ResidueMatrix(a % q, b % q, c % q, d % q)
 
 
 @lru_cache(maxsize=32)

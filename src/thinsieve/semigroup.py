@@ -6,16 +6,14 @@ generator strictly increases the squared Frobenius norm, so a norm ball is a
 pruned subtree; trace fibers prune on the least trace attainable by extending
 a prefix instead.
 
-Walks that only count (ball counts, the ball's trace tally, trace fibers and
-their histogram) share one block frontier, `_frontier`: a depth-first stack of
+Every walk runs on one block frontier, `_frontier`: a depth-first stack of
 numpy blocks of (a, b, c, d), each expanded by all its digits at once and cut
-down by a keep mask and a descend mask.  Its entries are int32 or int64
-while the bound's worst case fits them and Python ints beyond, so every count
-is exact.  Every norm ball is read through `_ball_blocks`, the one place that
-checks the parity and the element cap, DEFAULT_MAX_ELEMENTS.  `iter_ball` is
-the one walk that emits words, in lexicographic order, for enumeration, the
-fixed slices and the Aleph set; it counts its ball against the cap before it
-builds any element, so a ball over the cap fails fast and in bounded memory.
+down by a keep mask and a descend mask.  Its entries are int32 or int64 while
+the bound's worst case fits them and Python ints beyond, so every count is
+exact.  Every norm ball is read through `_ball_blocks`, the one place that
+checks the parity and the element cap, DEFAULT_MAX_ELEMENTS.  Words are read
+back from the matrices, all at once (`_words`), after the walk, so a ball
+over the cap fails before any element is built.
 """
 
 from __future__ import annotations
@@ -80,27 +78,9 @@ def _norm_sq_cap(norm: float) -> int:
     return round(norm * norm)
 
 
-def iter_ball(
-    alphabet: int, norm_sq_cap: int, parity: str = "even"
-) -> Iterator[SemigroupElement]:
+def iter_ball(alphabet: int, norm_sq_cap: int, parity: str = "even") -> Iterator[SemigroupElement]:
     """Yield every word with ||matrix||^2 <= norm_sq_cap, in lexicographic order."""
-    for _ in _ball_blocks(alphabet, norm_sq_cap, parity, DEFAULT_MAX_ELEMENTS):
-        pass  # count first: a ball over the cap fails before any element is built
-    want_even = parity == "even"
-    digits = range(1, alphabet + 1)
-
-    def walk(word: Word, a: int, b: int, c: int, d: int) -> Iterator[SemigroupElement]:
-        for g in digits:
-            na, nb = g * a + b, a
-            nc, nd = g * c + d, c
-            if na * na + nb * nb + nc * nc + nd * nd > norm_sq_cap:
-                break  # larger digits only grow the norm
-            w = word + (g,)
-            if not want_even or len(w) % 2 == 0:
-                yield SemigroupElement(w, Mat2(na, nb, nc, nd))
-            yield from walk(w, na, nb, nc, nd)
-
-    yield from walk((), 1, 0, 0, 1)
+    yield from _elements(_ball_words(alphabet, norm_sq_cap, parity))
 
 
 def enumerate_ball(alphabet: int, norm: float, parity: str = "even") -> Iterator[SemigroupElement]:
@@ -231,6 +211,64 @@ def _ball_blocks(
             yield block
 
 
+class _Words(NamedTuple):
+    """Words as arrays, one row each in lexicographic order: row i's word is
+    digits[i, :lengths[i]] (zeros pad the rest) and its matrix is matrix[:][i]."""
+
+    digits: np.ndarray
+    lengths: np.ndarray
+    matrix: tuple[np.ndarray, ...]  # (a, b, c, d)
+
+
+def _words(blocks: Iterable[list[np.ndarray]], top: int) -> _Words:
+    """The words, with digits at most top, of matrices given in blocks of (a, b, c, d).
+
+    A word's first column has a/c = [g1; g2, ..., gn], so one Euclid on (a, c)
+    peels every word's digits left to right, digit = a // c as in
+    word_from_matrix.  Its last quotient g may also end the word as (g - 1, 1);
+    the determinant ad - bc = (-1)^length settles which.  Rows are sorted by
+    their digits, padded with zeros, so a prefix comes before its extensions.
+    """
+    blocks = list(blocks) or [[np.zeros(0, dtype=np.int64)] * 4]
+    a, b, c, d = (np.concatenate(column) for column in zip(*blocks))
+    n = len(a)
+    kind = np.min_scalar_type(top + 1)  # a last quotient may be top + 1
+    columns, lengths = [], np.zeros(n, dtype=np.int64)
+    x, y, live = a, c, np.arange(n)
+    while len(live):
+        q = x // y
+        columns.append(np.zeros(n, dtype=kind))
+        columns[-1][live] = q
+        x, y = y, x - q * y
+        done = y == 0
+        lengths[live[done]] = len(columns)
+        x, y, live = x[~done], y[~done], live[~done]
+    columns.append(np.zeros(n, dtype=kind))  # room for a split's last digit
+    digits = np.stack(columns, axis=1)
+    split = np.flatnonzero((lengths % 2 == 0) != (a * d - b * c == 1))
+    last = lengths[split]
+    digits[split, last - 1] -= 1
+    digits[split, last] = 1
+    lengths[split] += 1
+    order = np.lexsort(digits.T[::-1])
+    return _Words(digits[order], lengths[order], tuple(x[order] for x in (a, b, c, d)))
+
+
+def _ball_words(alphabet: int, norm_sq_cap: int, parity: str) -> _Words:
+    """The words of the given parity with ||g||^2 <= norm_sq_cap, from one
+    capped block walk; no element is built before the cap is checked."""
+    blocks = _ball_blocks(alphabet, norm_sq_cap, parity, DEFAULT_MAX_ELEMENTS)
+    return _words(blocks, min(alphabet, isqrt(max(norm_sq_cap, 0))))
+
+
+def _elements(words: _Words, rows=slice(None)) -> Iterator[SemigroupElement]:
+    """The elements of the given rows of words."""
+    entries = (x[rows].tolist() for x in words.matrix)
+    for digits, length, *m in zip(words.digits[rows].tolist(), words.lengths[rows].tolist(),
+                                  *entries):
+        yield SemigroupElement(tuple(digits[:length]), Mat2(*m))
+
+
 def ball_count(alphabet: int, norm: float, parity: str = "even") -> int:
     """Fast count of the ball, without materialising elements."""
     return sum(len(a) for a, _, _, _ in _ball_blocks(alphabet, _norm_sq_cap(norm), parity, None))
@@ -335,14 +373,9 @@ def trace_fiber(
     """
     if t < 3:
         raise ValueError("trace fibers start at t = 3")
-    out: list[SemigroupElement] = []
-    for _, a, b, c, d in _frontier(alphabet, t, True, max_nodes):
-        hit = a + d == t
-        for entries in zip(*(x[hit].tolist() for x in (a, b, c, d))):
-            m = Mat2(*entries)
-            out.append(SemigroupElement(word_from_matrix(m), m))
-    out.sort(key=lambda e: e.word)
-    return out
+    hits = ([x[a + d == t] for x in (a, b, c, d)]
+            for _, a, b, c, d in _frontier(alphabet, t, True, max_nodes))
+    return list(_elements(_words(hits, min(alphabet, t))))
 
 
 def trace_histogram(alphabet: int, t_max: int) -> np.ndarray:
@@ -405,13 +438,9 @@ def build_fixed_length_ball(alphabet: int, bound: float) -> FixedSlice:
     if bound < 3:
         raise ValueError("bound must be >= 3 so the even ball is nonempty")
     cap = ceil(bound * bound) - 1  # strict: ||g|| < bound
-    by_length: dict[int, list[SemigroupElement]] = {}
-    for e in iter_ball(alphabet, cap, "even"):
-        by_length.setdefault(len(e.word), []).append(e)
-    if not by_length:
-        raise ValueError("empty ball")
-    best = max(by_length, key=lambda length: (len(by_length[length]), -length))
-    return FixedSlice(best, tuple(by_length[best]))
+    words = _ball_words(alphabet, cap, "even")  # holds (1, 1), of norm^2 7 < 9
+    best = int(np.bincount(words.lengths).argmax())  # the first of equals is the shortest
+    return FixedSlice(best, tuple(_elements(words, words.lengths == best)))
 
 
 @dataclass(frozen=True)
@@ -612,13 +641,8 @@ class BilinearSet:
 
 
 def _as_elements(factor) -> tuple[SemigroupElement, ...]:
-    out = []
-    for item in factor:
-        if isinstance(item, SemigroupElement):
-            out.append(item)
-        else:
-            out.append(SemigroupElement.from_word(item))
-    return tuple(out)
+    return tuple(e if isinstance(e, SemigroupElement) else SemigroupElement.from_word(e)
+                 for e in factor)
 
 
 def build_pi(xi, aleph, omega) -> BilinearSet:

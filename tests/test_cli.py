@@ -157,6 +157,8 @@ def test_squarefree_count_cli(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["squarefree-count", "--alphabet", 3, "--norm", 1000],
     ["hensley-fit", "--alphabet", 3, "--norms", "100,300,1000,3000"],
+    ["enumerate", "--alphabet", 3, "--norm", 1000, "--parity", "any"],
+    ["aleph", "--bound", 1e6, "--modulus", 2],
 ], ids=lambda v: v[0])
 def test_one_ball_walk_per_step(tmp_path, monkeypatch, argv):
     import thinsieve.semigroup as semigroup
@@ -171,6 +173,23 @@ def test_one_ball_walk_per_step(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     assert run(argv) == 0
     assert len(calls) == 1
+
+
+# every JSON-lines artifact reads as json.dumps(record, sort_keys=True) writes it,
+# whether its writer formats the line by hand or not
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--alphabet", 3, "--norm", 300, "--parity", "any"],
+    ["enumerate", "--alphabet", 1, "--norm", 1e30],
+    ["trace-fiber", "--alphabet", 3, "--trace", 37],
+    ["aleph", "--bound", 1e6, "--modulus", 2],
+], ids=lambda v: " ".join(map(str, v[:3])))
+def test_jsonl_lines_are_sorted_key_json_dumps(tmp_path, argv):
+    out = tmp_path / "out.jsonl"
+    assert run([*argv, "--output", out]) == 0
+    lines = out.read_text().splitlines(keepends=True)
+    assert lines
+    for line in lines:
+        assert line == json.dumps(json.loads(line), sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from typing import Iterator, NamedTuple
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from thinsieve.modular import (
     DEFAULT_MODULUS_CAP,
     DENSITY_MODULUS_CAP,
     _charsum_prime,
+    _check_modulus,
     _sl2_table,
     _trace_counts,
     beta,
@@ -22,7 +24,6 @@ from thinsieve.modular import (
     kloosterman,
     rho_t_bruteforce,
     sl2_charsum,
-    sl2_enumerate,
     sl2_order,
     sqrt4_count,
     sqrt4_counts,
@@ -49,6 +50,28 @@ def sl2_prime_oracle(p: int) -> list[tuple[int, int, int, int]]:
                 for d in range(p):
                     out.append((a, b, c, d))
     return out
+
+
+class ResidueMatrix(NamedTuple):
+    """Element of SL2(Z/q): entries reduced mod q, det = 1 mod q."""
+
+    a: int
+    b: int
+    c: int
+    d: int
+
+
+def sl2_enumerate(q: int, cap: int = DEFAULT_MODULUS_CAP) -> Iterator[ResidueMatrix]:
+    """Each element of SL2(Z/q) once: the CRT product of the prime tuple loops."""
+    primes = _check_modulus(q, cap)
+    if q == 1:
+        yield ResidueMatrix(0, 0, 0, 0)
+        return
+    # CRT basis: e_p = (q/p) * ((q/p)^-1 mod p), so x = sum_p x_p e_p mod q
+    basis = [q // p * pow(q // p % p, -1, p) for p in primes]
+    for combo in product(*(sl2_prime_oracle(p) for p in primes)):
+        yield ResidueMatrix(*(sum(x * e for x, e in zip(entries, basis)) % q
+                              for entries in zip(*combo)))
 
 
 def sl2_charsum_direct(

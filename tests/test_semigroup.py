@@ -50,6 +50,25 @@ def naive_bfs_even_words(alphabet, norm):
     return sorted(out)
 
 
+def ball_oracle(alphabet, norm, parity="even"):
+    """Recursive norm-pruned walk (oracle): the closed ball's words in
+    lexicographic order, each word before its extensions."""
+    cap, want_even, out = round(norm * norm), parity == "even", []
+
+    def walk(word, a, b, c, d):
+        for g in range(1, alphabet + 1):
+            na, nb, nc, nd = g * a + b, a, g * c + d, c
+            if na * na + nb * nb + nc * nc + nd * nd > cap:
+                break  # larger digits only grow the norm
+            w = word + (g,)
+            if not want_even or len(w) % 2 == 0:
+                out.append(SemigroupElement(w, Mat2(na, nb, nc, nd)))
+            walk(w, na, nb, nc, nd)
+
+    walk((), 1, 0, 0, 1)
+    return out
+
+
 def trace_fiber_oracle(alphabet, t):
     """Recursive trace-pruned search (oracle): the trace-t fiber in lexicographic
     order, and the number of nodes visited, the root included."""
@@ -149,6 +168,21 @@ def test_block_ball_walks_equal_iter_ball(alphabet, norm):
     traces, mult = ball_traces(alphabet, norm)
     tally = sorted(Counter(e.trace for e in even).items())
     assert list(zip(traces.tolist(), mult.tolist())) == tally
+
+
+@given(st.integers(1, 8), st.floats(1, 300), st.sampled_from(["even", "any"]))
+@settings(max_examples=80, deadline=None)
+def test_block_built_ball_equals_the_recursive_oracle(alphabet, norm, parity):
+    assert list(enumerate_ball(alphabet, norm, parity)) == ball_oracle(alphabet, norm, parity)
+
+
+# alphabet 1 at 1e30 runs the walk on Python ints; alphabet 200 has digits
+# above 127; at alphabet 255 the word (255, 1) peels to the last quotient 256,
+# one past a byte, before the determinant splits it
+@pytest.mark.parametrize("alphabet, norm", [(1, 1e30), (200, 250), (255, 362)])
+@pytest.mark.parametrize("parity", ["even", "any"])
+def test_block_built_ball_equals_the_oracle_at_the_edges(alphabet, norm, parity):
+    assert list(enumerate_ball(alphabet, norm, parity)) == ball_oracle(alphabet, norm, parity)
 
 
 def test_ball_trace_cap_counts_even_words(monkeypatch):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from thinsieve.arith import is_squarefree, primes_up_to
 from thinsieve.errors import CapExceededError
 from thinsieve.forms import is_fundamental
-from thinsieve.modular import DENSITY_MODULUS_CAP, beta, sl2_enumerate
+from thinsieve.modular import DENSITY_MODULUS_CAP, beta
 from thinsieve.semigroup import (
     aleph_construct,
     ball_count,
@@ -33,6 +33,8 @@ from thinsieve.sieve import (
     squarefree_trace_census,
     _squarefree_trace,
 )
+
+from test_modular import sl2_enumerate  # the CRT-product oracle of SL2(Z/q)
 
 
 def test_sift_values_examples():
