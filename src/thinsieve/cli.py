@@ -38,6 +38,7 @@ from .modular import DEFAULT_MODULUS_CAP, beta, kloosterman, sl2_charsum, sqrt4_
 from .semigroup import (
     _ball_words,
     _norm_sq_cap,
+    _rows,
     aleph_construct,
     aleph_error,
     ball_traces,
@@ -158,29 +159,22 @@ def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _line(word, a, b, c, d, norm_sq, trace) -> str:
+def _line(word, a, b, c, d) -> str:
     """An element's JSON line, as ``json.dumps(record, sort_keys=True)`` writes it."""
-    return (f'{{"matrix": [{a}, {b}, {c}, {d}], "normSq": {norm_sq}, "trace": {trace}, '
-            f'"word": "{serialize_word(word)}"}}\n')
+    return (f'{{"matrix": [{a}, {b}, {c}, {d}], "normSq": {a * a + b * b + c * c + d * d}, '
+            f'"trace": {a + d}, "word": "{serialize_word(word)}"}}\n')
 
 
 def _element_lines(elements) -> Iterator[str]:
-    return (_line(e.word, *e.matrix.entries(), e.norm_sq, e.trace) for e in elements)
+    return (_line(e.word, *e.matrix.entries()) for e in elements)
 
 
 def _ball_lines(a) -> Iterator[str]:
     """enumerate's lines, formed from the ball's arrays _CHUNK rows at a time.
     The ball is walked, and its cap checked, before the first line is formed."""
     words = _ball_words(a.alphabet, _norm_sq_cap(a.norm), a.parity)
-    return (_rows_lines(words, slice(lo, lo + _CHUNK))
+    return ("".join(_line(*row) for row in _rows(words, slice(lo, lo + _CHUNK)))
             for lo in range(0, len(words.lengths), _CHUNK))
-
-
-def _rows_lines(words, rows: slice) -> str:
-    a, b, c, d = (x[rows] for x in words.matrix)
-    columns = (x.tolist() for x in (a, b, c, d, a * a + b * b + c * c + d * d, a + d))
-    return "".join(_line(digits[:k], *m) for digits, k, *m in zip(
-        words.digits[rows].tolist(), words.lengths[rows].tolist(), *columns))
 
 
 def _cycle_records(cycles) -> list[dict]:

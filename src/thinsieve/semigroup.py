@@ -261,12 +261,17 @@ def _ball_words(alphabet: int, norm_sq_cap: int, parity: str) -> _Words:
     return _words(blocks, min(alphabet, isqrt(max(norm_sq_cap, 0))))
 
 
-def _elements(words: _Words, rows=slice(None)) -> Iterator[SemigroupElement]:
-    """The elements of the given rows of words."""
+def _rows(words: _Words, rows=slice(None)) -> Iterator[tuple]:
+    """(digits, a, b, c, d) of the given rows of words, on Python ints."""
     entries = (x[rows].tolist() for x in words.matrix)
     for digits, length, *m in zip(words.digits[rows].tolist(), words.lengths[rows].tolist(),
                                   *entries):
-        yield SemigroupElement(tuple(digits[:length]), Mat2(*m))
+        yield digits[:length], *m
+
+
+def _elements(words: _Words, rows=slice(None)) -> Iterator[SemigroupElement]:
+    """The elements of the given rows of words."""
+    return (SemigroupElement(tuple(w), Mat2(*m)) for w, *m in _rows(words, rows))
 
 
 def ball_count(alphabet: int, norm: float, parity: str = "even") -> int:
@@ -641,8 +646,13 @@ class BilinearSet:
 
 
 def _as_elements(factor) -> tuple[SemigroupElement, ...]:
-    return tuple(e if isinstance(e, SemigroupElement) else SemigroupElement.from_word(e)
-                 for e in factor)
+    out = []
+    for item in factor:
+        if isinstance(item, SemigroupElement):
+            out.append(item)
+        else:
+            out.append(SemigroupElement.from_word(item))
+    return tuple(out)
 
 
 def build_pi(xi, aleph, omega) -> BilinearSet:
