@@ -12,8 +12,9 @@ down by a keep mask and a descend mask.  Its entries are int32 or int64 while
 the bound's worst case fits them and Python ints beyond, so every count is
 exact.  Every norm ball is read through `_ball_blocks`, the one place that
 checks the parity and the element cap, DEFAULT_MAX_ELEMENTS.  Words are read
-back from the matrices, all at once (`_words`), after the walk, so a ball
-over the cap fails before any element is built.
+back from the matrices, all at once (`_words`); a ball is counted against the
+cap before its matrices are held, so a ball over the cap fails in bounded
+memory and before any element is built.
 """
 
 from __future__ import annotations
@@ -213,11 +214,12 @@ def _ball_blocks(
 
 class _Words(NamedTuple):
     """Words as arrays, one row each in lexicographic order: row i's word is
-    digits[i, :lengths[i]] (zeros pad the rest) and its matrix is matrix[:][i]."""
+    digits[i, :lengths[i]] (zeros pad the rest) and its matrix (a, b, c, d)
+    is matrix[0][i], ..., matrix[3][i]."""
 
     digits: np.ndarray
     lengths: np.ndarray
-    matrix: tuple[np.ndarray, ...]  # (a, b, c, d)
+    matrix: tuple[np.ndarray, ...]
 
 
 def _words(blocks: Iterable[list[np.ndarray]], top: int) -> _Words:
@@ -255,9 +257,15 @@ def _words(blocks: Iterable[list[np.ndarray]], top: int) -> _Words:
 
 
 def _ball_words(alphabet: int, norm_sq_cap: int, parity: str) -> _Words:
-    """The words of the given parity with ||g||^2 <= norm_sq_cap, from one
-    capped block walk; no element is built before the cap is checked."""
-    blocks = _ball_blocks(alphabet, norm_sq_cap, parity, DEFAULT_MAX_ELEMENTS)
+    """The words of the given parity with ||g||^2 <= norm_sq_cap.
+
+    The ball is counted against DEFAULT_MAX_ELEMENTS by one block walk, then
+    read by a second: a ball over the cap fails holding no rows, where holding
+    them would cost up to the cap's worth of matrices.
+    """
+    for _ in _ball_blocks(alphabet, norm_sq_cap, parity, DEFAULT_MAX_ELEMENTS):
+        pass
+    blocks = _ball_blocks(alphabet, norm_sq_cap, parity, None)
     return _words(blocks, min(alphabet, isqrt(max(norm_sq_cap, 0))))
 
 

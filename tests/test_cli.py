@@ -157,8 +157,6 @@ def test_squarefree_count_cli(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["squarefree-count", "--alphabet", 3, "--norm", 1000],
     ["hensley-fit", "--alphabet", 3, "--norms", "100,300,1000,3000"],
-    ["enumerate", "--alphabet", 3, "--norm", 1000, "--parity", "any"],
-    ["aleph", "--bound", 1e6, "--modulus", 2],
 ], ids=lambda v: v[0])
 def test_one_ball_walk_per_step(tmp_path, monkeypatch, argv):
     import thinsieve.semigroup as semigroup
@@ -173,6 +171,27 @@ def test_one_ball_walk_per_step(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     assert run(argv) == 0
     assert len(calls) == 1
+
+
+# a step that lists a ball's words walks it twice: once to count it against the
+# element cap, holding nothing, and once to read its matrices
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--alphabet", 3, "--norm", 1000, "--parity", "any"],
+    ["aleph", "--bound", 1e6, "--modulus", 2],
+], ids=lambda v: v[0])
+def test_word_steps_count_their_ball_then_read_it(tmp_path, monkeypatch, argv):
+    import thinsieve.semigroup as semigroup
+
+    walk, calls = semigroup._frontier, []
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(semigroup, "_frontier", counted)
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 0
+    assert len(calls) == 2 and calls[0] == calls[1]
 
 
 # every JSON-lines artifact reads as json.dumps(record, sort_keys=True) writes it,

@@ -139,6 +139,18 @@ def test_iter_ball_counts_its_ball_before_it_emits(monkeypatch, parity):
         next(walk)  # the first element is never built
 
 
+def test_a_ball_over_the_cap_fails_before_its_rows_are_held(monkeypatch):
+    def held(*args):
+        raise AssertionError("the rows of a ball over the cap were read")
+
+    monkeypatch.setattr(semigroup, "_words", held)
+    monkeypatch.setattr(semigroup, "DEFAULT_MAX_ELEMENTS", ball_count(3, 200, "any") - 1)
+    with pytest.raises(CapExceededError):
+        list(enumerate_ball(3, 200, "any"))
+    with pytest.raises(CapExceededError):
+        build_fixed_length_ball(3, 10**4)
+
+
 @pytest.mark.parametrize("alphabet, parity", [(0, "even"), (-1, "any"), (2, "odd"), (2, "")])
 def test_ball_walks_reject_a_bad_alphabet_or_parity(alphabet, parity):
     with pytest.raises(ValueError):
