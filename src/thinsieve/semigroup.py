@@ -257,12 +257,9 @@ def _words(blocks: Iterable[list[np.ndarray]], top: int) -> _Words:
 
 
 def _ball_words(alphabet: int, norm_sq_cap: int, parity: str) -> _Words:
-    """The words of the given parity with ||g||^2 <= norm_sq_cap.
-
-    The ball is counted against DEFAULT_MAX_ELEMENTS by one block walk, then
-    read by a second: a ball over the cap fails holding no rows, where holding
-    them would cost up to the cap's worth of matrices.
-    """
+    """The words of the given parity with ||g||^2 <= norm_sq_cap.  One block
+    walk counts the ball against DEFAULT_MAX_ELEMENTS, holding nothing, and a
+    second reads its matrices, so a ball over the cap fails in bounded memory."""
     for _ in _ball_blocks(alphabet, norm_sq_cap, parity, DEFAULT_MAX_ELEMENTS):
         pass
     blocks = _ball_blocks(alphabet, norm_sq_cap, parity, None)
@@ -386,8 +383,10 @@ def trace_fiber(
     """
     if t < 3:
         raise ValueError("trace fibers start at t = 3")
-    hits = ([x[a + d == t] for x in (a, b, c, d)]
-            for _, a, b, c, d in _frontier(alphabet, t, True, max_nodes))
+    hits = []
+    for _, a, b, c, d in _frontier(alphabet, t, True, max_nodes):
+        hit = a + d == t
+        hits.append([x[hit] for x in (a, b, c, d)])
     return list(_elements(_words(hits, min(alphabet, t))))
 
 

@@ -154,11 +154,8 @@ def test_squarefree_count_cli(tmp_path):
     assert row["fraction"] == "27/98"
 
 
-@pytest.mark.parametrize("argv", [
-    ["squarefree-count", "--alphabet", 3, "--norm", 1000],
-    ["hensley-fit", "--alphabet", 3, "--norms", "100,300,1000,3000"],
-], ids=lambda v: v[0])
-def test_one_ball_walk_per_step(tmp_path, monkeypatch, argv):
+def _walks(tmp_path, monkeypatch, argv) -> list:
+    """The block walks one successful CLI run makes."""
     import thinsieve.semigroup as semigroup
 
     walk, calls = semigroup._frontier, []
@@ -170,7 +167,15 @@ def test_one_ball_walk_per_step(tmp_path, monkeypatch, argv):
     monkeypatch.setattr(semigroup, "_frontier", counted)
     monkeypatch.chdir(tmp_path)
     assert run(argv) == 0
-    assert len(calls) == 1
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ["squarefree-count", "--alphabet", 3, "--norm", 1000],
+    ["hensley-fit", "--alphabet", 3, "--norms", "100,300,1000,3000"],
+], ids=lambda v: v[0])
+def test_one_ball_walk_per_step(tmp_path, monkeypatch, argv):
+    assert len(_walks(tmp_path, monkeypatch, argv)) == 1
 
 
 # a step that lists a ball's words walks it twice: once to count it against the
@@ -180,17 +185,7 @@ def test_one_ball_walk_per_step(tmp_path, monkeypatch, argv):
     ["aleph", "--bound", 1e6, "--modulus", 2],
 ], ids=lambda v: v[0])
 def test_word_steps_count_their_ball_then_read_it(tmp_path, monkeypatch, argv):
-    import thinsieve.semigroup as semigroup
-
-    walk, calls = semigroup._frontier, []
-
-    def counted(*args):
-        calls.append(args)
-        return walk(*args)
-
-    monkeypatch.setattr(semigroup, "_frontier", counted)
-    monkeypatch.chdir(tmp_path)
-    assert run(argv) == 0
+    calls = _walks(tmp_path, monkeypatch, argv)
     assert len(calls) == 2 and calls[0] == calls[1]
 
 
