@@ -1,0 +1,45 @@
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from thinsieve.arith import LEAF, pairwise_sum
+
+# item counts around numpy's unroll (8 scalars), its block (128) and LEAF; a
+# complex128 item is 2 scalars, so LEAF // 2 items is one full complex leaf
+LENGTHS = (0, 1, 7, 8, 127, 128, 129, LEAF // 2 - 1, LEAF // 2, LEAF // 2 + 1,
+           LEAF - 1, LEAF, LEAF + 1, 3 * LEAF + 17, 9 * LEAF - 5)
+
+
+def _values(n, seed, spread, is_complex):
+    """n normal draws, each scaled by 10^e for e uniform in [-spread, spread]."""
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        return rng.standard_normal(n) * 10.0 ** rng.integers(-spread, spread + 1, n)
+
+    return draw() + 1j * draw() if is_complex else draw()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(LENGTHS), st.integers(0, 2**32 - 1), st.sampled_from([0, 8, 150]),
+       st.booleans())
+def test_pairwise_sum_equals_numpy_sum(n, seed, spread, is_complex):
+    values = _values(n, seed, spread, is_complex)
+    width = 2 if is_complex else 1
+    chunks = []
+
+    def terms(lo, hi):
+        chunks.append((lo, hi))
+        return values[lo:hi].copy()
+
+    assert repr(pairwise_sum(n, terms, width)) == repr(values.sum())
+    assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]  # in order, no gap
+    assert chunks[-1][1] == n
+    assert all((hi - lo) * width <= LEAF for lo, hi in chunks)
+
+
+def test_pairwise_sum_keeps_numpy_signed_zeros():
+    for values in (np.full(3 * LEAF, -0.0), np.full(LEAF, -0.0 - 0.0j), np.zeros(0)):
+        width = 2 if values.dtype == np.complex128 else 1
+        got = pairwise_sum(len(values), lambda lo, hi: values[lo:hi].copy(), width)
+        assert repr(got) == repr(values.sum())

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from math import log
@@ -245,3 +246,13 @@ def test_tolerance_bounds_are_accepted():
 def test_pressure_sum_rejects_bad_inputs(args):
     with pytest.raises(ValueError):
         pressure_sum(*args)
+
+
+def test_estimate_holds_no_full_length_temporaries():
+    tracemalloc.start()
+    try:
+        estimate(3, 13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20  # the two length arrays take 16.2 MiB of this

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -367,3 +368,15 @@ def test_is_primitive_mod():
     assert is_primitive_mod((0, 1, 0, 0), 2)
     assert not is_primitive_mod((0, 2, 4, 2), 2)
     assert is_primitive_mod((3, 5, 0, 0), 15)
+
+
+def test_charsum_prime_gathers_its_terms_in_chunks():
+    s = (1, 2, 3, 4)
+    _charsum_prime(113, s)  # fill the root-window and inverse caches
+    tracemalloc.start()
+    try:
+        _charsum_prime(113, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20  # all 113^3 - 113 complex128 terms at once take 22.4 MiB
