@@ -159,7 +159,7 @@ def test_ball_walks_reject_a_bad_alphabet_or_parity(alphabet, parity):
         ball_count(alphabet, 10, parity)
 
 
-@pytest.mark.parametrize("norm", [-5.0, -1e-9, float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("norm", [-5.0, -1e-9, float("nan"), float("inf"), float("-inf"), 1e200])
 def test_ball_walks_reject_a_negative_or_non_finite_norm(norm):
     # a negative norm once read as its absolute value: ball_count(2, -5.0) gave 3
     with pytest.raises(ValueError, match="norm"):
