@@ -74,8 +74,8 @@ class SemigroupElement:
 
 def _norm_sq_cap(norm: float) -> int:
     """Integer cap for ||g||^2 <= norm^2 (norms on the grid are exact in floats)."""
-    if not (isfinite(norm) and norm >= 0):
-        raise ValueError(f"norm must be finite and >= 0, got {norm!r}")
+    if not (isfinite(norm * norm) and norm >= 0):  # nan fails both; 1e200 squares to inf
+        raise ValueError(f"norm must be >= 0 with a finite square, got {norm!r}")
     return round(norm * norm)
 
 
