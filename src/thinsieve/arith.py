@@ -1,9 +1,19 @@
-"""Small integer helpers: primes, factorisation, square-free tests, CRT."""
+"""Small helpers: primes, factorisation, square-free tests, CRT, and a chunked sum.
+
+``pairwise_sum`` gives numpy's ``sum`` of an array bit for bit while forming
+at most LEAF scalars of it at a time, so a float sum that artifacts pin need
+not hold all of its terms.
+"""
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Callable
 from math import isqrt
+
+import numpy as np
+
+LEAF = 1 << 15  # most scalars pairwise_sum forms at once
 
 _primes: list[int] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 _sieved_to = 31
@@ -84,3 +94,27 @@ def iroot(n: int, k: int) -> int:
         else:
             hi = mid - 1
     return lo
+
+
+def pairwise_sum(n: int, terms: Callable[[int, int], np.ndarray], width: int = 1):
+    """``terms(0, n).sum()`` bit for bit, forming at most LEAF scalars at a time.
+
+    terms(lo, hi) returns items lo..hi-1 as a fresh C-contiguous float64 or
+    complex128 array; width is the scalars per item (2 for complex128).
+    numpy sums a contiguous array of m scalars pairwise: in sequence below 8,
+    in eight running sums up to 128, and above that as the sum of its two
+    halves, split at m // 2 rounded down to a multiple of 8.  This recursion
+    makes the same splits down to nodes of at most LEAF scalars, and sums each
+    such node with numpy, whose recursion on it repeats the tree below.  numpy
+    adds a reduction to an initial 0 at the end, which only turns a -0.0 total
+    into 0.0; a -0.0 leaf read as 0.0 therefore changes no total either.
+    """
+
+    def node(lo: int, m: int):  # the m scalars from item lo on
+        if m <= LEAF:
+            return terms(lo, lo + m // width).sum()
+        half = m // 2
+        half -= half % 8
+        return node(lo, half) + node(lo + half // width, m - half)
+
+    return node(0, n * width)

@@ -19,10 +19,13 @@ Brackets from depths k and k-1 are intersected.  This is a cylinder-sum
 method throughout; no transfer-operator discretisation is involved.
 
 Certified signs.  Bisection reads only the sign of g(s) = log S(s) - sign s log C,
-S(s) = sum len^s, and S in full is a pass of np.power over all A^k lengths.
-So each depth is summarised once: x = -log(len) is cut into BINS equal bins
-[a, a + w] spanning [min x, max x], each keeping its count n and its mean as
-an offset m in [0, 1] bin widths from a.  As e^{-sx} is convex, a bin adds
+S(s) = sum len^s, and S in full is np.power over all A^k lengths (added by
+``arith.pairwise_sum``, LEAF powers at a time, as numpy's sum of the whole
+array would add them).  So each depth is summarised once: x = -log(len) is
+cut into BINS equal bins [a, a + w] spanning [min x, max x], each keeping its
+count n and its mean as an offset m in [0, 1] bin widths from a.  min x and
+max x are -log of the longest and the shortest length, and the points are
+binned LEAF at a time.  As e^{-sx} is convex, a bin adds
 to S at least n e^{-s(a + m w)} (Jensen) and at most the chord value
 n e^{-sa} (1 - m (1 - e^{-sw})).  A midpoint whose lower bound gives
 g > MARGIN is +, one whose upper bound gives g < -MARGIN is -, and any
@@ -38,11 +41,16 @@ one word of alphabet 1 stops the bisection at s = 0):
     under 1e-13 in g;
   * the computed x: even 10^3 ulp of error in np.log moves each e^{-sx} by
     a factor within e^{+-2e-11}, and binning moves each point into its bin
-    by at most 8u (max x - min x);
-  * the bin means: np.bincount adds each bin's offsets in sequence, an
-    error of at most (n - 1) u bin widths (each offset is in [0, 1]) plus u
-    for the division, so every mean is widened by n 2^-52 in the direction
-    that weakens its bound; this holds for any BINS;
+    by at most 8u (max x - min x).  min x and w come from the logs of the
+    extreme lengths alone; np.log is monotone up to its rounding, so a
+    point's x - min x can fall outside [0, BINS w] by a few ulp at most, and
+    clipping it back moves the point by no more than that;
+  * the bin means: np.bincount adds a bin's offsets in sequence within each
+    chunk, and the chunks' sums are then added in turn.  In any order, a sum
+    of n offsets in [0, 1] errs by at most (n - 1) u n to first order, so the
+    mean errs by (n - 1) u bin widths plus u for the division, and every mean
+    is widened by n 2^-52 in the direction that weakens its bound; this holds
+    for any BINS and any chunk size;
   * the bounds themselves: exp, expm1, the sum of at most BINS terms and
     the final log err by under 1e-13.
 MARGIN = 1e-9 exceeds the sum of these by more than an order of magnitude.
@@ -57,6 +65,7 @@ from math import expm1, isfinite, log, sqrt
 
 import numpy as np
 
+from .arith import LEAF, pairwise_sum
 from .cf import check_word, word_to_matrix
 from .errors import CapExceededError, InternalInvariantError
 
@@ -95,16 +104,27 @@ def _fits_int64(alphabet: int, depth: int) -> bool:
     return True
 
 
+def _step(q: np.ndarray, r: np.ndarray, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Extend every continuant pair (q, r = q + q') by every digit d, in word order.
+
+    The child of (q, q') by d is (d q + q', q), so r' = d q + r and q' = r' - q.
+    """
+    r = np.multiply.outer(q, digits) + r[:, None]
+    return (r - q[:, None]).ravel(), r.ravel()
+
+
 def _cylinder_lengths(alphabet: int, depth: int) -> list[np.ndarray]:
     """Float64 cylinder lengths of every word at depths k-1 and k (only k when k = 1).
 
-    Words run in lexicographic order.  Each step extends every continuant pair
-    (q, q') by every digit d to (d q + q', q) in one broadcast, carried as
-    (q, r = q + q') so that r' = d q + r and q' = r' - q, and the lengths
-    1 / (q r) need no further temporary; depth k-1 is the loop's
-    next-to-last step rather than a second build.  Continuants that could
-    pass 2^62 (only alphabet 1 gets there within the budget) are Python ints,
-    and their lengths the correctly rounded 1 / (q r), 0.0 once it underflows.
+    Words run in lexicographic order, and the length of a word with pair
+    (q, r) is 1 / (q r), taken as 1.0 / (float(q) * float(r)).  The pairs are
+    stepped by ``_step`` from the empty word's (1, 1) to depth k-2, and both
+    levels are then filled from chunks of those parents: each chunk is
+    stepped once for its depth-(k-1) lengths and again for its depth-k ones,
+    so no pair array of either level is formed whole.  A chunk has at most
+    LEAF // A^2 parents (one at least).  Continuants that could pass 2^62
+    (only alphabet 1 gets there within the budget) are Python ints, and their
+    lengths the correctly rounded 1 / (q r), 0.0 once it underflows.
     """
     if alphabet < 1:
         raise ValueError("alphabet bound must be >= 1")
@@ -118,33 +138,41 @@ def _cylinder_lengths(alphabet: int, depth: int) -> list[np.ndarray]:
     digits = np.arange(1, alphabet + 1, dtype=np.int64)
     if not _fits_int64(alphabet, depth):
         digits = digits.astype(object)
-    q, r = digits, digits + 1
-    lengths = []
-    for k in range(1, depth + 1):
-        if k >= depth - 1:
-            if q.dtype == object:
-                lengths.append(np.array([1 / x for x in q * r], dtype=np.float64))
+    q, r = digits[:1], digits[:1]  # the empty word: q = 1, q' = 0
+    parent_depth = max(depth - 2, 0)
+    for _ in range(parent_depth):
+        q, r = _step(q, r, digits)
+    levels = [np.empty(len(q) * alphabet**j) for j in range(1, depth - parent_depth + 1)]
+    chunk = max(LEAF // alphabet ** len(levels), 1)
+    for lo in range(0, len(q), chunk):
+        q_c, r_c = q[lo : lo + chunk], r[lo : lo + chunk]
+        for j, out in enumerate(levels, 1):
+            q_c, r_c = _step(q_c, r_c, digits)
+            start = lo * alphabet**j
+            den = out[start : start + len(q_c)]
+            if q_c.dtype == object:
+                den[:] = [1 / x for x in q_c * r_c]
             else:
-                den = q.astype(np.float64)
-                den *= r
-                lengths.append(np.divide(1.0, den, out=den))
-        if k < depth:
-            r = np.multiply.outer(q, digits) + r[:, None]
-            q = (r - q[:, None]).ravel()
-            r = r.ravel()
-    return lengths
+                np.multiply(q_c, r_c, out=den, dtype=np.float64)
+                np.divide(1.0, den, out=den)
+    return levels
 
 
 def pressure_sum(alphabet: int, depth: int, s: float) -> float:
     """Sum of cylinder_length(w)^s over all depth-k words; strictly decreasing in s."""
     if not isfinite(s):
         raise ValueError(f"s must be finite, got {s!r}")
-    return float(np.power(_cylinder_lengths(alphabet, depth)[-1], s).sum())
+    return float(_power_sum(_cylinder_lengths(alphabet, depth)[-1], s))
+
+
+def _power_sum(lengths: np.ndarray, s: float) -> float:
+    """np.power(lengths, s).sum() bit for bit, with at most LEAF powers held at once."""
+    return pairwise_sum(len(lengths), lambda lo, hi: np.power(lengths[lo:hi], s))
 
 
 def _log_sum(lengths: np.ndarray, s: float) -> float:
     """log of the pressure sum in full: the value every certified sign agrees with."""
-    return log(float(np.power(lengths, s).sum()))
+    return log(float(_power_sum(lengths, s)))
 
 
 class _Pressure:
@@ -162,20 +190,25 @@ class _Pressure:
     @cached_property
     def _bins(self) -> tuple:
         """x = -log(len) in BINS equal bins: left edges, counts and widened mean offsets."""
-        t = np.log(self.lengths)  # -x
-        log_max = float(t.max())
-        width = (log_max - float(t.min())) / BINS
-        np.subtract(log_max, t, out=t)  # x - min x, exactly >= 0
-        t *= 1.0 / width if width > 0.0 else 0.0
-        np.minimum(t, np.nextafter(BINS, 0), out=t)  # max x into the last bin
-        bin_of = t.astype(np.intp)
-        t -= bin_of  # offset from the bin's left edge, in [0, 1) bin widths
-        count = np.bincount(bin_of, minlength=BINS)
-        offset = np.bincount(bin_of, weights=t, minlength=BINS)
+        lengths = self.lengths
+        log_max = float(np.log(lengths.max()))  # -min x
+        width = (log_max - float(np.log(lengths.min()))) / BINS
+        scale = 1.0 / width if width > 0.0 else 0.0
+        count = np.zeros(BINS, dtype=np.intp)
+        offset = np.zeros(BINS)
+        for lo in range(0, len(lengths), LEAF):
+            t = np.log(lengths[lo : lo + LEAF])  # -x
+            np.subtract(log_max, t, out=t)  # x - min x
+            t *= scale
+            np.clip(t, 0.0, np.nextafter(BINS, 0), out=t)  # into the BINS bins
+            bin_of = t.astype(np.intp)
+            t -= bin_of  # offset from the bin's left edge, in [0, 1) bin widths
+            count += np.bincount(bin_of, minlength=BINS)
+            offset += np.bincount(bin_of, weights=t, minlength=BINS)
         full = np.flatnonzero(count)
         n = count[full].astype(np.float64)
         mean = offset[full] / n
-        slack = n * 2.0**-52  # the sequential sum's error, in bin widths
+        slack = n * 2.0**-52  # the offsets' summation error, in bin widths
         m_lo = np.clip(mean - slack, 0.0, 1.0)
         m_hi = np.clip(mean + slack, 0.0, 1.0)
         left = full * width

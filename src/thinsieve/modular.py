@@ -13,7 +13,7 @@ from math import tau
 
 import numpy as np
 
-from .arith import factorize, is_prime, is_squarefree, primes_up_to
+from .arith import factorize, is_prime, is_squarefree, pairwise_sum, primes_up_to
 from .errors import CapExceededError
 
 DEFAULT_MODULUS_CAP = 120
@@ -180,9 +180,10 @@ def _charsum_prime(p: int, s: tuple[int, int, int, int]) -> complex:
     alpha + beta j in its running entry j: alpha = b y - z / b, beta = w
     when a = 0, and alpha = a x + b y + w / a, beta = z + b w / a otherwise.
     Its terms are E[alpha + beta j] = R_beta[j + alpha / beta], one window of
-    ``_root_windows``, or p copies of E[alpha] when beta = 0.  So the gathered
-    array holds the same floats in the table's row order, and numpy's pairwise
-    sum over that one contiguous array is the table sum bit for bit.
+    ``_root_windows``, or p copies of E[alpha] when beta = 0.  So the terms
+    are the table's floats in its row order, and ``pairwise_sum`` adds them
+    as numpy's sum over one array of them would, bit for bit, gathering only
+    the windows of the blocks that each leaf of its tree overlaps.
     """
     x, y, z, w = s
     inv = _inverses(p)
@@ -193,7 +194,13 @@ def _charsum_prime(p: int, s: tuple[int, int, int, int]) -> complex:
     beta = np.concatenate((np.full(p - 1, w), ((z + a_inv * b * w) % p).ravel()))
     row = np.where(beta, beta, p + alpha)
     shift = alpha * inv[beta] % p  # 0 where beta = 0, as inv[0] = 0
-    return complex(_root_windows(p)[row, shift].sum())
+    windows = _root_windows(p)
+
+    def terms(lo: int, hi: int) -> np.ndarray:  # terms lo..hi-1, from blocks lo // p on
+        first, last = lo // p, -(-hi // p)
+        return windows[row[first:last], shift[first:last]].ravel()[lo - first * p : hi - first * p]
+
+    return complex(pairwise_sum(len(row) * p, terms, 2))
 
 
 def sl2_charsum(
@@ -207,8 +214,6 @@ def sl2_charsum(
     if len(tuple(s)) != 4:
         raise ValueError("s must be a 4-vector")
     primes = _check_modulus(q, cap)
-    if q == 1:
-        return complex(1.0)
     out = complex(1.0)
     for p in primes:
         u = pow((q // p) % p, -1, p)
