@@ -119,10 +119,10 @@ def _cylinder_lengths(alphabet: int, depth: int) -> list[np.ndarray]:
     Words run in lexicographic order, and the length of a word with pair
     (q, r) is 1 / (q r), taken as 1.0 / (float(q) * float(r)).  The pairs are
     stepped by ``_step`` from the empty word's (1, 1) to depth k-2, and both
-    levels are then filled from chunks of those parents: each chunk is
-    stepped once for its depth-(k-1) lengths and again for its depth-k ones,
-    so no pair array of either level is formed whole.  A chunk has at most
-    LEAF // A^2 parents (one at least).  Continuants that could pass 2^62
+    levels are then filled from chunks of those parents: each chunk of at
+    most LEAF // A pairs (one at least) is stepped for its children's
+    lengths, and each chunk of those children again for theirs, so no pair
+    array of either level is formed whole.  Continuants that could pass 2^62
     (only alphabet 1 gets there within the budget) are Python ints, and their
     lengths the correctly rounded 1 / (q r), 0.0 once it underflows.
     """
@@ -143,18 +143,24 @@ def _cylinder_lengths(alphabet: int, depth: int) -> list[np.ndarray]:
     for _ in range(parent_depth):
         q, r = _step(q, r, digits)
     levels = [np.empty(len(q) * alphabet**j) for j in range(1, depth - parent_depth + 1)]
-    chunk = max(LEAF // alphabet ** len(levels), 1)
+    chunk = max(LEAF // alphabet, 1)  # parents whose children are formed at once
+
+    def fill(j: int, q: np.ndarray, r: np.ndarray, start: int) -> None:
+        """Write the children of the pairs numbered from start into levels[j], then theirs."""
+        q, r = _step(q, r, digits)
+        start *= alphabet
+        den = levels[j][start : start + len(q)]
+        if q.dtype == object:
+            den[:] = [1 / x for x in q * r]
+        else:
+            np.multiply(q, r, out=den, dtype=np.float64)
+            np.divide(1.0, den, out=den)
+        if j + 1 < len(levels):
+            for lo in range(0, len(q), chunk):
+                fill(j + 1, q[lo : lo + chunk], r[lo : lo + chunk], start + lo)
+
     for lo in range(0, len(q), chunk):
-        q_c, r_c = q[lo : lo + chunk], r[lo : lo + chunk]
-        for j, out in enumerate(levels, 1):
-            q_c, r_c = _step(q_c, r_c, digits)
-            start = lo * alphabet**j
-            den = out[start : start + len(q_c)]
-            if q_c.dtype == object:
-                den[:] = [1 / x for x in q_c * r_c]
-            else:
-                np.multiply(q_c, r_c, out=den, dtype=np.float64)
-                np.divide(1.0, den, out=den)
+        fill(0, q[lo : lo + chunk], r[lo : lo + chunk], lo)
     return levels
 
 

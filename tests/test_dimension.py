@@ -248,11 +248,13 @@ def test_pressure_sum_rejects_bad_inputs(args):
         pressure_sum(*args)
 
 
-def test_estimate_holds_no_full_length_temporaries():
+# the length arrays alone take 16.2 MiB at (3, 13) and 7.6 MiB at (1000, 2)
+@pytest.mark.parametrize("alphabet, depth, mib", [(3, 13, 24), (1000, 2, 10)])
+def test_estimate_holds_no_full_length_temporaries(alphabet, depth, mib):
     tracemalloc.start()
     try:
-        estimate(3, 13)
+        estimate(alphabet, depth)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2**20  # the two length arrays take 16.2 MiB of this
+    assert peak < mib * 2**20
