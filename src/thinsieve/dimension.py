@@ -146,21 +146,20 @@ def _cylinder_lengths(alphabet: int, depth: int) -> list[np.ndarray]:
     chunk = max(LEAF // alphabet, 1)  # parents whose children are formed at once
 
     def fill(j: int, q: np.ndarray, r: np.ndarray, start: int) -> None:
-        """Write the children of the pairs numbered from start into levels[j], then theirs."""
-        q, r = _step(q, r, digits)
-        start *= alphabet
-        den = levels[j][start : start + len(q)]
-        if q.dtype == object:
-            den[:] = [1 / x for x in q * r]
-        else:
-            np.multiply(q, r, out=den, dtype=np.float64)
-            np.divide(1.0, den, out=den)
-        if j + 1 < len(levels):
-            for lo in range(0, len(q), chunk):
-                fill(j + 1, q[lo : lo + chunk], r[lo : lo + chunk], start + lo)
+        """Write the lengths of the children of pairs start, start + 1, ... into levels[j]."""
+        for lo in range(0, len(q), chunk):
+            q_c, r_c = _step(q[lo : lo + chunk], r[lo : lo + chunk], digits)
+            first = (start + lo) * alphabet
+            den = levels[j][first : first + len(q_c)]
+            if q_c.dtype == object:
+                den[:] = [1 / x for x in q_c * r_c]
+            else:
+                np.multiply(q_c, r_c, out=den, dtype=np.float64)
+                np.divide(1.0, den, out=den)
+            if j + 1 < len(levels):
+                fill(j + 1, q_c, r_c, first)
 
-    for lo in range(0, len(q), chunk):
-        fill(0, q[lo : lo + chunk], r[lo : lo + chunk], lo)
+    fill(0, q, r, 0)
     return levels
 
 
