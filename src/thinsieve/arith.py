@@ -1,4 +1,4 @@
-"""Small helpers: primes, factorisation, square-free tests, CRT, and a chunked sum.
+"""Small helpers: primes, factorisation, square-free tests, integer roots, a chunked sum.
 
 ``pairwise_sum`` gives numpy's ``sum`` of an array bit for bit while forming
 at most LEAF scalars of it at a time, so a float sum that artifacts pin need
@@ -105,9 +105,9 @@ def pairwise_sum(n: int, terms: Callable[[int, int], np.ndarray], width: int = 1
     in eight running sums up to 128, and above that as the sum of its two
     halves, split at m // 2 rounded down to a multiple of 8.  This recursion
     makes the same splits down to nodes of at most LEAF scalars, and sums each
-    such node with numpy, whose recursion on it repeats the tree below.  numpy
-    adds a reduction to an initial 0 at the end, which only turns a -0.0 total
-    into 0.0; a -0.0 leaf read as 0.0 therefore changes no total either.
+    such node with numpy, whose recursion on it repeats the tree below.  numpy's
+    reduction adds the tree's total to an initial 0, which only turns a -0.0
+    total into 0.0, so a -0.0 leaf read as 0.0 changes no total either.
     """
 
     def node(lo: int, m: int):  # the m scalars from item lo on
