@@ -109,12 +109,15 @@ def pairwise_sum(n: int, terms: Callable[[int, int], np.ndarray], width: int = 1
     reduction adds the tree's total to an initial 0, which only turns a -0.0
     total into 0.0, so a -0.0 leaf read as 0.0 changes no total either.
     """
+    return _pairwise_node(terms, width, 0, n * width)
 
-    def node(lo: int, m: int):  # the m scalars from item lo on
-        if m <= LEAF:
-            return terms(lo, lo + m // width).sum()
-        half = m // 2
-        half -= half % 8
-        return node(lo, half) + node(lo + half // width, m - half)
 
-    return node(0, n * width)
+def _pairwise_node(terms: Callable[[int, int], np.ndarray], width: int, lo: int, m: int):
+    """The sum of the m scalars from item lo on.  A module-level function, not a
+    closure that calls itself, so no reference cycle keeps terms alive."""
+    if m <= LEAF:
+        return terms(lo, lo + m // width).sum()
+    half = m // 2
+    half -= half % 8
+    return (_pairwise_node(terms, width, lo, half)
+            + _pairwise_node(terms, width, lo + half // width, m - half))

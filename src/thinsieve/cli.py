@@ -34,7 +34,7 @@ from .dimension import asymptote, estimate
 from .errors import CapExceededError, ConfigError, InternalInvariantError
 from .forms import class_cycles, count_mirror_merged, count_sign_merged, cycle_to_word
 from .geodesics import emit_arcs, geodesic_profile
-from .modular import DEFAULT_MODULUS_CAP, beta, kloosterman, sl2_charsum, sqrt4_counts
+from .modular import DEFAULT_MODULUS_CAP, densities, kloosterman, sl2_charsum
 from .semigroup import (
     _ball_words,
     _norm_sq_cap,
@@ -203,9 +203,9 @@ def _dimension_brackets(a) -> Table:
 
 
 def _densities(a) -> Table:
-    counts = sqrt4_counts(a.modulus).tolist()  # 0 where q is not square-free
+    columns = (column.tolist() for column in densities(a.modulus))
     return Table(["q", "beta", "sqrt4_count"],
-                 [[q, _frac(beta(q)), count] for q, count in enumerate(counts) if count])
+                 [[q, f"{num}/{den}", count] for q, num, den, count in zip(*columns)])
 
 
 def _exponential_sums(a) -> Table:
@@ -392,13 +392,16 @@ COMMANDS: dict[str, Command] = {
 }
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of ``command`` alone when it names one, else of every command
+    (for --help, a missing command or an unknown one)."""
     parser = argparse.ArgumentParser(
         prog="thinsieve",
         description="Continued fractions, quadratic forms, and sieve experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, spec in COMMANDS.items():
+    for name in [command] if command in COMMANDS else COMMANDS:
+        spec = COMMANDS[name]
         # flags not given stay out of the namespace, so a config file can fill them
         p = sub.add_parser(name, help=spec.help, argument_default=argparse.SUPPRESS)
         for f in (*_COMMON, *spec.flags):
@@ -444,7 +447,8 @@ def _settings(given: dict) -> argparse.Namespace:
 def main(argv=None) -> int:
     try:
         try:
-            given = vars(_parser().parse_args(argv))
+            argv = sys.argv[1:] if argv is None else argv
+            given = vars(_parser(argv[0] if argv else None).parse_args(argv))
         except SystemExit as exc:  # argparse uses 2 for usage errors
             return int(exc.code or 0)
         args = _settings(given)

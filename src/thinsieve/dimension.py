@@ -62,6 +62,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import expm1, isfinite, log, sqrt
+from typing import Iterator
 
 import numpy as np
 
@@ -113,17 +114,20 @@ def _step(q: np.ndarray, r: np.ndarray, digits: np.ndarray) -> tuple[np.ndarray,
     return (r - q[:, None]).ravel(), r.ravel()
 
 
-def _cylinder_lengths(alphabet: int, depth: int) -> list[np.ndarray]:
-    """Float64 cylinder lengths of every word at depths k-1 and k (only k when k = 1).
+def _cylinder_lengths(alphabet: int, depth: int) -> Iterator[np.ndarray]:
+    """Float64 cylinder lengths of every word at depth k-1, then at depth k
+    (only k when k = 1), one level at a time.
 
     Words run in lexicographic order, and the length of a word with pair
-    (q, r) is 1 / (q r), taken as 1.0 / (float(q) * float(r)).  The pairs are
-    stepped by ``_step`` from the empty word's (1, 1) to depth k-2, and both
-    levels are then filled from chunks of those parents: each chunk of at
-    most LEAF // A pairs (one at least) is stepped for its children's
-    lengths, and each chunk of those children again for theirs, so no pair
-    array of either level is formed whole.  Continuants that could pass 2^62
-    (only alphabet 1 gets there within the budget) are Python ints, and their
+    (q, r) is 1 / (q r), taken as 1.0 / (float(q) * float(r)).  The caps are
+    checked and the pairs stepped by ``_step`` from the empty word's (1, 1) to
+    depth k-2 when this is called; each level is then filled from chunks of
+    those parents, stepped for their children, and at depth k those children
+    again for theirs.  A step forms at most LEAF children (one parent's
+    digits are split when A > LEAF), so no pair array of either level is
+    formed whole, and depth k is filled only once the caller asks for it,
+    after it has dropped depth k-1.  Continuants that could pass 2^62 (only
+    alphabet 1 gets there within the budget) are Python ints, and their
     lengths the correctly rounded 1 / (q r), 0.0 once it underflows.
     """
     if alphabet < 1:
@@ -135,39 +139,49 @@ def _cylinder_lengths(alphabet: int, depth: int) -> list[np.ndarray]:
     # 2^bit_length > DEPTH_BUDGET, so clipping the exponent there keeps the test exact
     if alphabet ** min(depth, DEPTH_BUDGET.bit_length()) > DEPTH_BUDGET:
         raise CapExceededError(f"alphabet^depth = {alphabet}^{depth} exceeds budget {DEPTH_BUDGET}")
-    digits = np.arange(1, alphabet + 1, dtype=np.int64)
-    if not _fits_int64(alphabet, depth):
-        digits = digits.astype(object)
-    q, r = digits[:1], digits[:1]  # the empty word: q = 1, q' = 0
+    dtype = np.int64 if _fits_int64(alphabet, depth) else object
+    q = r = np.ones(1, dtype=dtype)  # the empty word: q = 1, q' = 0
     parent_depth = max(depth - 2, 0)
     for _ in range(parent_depth):
-        q, r = _step(q, r, digits)
-    levels = [np.empty(len(q) * alphabet**j) for j in range(1, depth - parent_depth + 1)]
-    chunk = max(LEAF // alphabet, 1)  # parents whose children are formed at once
+        q, r = _step(q, r, np.arange(1, alphabet + 1).astype(dtype))
+    return _levels(q, r, alphabet, dtype, depth - parent_depth)
 
-    def fill(j: int, q: np.ndarray, r: np.ndarray, start: int) -> None:
-        """Write the lengths of the children of pairs start, start + 1, ... into levels[j]."""
-        for lo in range(0, len(q), chunk):
-            q_c, r_c = _step(q[lo : lo + chunk], r[lo : lo + chunk], digits)
-            first = (start + lo) * alphabet
-            den = levels[j][first : first + len(q_c)]
-            if q_c.dtype == object:
-                den[:] = [1 / x for x in q_c * r_c]
-            else:
-                np.multiply(q_c, r_c, out=den, dtype=np.float64)
-                np.divide(1.0, den, out=den)
-            if j + 1 < len(levels):
-                fill(j + 1, q_c, r_c, first)
 
-    fill(0, q, r, 0)
-    return levels
+def _levels(q: np.ndarray, r: np.ndarray, alphabet: int, dtype, levels: int) -> Iterator[np.ndarray]:
+    """The lengths of the descendants of the pairs (q, r) 1, ..., levels digits on."""
+    per = max(LEAF // alphabet, 1)  # parents stepped at once
+    span = min(alphabet, LEAF)  # digits stepped at once: all of them unless per = 1
+
+    def fill(out: np.ndarray, q: np.ndarray, r: np.ndarray, start: int, below: int) -> None:
+        """Write the lengths of the descendants `below` digits under pairs start, start + 1, ..."""
+        for lo in range(0, len(q), per):
+            for d in range(0, alphabet, span):
+                digits = np.arange(d + 1, min(d + span, alphabet) + 1).astype(dtype)
+                q_c, r_c = _step(q[lo : lo + per], r[lo : lo + per], digits)
+                first = (start + lo) * alphabet + d
+                if below > 1:
+                    fill(out, q_c, r_c, first, below - 1)
+                    continue
+                den = out[first : first + len(q_c)]
+                if q_c.dtype == object:
+                    den[:] = [1 / x for x in q_c * r_c]
+                else:
+                    np.multiply(q_c, r_c, out=den, dtype=np.float64)
+                    np.divide(1.0, den, out=den)
+
+    for below in range(1, levels + 1):
+        out = np.empty(len(q) * alphabet**below)
+        fill(out, q, r, 0, below)
+        yield out
+        del out
 
 
 def pressure_sum(alphabet: int, depth: int, s: float) -> float:
     """Sum of cylinder_length(w)^s over all depth-k words; strictly decreasing in s."""
     if not isfinite(s):
         raise ValueError(f"s must be finite, got {s!r}")
-    return float(_power_sum(_cylinder_lengths(alphabet, depth)[-1], s))
+    *_, lengths = _cylinder_lengths(alphabet, depth)
+    return float(_power_sum(lengths, s))
 
 
 def _power_sum(lengths: np.ndarray, s: float) -> float:
@@ -293,6 +307,7 @@ def estimate(alphabet: int, depth: int, tol: float = 1e-6) -> DimensionEstimate:
         pressure = _Pressure(lengths)
         lower = max(lower, _root(pressure, +1, log_c, tol))
         upper = min(upper, _root(pressure, -1, log_c, tol))
+        del lengths, pressure  # so the next level is filled without this one
     if lower > upper + 4 * tol:
         raise InternalInvariantError("depth brackets are inconsistent")
     lower = min(lower, upper)

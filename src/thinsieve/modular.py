@@ -17,7 +17,7 @@ from .arith import factorize, is_prime, is_squarefree, pairwise_sum, primes_up_t
 from .errors import CapExceededError
 
 DEFAULT_MODULUS_CAP = 120
-DENSITY_MODULUS_CAP = 10**6  # beta and sqrt4_count
+DENSITY_MODULUS_CAP = 10**6  # beta, sqrt4_count and densities
 
 
 def _check_modulus(q: int, cap: int) -> list[int]:
@@ -106,25 +106,41 @@ def sqrt4_count(q: int, cap: int = DENSITY_MODULUS_CAP) -> int:
     return int(np.count_nonzero((t * t - 4) % q == 0))
 
 
-def sqrt4_counts(n: int) -> np.ndarray:
-    """counts[q] = sqrt4_count(q) for the square-free q <= n; 0 at q = 0 and at
-    the q that are not square-free.
+def densities(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every square-free q <= n, ascending, with beta(q) = num / den in lowest
+    terms and sqrt4_count(q): the int64 arrays (q, num, den, count).
 
-    By the CRT the count is multiplicative, and t = +-2 are the roots mod a
-    prime (one root mod 2), so it is 2^(nu(q) - [2 | q]).  One sieve over the
-    primes <= n counts nu and strikes the multiples of squares.
+    By the CRT the count rho(q) is multiplicative, and t = +-2 are the roots
+    mod a prime (one root mod 2).  beta(p) = rho(p) p / (p^2 - 1), so beta(q)
+    = rho(q) q / J2(q) with J2(q) = prod_{p | q} (p^2 - 1).  One sieve over
+    the primes <= n builds rho and J2 and strikes the multiples of squares;
+    rho(q) q and J2(q) stay below q^2 <= 10^12, so the gcd that reduces them
+    is exact in int64.
     """
     if n > DENSITY_MODULUS_CAP:
         raise CapExceededError(f"modulus {n} exceeds cap {DENSITY_MODULUS_CAP}")
-    nu = np.zeros(n + 1, dtype=np.int64)
+    primes = primes_up_to(n)
+    rho = np.ones(n + 1, dtype=np.int64)
+    j2 = np.ones(n + 1, dtype=np.int64)
     free = np.ones(n + 1, dtype=bool)
     free[0] = False
-    for p in primes_up_to(n):
-        nu[p::p] += 1
+    for p in primes:
+        rho[p::p] *= 1 + (p != 2)
+        j2[p::p] *= p * p - 1
         free[p * p :: p * p] = False
     q = np.flatnonzero(free)
+    count, den = rho[q], j2[q]
+    num = count * q
+    g = np.gcd(num, den)
+    return q, num // g, den // g, count
+
+
+def sqrt4_counts(n: int) -> np.ndarray:
+    """counts[q] = sqrt4_count(q) for the square-free q <= n; 0 at q = 0 and at
+    the q that are not square-free (one sieve, by ``densities``)."""
+    q, _, _, count = densities(n)
     counts = np.zeros(n + 1, dtype=np.int64)
-    counts[q] = np.left_shift(1, nu[q] - (q % 2 == 0))
+    counts[q] = count
     return counts
 
 

@@ -7,9 +7,12 @@ multiplicities, built from one tally of the source's traces: a norm ball's
 block walk, or the bilinear set's traces as one integer matrix product.
 Values are int64 while they fit, Python ints beyond.
 
-The ledger walks the square-free q < Q depth first by increasing primes,
-keeping at each node the indices of the values that q divides: a child q p
-keeps those of its parent's values that p divides, so |A_q| is one sum of
+The ledger walks the square-free q < Q depth first by decreasing primes,
+each q reached once from its largest prime down, keeping at each node the
+indices of the values that q divides: a child q p, for p below the least
+prime of q, keeps those of its parent's values that p divides.  The small
+primes divide the most values, and they are the ones with few primes left
+below them, so the largest nodes have the fewest children.  |A_q| is one sum of
 multiplicities per node, with no gcd or factorisation of a value, and the
 walk holds one index array per level.  Each node also carries beta(q), the
 product of its primes' local densities.  A_q and the almost-prime census
@@ -222,18 +225,19 @@ def remainder_profile(seq: SiftingSequence, cutoff: int) -> RemainderProfile:
     local = [beta(p) for p in primes]  # beta is multiplicative
     found = {1: (int(seq.mult.sum()), Fraction(1))}  # q -> (|A_q|, beta(q))
 
-    def visit(q: int, first: int, idx: np.ndarray | None) -> None:
-        # idx: the indices of the values q divides; None at the root, for all of them
+    def visit(q: int, least: int, idx: np.ndarray | None) -> None:
+        # idx: the indices of the values q divides; None at the root, for all of them.
+        # q is extended by the primes below its least, primes[:least]
         value = seq.value if idx is None else seq.value[idx]
-        stop = bisect_right(primes, (cutoff - 1) // q, first)  # q p < cutoff
-        for i, divides in enumerate(_masks(value, primes[first:stop]), first):
+        stop = bisect_right(primes, (cutoff - 1) // q, 0, least)  # q p < cutoff
+        for i, divides in enumerate(_masks(value, primes[:stop])):
             hit = np.flatnonzero(divides)
             hit = hit if idx is None else idx[hit]
             child = q * primes[i]
             found[child] = int(seq.mult[hit].sum()), found[q][1] * local[i]
-            visit(child, i + 1, hit)
+            visit(child, i, hit)
 
-    visit(1, 0, None)
+    visit(1, len(primes), None)
     rows = []
     total = Fraction(0)
     for q in sorted(found):

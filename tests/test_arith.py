@@ -1,3 +1,7 @@
+import gc
+import weakref
+from functools import partial
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,3 +47,20 @@ def test_pairwise_sum_keeps_numpy_signed_zeros():
         width = 2 if values.dtype == np.complex128 else 1
         got = pairwise_sum(len(values), lambda lo, hi: values[lo:hi].copy(), width)
         assert repr(got) == repr(values.sum())
+
+
+def _copy(values, lo, hi):
+    return values[lo:hi].copy()
+
+
+def test_pairwise_sum_leaves_no_cycle_holding_its_terms():
+    # with the cyclic collector off, the terms must die with their last name
+    values = np.ones(3 * LEAF)
+    dead = weakref.ref(values)
+    gc.disable()
+    try:
+        pairwise_sum(len(values), partial(_copy, values))
+        del values
+        assert dead() is None
+    finally:
+        gc.enable()

@@ -441,9 +441,26 @@ def test_bad_inputs_exit_2_without_traceback(tmp_path, monkeypatch, capsys, argv
     assert "Traceback" not in capsys.readouterr().err
 
 
-# caps checked before any work: the patched library functions must never run
+# main builds the parser of the named command alone; without a known command
+# it builds every command's, so help and usage errors read as before
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0), ([], 2), (["no-such-command"], 2), (["--output", "x"], 2),
+    (["densities", "--help"], 0), (["densities"], 2), (["densities", "--no-such-flag"], 2),
+])
+def test_parser_help_and_usage_exit_codes(capsys, argv, code):
+    assert run(argv) == code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    if argv == ["--help"]:
+        assert all(name in out for name in COMMANDS)
+    if argv[:1] == ["densities"]:
+        assert "usage: thinsieve densities" in out + err
+
+
+# caps checked before any work: the patched library functions (in cli unless
+# a module is named) must never run
 CAPPED_INPUTS = [
-    (["densities", "--modulus", "2000000"], "beta"),
+    (["densities", "--modulus", "2000000"], "modular.primes_up_to"),
     (["expsum", "--prime", "10007", "--samples", "1"], "kloosterman"),
     (["expsum", "--prime", "113", "--samples", "1001"], "kloosterman"),
 ]
@@ -452,12 +469,11 @@ CAPPED_INPUTS = [
 @pytest.mark.parametrize("argv, untouched", CAPPED_INPUTS,
                          ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_caps_exit_3_before_the_loops(tmp_path, monkeypatch, capsys, argv, untouched):
-    import thinsieve.cli as cli
-
     def ran(*args):
         raise AssertionError(f"{untouched} ran before the cap check")
 
-    monkeypatch.setattr(cli, untouched, ran)
+    target = untouched if "." in untouched else f"cli.{untouched}"
+    monkeypatch.setattr(f"thinsieve.{target}", ran)
     monkeypatch.chdir(tmp_path)
     assert run(argv) == 3
     err = capsys.readouterr().err

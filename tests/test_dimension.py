@@ -248,8 +248,10 @@ def test_pressure_sum_rejects_bad_inputs(args):
         pressure_sum(*args)
 
 
-# the length arrays alone take 16.2 MiB at (3, 13) and 7.6 MiB at (1000, 2)
-@pytest.mark.parametrize("alphabet, depth, mib", [(3, 13, 24), (1000, 2, 10)])
+# estimate holds one length level at a time: 12.2 MiB at (3, 13), where the
+# two levels take 16.2 MiB, and 7.6 MiB at (1000, 2) and at (10^6, 1), whose
+# one parent's digits are stepped LEAF at a time
+@pytest.mark.parametrize("alphabet, depth, mib", [(3, 13, 18), (1000, 2, 10), (10**6, 1, 10)])
 def test_estimate_holds_no_full_length_temporaries(alphabet, depth, mib):
     tracemalloc.start()
     try:

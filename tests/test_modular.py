@@ -8,7 +8,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thinsieve.arith import is_squarefree, nu, primes_up_to
@@ -22,6 +22,7 @@ from thinsieve.modular import (
     _trace_counts,
     beta,
     beta_bruteforce,
+    densities,
     kloosterman,
     rho_t_bruteforce,
     sl2_charsum,
@@ -190,6 +191,22 @@ def test_sqrt4_counts_equal_one_scan_per_modulus():
     assert sqrt4_counts(1).tolist() == [0, 1]
     with pytest.raises(CapExceededError, match="exceeds cap"):
         sqrt4_counts(DENSITY_MODULUS_CAP + 1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 5000))
+@example(0)
+@example(1)
+def test_densities_equal_beta_and_the_counts(n):
+    q, num, den, count = (column.tolist() for column in densities(n))
+    assert q == [m for m in range(1, n + 1) if is_squarefree(m)]
+    assert [(b.numerator, b.denominator) for b in map(beta, q)] == list(zip(num, den))
+    assert count == [sqrt4_count(m) for m in q]
+
+
+def test_densities_check_the_cap_first():
+    with pytest.raises(CapExceededError, match="exceeds cap"):
+        densities(DENSITY_MODULUS_CAP + 1)
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7, 13, 113))

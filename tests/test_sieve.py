@@ -11,6 +11,7 @@ from thinsieve.arith import is_squarefree, primes_up_to
 from thinsieve.errors import CapExceededError
 from thinsieve.forms import is_fundamental
 from thinsieve.modular import DENSITY_MODULUS_CAP, beta
+from thinsieve import sieve
 from thinsieve.semigroup import (
     aleph_construct,
     ball_count,
@@ -301,6 +302,22 @@ def test_remainder_profile_checks_the_density_cap_first():
 
 def test_remainder_profile_on_pi_at_cutoff_1000():
     assert remainder_profile(_PI_SEQ, 1000) == _remainder_profile_by_scan(_PI_SEQ, 1000)
+
+
+def test_remainder_profile_extends_the_largest_nodes_least(monkeypatch):
+    # the values 2 or 3 divide are most of Pi's, so those nodes must have few
+    # children: the ledger does 47,575 divisibility tests, 42,840 at the root,
+    # where extending each q by the primes above its largest did 90,323
+    tests = []
+    masks = sieve._masks
+
+    def counted(values, primes):
+        tests.append(len(values) * len(primes))
+        return masks(values, primes)
+
+    monkeypatch.setattr(sieve, "_masks", counted)
+    remainder_profile(_PI_SEQ, 1000)
+    assert sum(tests) < 60_000
 
 
 @given(
