@@ -144,36 +144,37 @@ def _cylinder_lengths(alphabet: int, depth: int) -> Iterator[np.ndarray]:
     parent_depth = max(depth - 2, 0)
     for _ in range(parent_depth):
         q, r = _step(q, r, np.arange(1, alphabet + 1).astype(dtype))
-    return _levels(q, r, alphabet, dtype, depth - parent_depth)
+    return _levels(q, r, alphabet, depth - parent_depth)
 
 
-def _levels(q: np.ndarray, r: np.ndarray, alphabet: int, dtype, levels: int) -> Iterator[np.ndarray]:
-    """The lengths of the descendants of the pairs (q, r) 1, ..., levels digits on."""
-    per = max(LEAF // alphabet, 1)  # parents stepped at once
-    span = min(alphabet, LEAF)  # digits stepped at once: all of them unless per = 1
-
-    def fill(out: np.ndarray, q: np.ndarray, r: np.ndarray, start: int, below: int) -> None:
-        """Write the lengths of the descendants `below` digits under pairs start, start + 1, ..."""
-        for lo in range(0, len(q), per):
-            for d in range(0, alphabet, span):
-                digits = np.arange(d + 1, min(d + span, alphabet) + 1).astype(dtype)
-                q_c, r_c = _step(q[lo : lo + per], r[lo : lo + per], digits)
-                first = (start + lo) * alphabet + d
-                if below > 1:
-                    fill(out, q_c, r_c, first, below - 1)
-                    continue
-                den = out[first : first + len(q_c)]
-                if q_c.dtype == object:
-                    den[:] = [1 / x for x in q_c * r_c]
-                else:
-                    np.multiply(q_c, r_c, out=den, dtype=np.float64)
-                    np.divide(1.0, den, out=den)
-
+def _levels(q: np.ndarray, r: np.ndarray, alphabet: int, levels: int) -> Iterator[np.ndarray]:
+    """The lengths of the words 1, 2, ..., levels digits below the pairs (q, r), a level at a time."""
     for below in range(1, levels + 1):
         out = np.empty(len(q) * alphabet**below)
-        fill(out, q, r, 0, below)
+        _fill(out, q, r, 0, below, alphabet)
         yield out
         del out
+
+
+def _fill(out: np.ndarray, q: np.ndarray, r: np.ndarray, start: int, below: int, alphabet: int) -> None:
+    """Write into out the lengths of the words `below` digits under the pairs
+    start, start + 1, ... of their level, from at most LEAF children at a time."""
+    per = max(LEAF // alphabet, 1)  # parents stepped at once
+    span = min(alphabet, LEAF)  # digits stepped at once: all of them unless per = 1
+    for lo in range(0, len(q), per):
+        for d in range(0, alphabet, span):
+            digits = np.arange(d + 1, min(d + span, alphabet) + 1).astype(q.dtype)
+            q_c, r_c = _step(q[lo : lo + per], r[lo : lo + per], digits)
+            first = (start + lo) * alphabet + d
+            if below > 1:
+                _fill(out, q_c, r_c, first, below - 1, alphabet)
+                continue
+            den = out[first : first + len(q_c)]
+            if q_c.dtype == object:
+                den[:] = [1 / x for x in q_c * r_c]
+            else:
+                np.multiply(q_c, r_c, out=den, dtype=np.float64)
+                np.divide(1.0, den, out=den)
 
 
 def pressure_sum(alphabet: int, depth: int, s: float) -> float:

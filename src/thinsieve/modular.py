@@ -119,12 +119,11 @@ def densities(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """
     if n > DENSITY_MODULUS_CAP:
         raise CapExceededError(f"modulus {n} exceeds cap {DENSITY_MODULUS_CAP}")
-    primes = primes_up_to(n)
     rho = np.ones(n + 1, dtype=np.int64)
     j2 = np.ones(n + 1, dtype=np.int64)
     free = np.ones(n + 1, dtype=bool)
     free[0] = False
-    for p in primes:
+    for p in primes_up_to(n):
         rho[p::p] *= 1 + (p != 2)
         j2[p::p] *= p * p - 1
         free[p * p :: p * p] = False

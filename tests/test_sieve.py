@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thinsieve import sieve
 from thinsieve.arith import is_squarefree, primes_up_to
 from thinsieve.errors import CapExceededError
 from thinsieve.forms import is_fundamental
 from thinsieve.modular import DENSITY_MODULUS_CAP, beta
-from thinsieve import sieve
 from thinsieve.semigroup import (
     aleph_construct,
     ball_count,
