@@ -114,7 +114,7 @@ def densities(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     mod a prime (one root mod 2).  beta(p) = rho(p) p / (p^2 - 1), so beta(q)
     = rho(q) q / J2(q) with J2(q) = prod_{p | q} (p^2 - 1).  One sieve over
     the primes <= n builds rho and J2 and strikes the multiples of squares;
-    rho(q) q and J2(q) stay below q^2 <= 10^12, so the gcd that reduces them
+    rho(q) q and J2(q) are at most q^2 <= 10^12, so the gcd that reduces them
     is exact in int64.
     """
     if n > DENSITY_MODULUS_CAP:
