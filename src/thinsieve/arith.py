@@ -86,6 +86,8 @@ def nu(n: int) -> int:
 
 def iroot(n: int, k: int) -> int:
     """Largest r >= 0 with r**k <= n, for n >= 0 and k >= 1 (exact, by bisection)."""
+    if k >= n.bit_length():  # n < 2^k, so no 2^k need be formed
+        return min(n, 1)
     lo, hi = 0, 1 << (n.bit_length() // k + 1)
     while lo < hi:
         mid = (lo + hi + 1) // 2

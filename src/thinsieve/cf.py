@@ -9,22 +9,19 @@ arithmetic -- no floating point enters any decision.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from math import gcd, isqrt, sqrt
+from math import isqrt, sqrt
 
 from .errors import InternalInvariantError
 
 Word = tuple[int, ...]
 
 
-def check_word(word, alphabet: int | None = None) -> Word:
-    """Validate digits (>= 1, and <= alphabet when given); return as a tuple."""
+def check_word(word) -> Word:
+    """Validate digits (>= 1); return as a tuple."""
     w = tuple(int(a) for a in word)
     if any(a < 1 for a in w):
         raise ValueError(f"word digits must be >= 1, got {w}")
-    if alphabet is not None and any(a > alphabet for a in w):
-        raise ValueError(f"word digit exceeds alphabet bound {alphabet}: {w}")
     return w
 
 
@@ -123,10 +120,7 @@ def word_to_matrix(word) -> Mat2:
     w = check_word(word)
     if not w:
         raise ValueError("empty word has no canonical matrix")
-    m = generator(w[0])
-    for a in w[1:]:
-        m = m * generator(a)
-    return m
+    return Mat2(*_continuants(w))
 
 
 def word_from_matrix(m: Mat2) -> Word | None:
@@ -162,7 +156,8 @@ def word_from_matrix(m: Mat2) -> Word | None:
 
 
 def _continuants(word: Word) -> tuple[int, int, int, int]:
-    """Entries of word_to_matrix(word), multiplied out on plain ints."""
+    """Entries of the product of the word's generators, by the continuant
+    recurrence on plain ints."""
     a, b, c, d = 1, 0, 0, 1
     for digit in word:
         a, b, c, d = a * digit + b, a, c * digit + d, c
@@ -194,9 +189,6 @@ def _floor_surd(p: int, d: int, q: int) -> int:
     return (-p - s - 1) // (-q)
 
 
-_SURD_RE = re.compile(r"^\((-?\d+)\+sqrt\((\d+)\)\)/(-?\d+)$")
-
-
 @dataclass(frozen=True)
 class Surd:
     """Quadratic irrational (p + sqrt(d)) / q, normalised so that q | d - p**2."""
@@ -221,13 +213,6 @@ class Surd:
             return cls(p * s, d * s * s, q * s)
         return cls(p, d, q)
 
-    @classmethod
-    def parse(cls, text: str) -> "Surd":
-        m = _SURD_RE.match(text.replace(" ", ""))
-        if not m:
-            raise ValueError(f"cannot parse surd {text!r}")
-        return cls.make(int(m.group(1)), int(m.group(2)), int(m.group(3)))
-
     def __str__(self) -> str:
         return f"({self.p}+sqrt({self.d}))/{self.q}"
 
@@ -239,29 +224,6 @@ class Surd:
 
     def floor(self) -> int:
         return _floor_surd(self.p, self.d, self.q)
-
-    def same_value(self, other: "Surd") -> bool:
-        """Exact equality as real numbers (representations may differ by squares)."""
-        return (
-            self.p * other.q == other.p * self.q
-            and self.d * other.q * other.q == other.d * self.q * self.q
-            and (self.q > 0) == (other.q > 0)
-        )
-
-    def moebius(self, m: Mat2) -> "Surd":
-        """Exact image under z -> (a z + b)/(c z + d)."""
-        num = m.a * self.p + m.b * self.q
-        den = m.c * self.p + m.d * self.q
-        u = num * den - m.a * m.c * self.d
-        v = self.q * m.det
-        w = den * den - m.c * m.c * self.d
-        if w == 0 or v == 0:
-            raise ZeroDivisionError("Moebius image is rational or infinite")
-        if v < 0:
-            u, v, w = -u, -v, -w
-        g = gcd(gcd(u, v), w)
-        u, v, w = u // g, v // g, w // g
-        return Surd.make(u, self.d * v * v, w)
 
 
 def is_reduced(x: Surd) -> bool:
@@ -286,7 +248,7 @@ def fixed_point(m: Mat2) -> Surd:
     return Surd(m.a - m.d, t * t - 4, 2 * m.c)
 
 
-def cf_expand(x: Surd, max_steps: int = 100_000) -> tuple[tuple[int, ...], Word]:
+def cf_expand(x: Surd) -> tuple[tuple[int, ...], Word]:
     """Continued fraction of a quadratic irrational: (preperiod, primitive period).
 
     The first digit may be any integer (x itself need not exceed 1); later
@@ -297,7 +259,7 @@ def cf_expand(x: Surd, max_steps: int = 100_000) -> tuple[tuple[int, ...], Word]
     seen: dict[tuple[int, int], int] = {}
     digits: list[int] = []
     while (p, q) not in seen:
-        if len(digits) > max_steps:
+        if len(digits) > 100_000:
             raise InternalInvariantError("continued fraction failed to cycle")
         seen[(p, q)] = len(digits)
         a = _floor_surd(p, d, q)

@@ -10,7 +10,6 @@ cycle that realises one proper equivalence class.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from math import isqrt
 
@@ -24,8 +23,6 @@ from .errors import CapExceededError, InternalInvariantError
 # candidates in all, so the time grows like d (about 1.5-1.9 s at 10^9 and
 # 17 s at 10^10 on a 2-vCPU VM)
 DISCRIMINANT_CAP = 10**9
-
-_FORM_RE = re.compile(r"^\[(-?\d+),(-?\d+),(-?\d+)\]$")
 
 
 @dataclass(frozen=True)
@@ -52,13 +49,6 @@ class Form:
 
     def __str__(self) -> str:
         return f"[{self.a},{self.b},{self.c}]"
-
-    @classmethod
-    def parse(cls, text: str) -> "Form":
-        m = _FORM_RE.match(text.replace(" ", ""))
-        if not m:
-            raise ValueError(f"cannot parse form {text!r}")
-        return cls(int(m.group(1)), int(m.group(2)), int(m.group(3)))
 
 
 def is_fundamental(d: int) -> bool:

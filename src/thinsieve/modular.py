@@ -13,7 +13,7 @@ from math import tau
 
 import numpy as np
 
-from .arith import factorize, is_prime, is_squarefree, pairwise_sum, primes_up_to
+from .arith import factorize, is_prime, pairwise_sum, primes_up_to
 from .errors import CapExceededError
 
 DEFAULT_MODULUS_CAP = 120
@@ -23,11 +23,12 @@ DENSITY_MODULUS_CAP = 10**6  # beta, sqrt4_count and densities
 def _check_modulus(q: int, cap: int) -> list[int]:
     if q < 1:
         raise ValueError("modulus must be positive")
-    if not is_squarefree(q):
-        raise ValueError(f"modulus must be square-free, got {q}")
     if q > cap:
         raise CapExceededError(f"modulus {q} exceeds cap {cap}")
-    return sorted(factorize(q))
+    exponents = factorize(q)
+    if max(exponents.values(), default=1) > 1:
+        raise ValueError(f"modulus must be square-free, got {q}")
+    return sorted(exponents)
 
 
 def sl2_order(q: int) -> int:
@@ -77,32 +78,32 @@ def _trace_counts(p: int) -> tuple[int, ...]:
     return tuple(np.bincount((table[:, 0] + table[:, 3]) % p, minlength=p).tolist())
 
 
-def beta(q: int, cap: int = DENSITY_MODULUS_CAP) -> Fraction:
+def beta(q: int) -> Fraction:
     """Multiplicative local density of the event  trace^2 = 4  on SL2(Z/q).
 
     At a prime:  beta(p) = ((1 + [p != 2]) / p) * (1 + 1/(p^2 - 1)).
     """
-    primes = _check_modulus(q, cap)
+    primes = _check_modulus(q, DENSITY_MODULUS_CAP)
     out = Fraction(1)
     for p in primes:
         out *= Fraction(1 + (1 if p != 2 else 0), p) * (1 + Fraction(1, p * p - 1))
     return out
 
 
-def beta_bruteforce(p: int, cap: int = DEFAULT_MODULUS_CAP) -> Fraction:
+def beta_bruteforce(p: int) -> Fraction:
     """#{g in SL2(p) : tr(g)^2 = 4 mod p} / |SL2(p)|, by full enumeration."""
     if not is_prime(p):
         raise ValueError(f"expected a prime, got {p}")
-    _check_modulus(p, cap)
+    _check_modulus(p, DEFAULT_MODULUS_CAP)
     counts = _trace_counts(p)
     hits = sum(counts[t] for t in range(p) if (t * t - 4) % p == 0)
     return Fraction(hits, sl2_order(p))
 
 
-def sqrt4_count(q: int, cap: int = DENSITY_MODULUS_CAP) -> int:
+def sqrt4_count(q: int) -> int:
     """#{t mod q : t^2 = 4 mod q}, counted directly in one pass over t < q."""
-    _check_modulus(q, cap)
-    t = np.arange(q, dtype=np.int64 if q <= 3 * 10**9 else object)  # t^2 < 2^63
+    _check_modulus(q, DENSITY_MODULUS_CAP)
+    t = np.arange(q, dtype=np.int64)  # t^2 < 2^63 below the cap
     return int(np.count_nonzero((t * t - 4) % q == 0))
 
 
@@ -134,16 +135,7 @@ def densities(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return q, num // g, den // g, count
 
 
-def sqrt4_counts(n: int) -> np.ndarray:
-    """counts[q] = sqrt4_count(q) for the square-free q <= n; 0 at q = 0 and at
-    the q that are not square-free (one sieve, by ``densities``)."""
-    q, _, _, count = densities(n)
-    counts = np.zeros(n + 1, dtype=np.int64)
-    counts[q] = count
-    return counts
-
-
-def rho_t_bruteforce(p: int, t: int, cap: int = DEFAULT_MODULUS_CAP) -> Fraction:
+def rho_t_bruteforce(p: int, t: int) -> Fraction:
     """Average over SL2(p) of the complete sum over r != 0 of e_p(r (tr - t)).
 
     The inner sum is p - 1 on the trace fiber and -1 off it, so the whole
@@ -151,7 +143,7 @@ def rho_t_bruteforce(p: int, t: int, cap: int = DEFAULT_MODULUS_CAP) -> Fraction
     """
     if not is_prime(p):
         raise ValueError(f"expected a prime, got {p}")
-    _check_modulus(p, cap)
+    _check_modulus(p, DEFAULT_MODULUS_CAP)
     counts = _trace_counts(p)
     fiber = counts[t % p]
     order = sl2_order(p)
@@ -218,9 +210,7 @@ def _charsum_prime(p: int, s: tuple[int, int, int, int]) -> complex:
     return complex(pairwise_sum(len(row) * p, terms, 2))
 
 
-def sl2_charsum(
-    q: int, s: tuple[int, int, int, int], cap: int = DEFAULT_MODULUS_CAP
-) -> complex:
+def sl2_charsum(q: int, s: tuple[int, int, int, int]) -> complex:
     """sum over SL2(Z/q) of e_q(a x + b y + c z + d w) for s = (x, y, z, w).
 
     Multiplicative in q: computed prime-by-prime with the CRT scaling
@@ -228,7 +218,7 @@ def sl2_charsum(
     """
     if len(tuple(s)) != 4:
         raise ValueError("s must be a 4-vector")
-    primes = _check_modulus(q, cap)
+    primes = _check_modulus(q, DEFAULT_MODULUS_CAP)
     out = complex(1.0)
     for p in primes:
         u = pow((q // p) % p, -1, p)

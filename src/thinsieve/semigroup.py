@@ -56,8 +56,8 @@ class SemigroupElement:
     matrix: Mat2
 
     @classmethod
-    def from_word(cls, word, alphabet: int | None = None) -> "SemigroupElement":
-        w = check_word(word, alphabet)
+    def from_word(cls, word) -> "SemigroupElement":
+        w = check_word(word)
         return cls(w, word_to_matrix(w))
 
     @property
@@ -521,9 +521,13 @@ def aleph_construct(norm_bound: float, modulus: int = 2) -> AlephSet:
         if not els:
             raise ValueError("ball too small; increase the norm bound")
         return AlephSet(els, 1, 1, len(els), int(norm_bound), None, ())
+    target = norm_bound * norm_bound
+    # every element has ||g||^2 >= 2, so the pivot u below is 1, and its ball empty,
+    # whenever the root at xmax_sq = 2 is: decided before the walk over SL2(Z/B)
+    if iroot(int(target) // 2, 2 * R) < 2:
+        raise ValueError("ball too small at pivot 1; increase the norm bound")
     reps = _residue_representatives(modulus)
     xmax_sq = max(e.norm_sq for e in reps)
-    target = norm_bound * norm_bound
     # largest u with u^(2R) * xmax_sq <= target, at least 1; the left side is an integer
     u = max(1, iroot(int(target) // xmax_sq, 2 * R))
     base = list(iter_ball(2, u * u - 1, "even"))
@@ -653,13 +657,9 @@ class BilinearSet:
 
 
 def _as_elements(factor) -> tuple[SemigroupElement, ...]:
-    out = []
-    for item in factor:
-        if isinstance(item, SemigroupElement):
-            out.append(item)
-        else:
-            out.append(SemigroupElement.from_word(item))
-    return tuple(out)
+    """The items as elements; an item that is not one is read as a word."""
+    return tuple(e if isinstance(e, SemigroupElement) else SemigroupElement.from_word(e)
+                 for e in factor)
 
 
 def build_pi(xi, aleph, omega) -> BilinearSet:

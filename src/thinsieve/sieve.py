@@ -27,7 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, sqrt
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .modular import DENSITY_MODULUS_CAP, beta
 from .semigroup import (
     _INT64_SAFE,
     BilinearSet,
-    SemigroupElement,
+    _as_elements,
     _count,
     _tally,
     ball_traces,
@@ -135,10 +135,6 @@ class SiftingSequence:
     def __hash__(self) -> int:
         return hash((self.source_size, self.norm_bound, len(self.value)))
 
-    @property
-    def T(self) -> float:
-        return self.norm_bound * self.norm_bound
-
     @classmethod
     def from_values(cls, values: Iterable[int], norm_bound: float = 0.0) -> "SiftingSequence":
         value, mult = _count(np.array(list(values), dtype=object))
@@ -179,10 +175,7 @@ def sift_values(source) -> SiftingSequence:
         traces, mult = ball_traces(source.alphabet, source.norm)
         norm = float(source.norm)
     else:
-        elements = [
-            e if isinstance(e, SemigroupElement) else SemigroupElement.from_word(e)
-            for e in source
-        ]
+        elements = _as_elements(source)
         traces, mult = _count(np.array([e.trace for e in elements], dtype=object))
         norm = sqrt(max((e.norm_sq for e in elements), default=0))
     if not len(traces):
@@ -215,6 +208,24 @@ class RemainderProfile:
     source_size: int
 
 
+def _ledger_walk(seq: SiftingSequence, cutoff: int, primes: list[int], local: list[Fraction],
+                 found: dict[int, tuple[int, Fraction]], q: int, least: int,
+                 idx: np.ndarray | None) -> None:
+    """Enter in found every child q p < cutoff of q, for p below q's least prime
+    (primes[:least]), and every child of theirs in turn.  idx holds the indices
+    of the values q divides, None at the root for all of them.  A module-level
+    function, not a closure that calls itself, so no reference cycle keeps seq
+    alive after the walk."""
+    value = seq.value if idx is None else seq.value[idx]
+    stop = bisect_right(primes, (cutoff - 1) // q, 0, least)  # q p < cutoff
+    for i, divides in enumerate(_masks(value, primes[:stop])):
+        hit = np.flatnonzero(divides)
+        hit = hit if idx is None else idx[hit]
+        child = q * primes[i]
+        found[child] = int(seq.mult[hit].sum()), found[q][1] * local[i]
+        _ledger_walk(seq, cutoff, primes, local, found, child, i, hit)
+
+
 def remainder_profile(seq: SiftingSequence, cutoff: int) -> RemainderProfile:
     """Rows (q, |A_q|, beta(q)|source|, r(q)) for all square-free q < cutoff."""
     if cutoff < 2:
@@ -224,20 +235,7 @@ def remainder_profile(seq: SiftingSequence, cutoff: int) -> RemainderProfile:
     primes = primes_up_to(cutoff - 1)
     local = [beta(p) for p in primes]  # beta is multiplicative
     found = {1: (int(seq.mult.sum()), Fraction(1))}  # q -> (|A_q|, beta(q))
-
-    def visit(q: int, least: int, idx: np.ndarray | None) -> None:
-        # idx: the indices of the values q divides; None at the root, for all of them.
-        # q is extended by the primes below its least, primes[:least]
-        value = seq.value if idx is None else seq.value[idx]
-        stop = bisect_right(primes, (cutoff - 1) // q, 0, least)  # q p < cutoff
-        for i, divides in enumerate(_masks(value, primes[:stop])):
-            hit = np.flatnonzero(divides)
-            hit = hit if idx is None else idx[hit]
-            child = q * primes[i]
-            found[child] = int(seq.mult[hit].sum()), found[q][1] * local[i]
-            visit(child, i, hit)
-
-    visit(1, len(primes), None)
+    _ledger_walk(seq, cutoff, primes, local, found, 1, len(primes), None)
     rows = []
     total = Fraction(0)
     for q in sorted(found):
@@ -287,12 +285,11 @@ class DiscriminantRecord:
 def discriminant_census(
     alphabet: int,
     max_T: float,
-    min_multiplicity: int | Callable[[int], int] = 1,
+    min_multiplicity: int = 1,
 ) -> list[DiscriminantRecord]:
     """All t <= sqrt(max_T) with t^2 - 4 square-free and a populous trace fiber."""
     if max_T > 1e8:
         raise CapExceededError("max_T capped at 1e8 (t up to 1e4)")
-    need = min_multiplicity if callable(min_multiplicity) else (lambda _t: min_multiplicity)
     traces = [t for t in range(3, isqrt(int(max_T)) + 1) if _squarefree_trace(t)]
     if not traces:
         return []
@@ -301,7 +298,7 @@ def discriminant_census(
     out = []
     for t in traces:
         m = multiplicity[t]
-        if m >= need(t):
+        if m >= min_multiplicity:
             d = t * t - 4
             if not is_fundamental(d):
                 raise InternalInvariantError(f"square-free t^2-4 must be fundamental: {d}")

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 from functools import partial
 
@@ -6,7 +7,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thinsieve.arith import LEAF, pairwise_sum
+from thinsieve.arith import LEAF, iroot, pairwise_sum
 
 # item counts around numpy's unroll (8 scalars), its block (128) and LEAF; a
 # complex128 item is 2 scalars, so LEAF // 2 items is one full complex leaf
@@ -64,3 +65,22 @@ def test_pairwise_sum_leaves_no_cycle_holding_its_terms():
         assert dead() is None
     finally:
         gc.enable()
+
+
+def test_iroot_equals_the_integer_root():
+    for n in range(300):
+        for k in range(1, 12):
+            r = iroot(n, k)
+            assert r**k <= n < (r + 1) ** k, (n, k)
+
+
+def test_iroot_below_2_forms_no_power_of_2():
+    # n < 2^k gives a root below 2, read off n's bit length: 2^k, which takes
+    # 1.25 MB at k = 10^7 and cannot be formed at the k of a large SL2 order, never is
+    tracemalloc.start()
+    try:
+        assert (iroot(10**6, 10**7), iroot(1, 10**7), iroot(0, 10**7)) == (1, 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5

@@ -422,6 +422,7 @@ BAD_INPUTS = [
     ["aleph", "--bound", "inf"],
     ["aleph", "--bound", "1e200"],
     ["aleph", "--bound", "1e6", "--modulus", "0"],
+    ["aleph", "--bound", "1000", "--modulus", "101"],  # pivot 1, known before covering SL2
     ["build-pi", "--xi-bound", "40", "--aleph-bound", "inf", "--omega-bound", "12"],
     ["build-pi", "--xi-bound", "1e300", "--aleph-bound", "1e6", "--omega-bound", "12"],
     ["sieve-remainders", "--use-pi", "--omega-bound", "nan"],

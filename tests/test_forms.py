@@ -362,4 +362,3 @@ def test_word_class_count_matches_trace_fiber_at_1365():
 def test_form_serialization():
     f = Form(19, 27, -8)
     assert str(f) == "[19,27,-8]"
-    assert Form.parse("[19, 27, -8]") == f

@@ -28,7 +28,6 @@ from thinsieve.modular import (
     sl2_charsum,
     sl2_order,
     sqrt4_count,
-    sqrt4_counts,
 )
 
 # ---------------------------------------------------------------------------
@@ -180,17 +179,6 @@ def test_sqrt4_count_equals_the_loop():
     for q in range(1, 3001):
         if is_squarefree(q):
             assert sqrt4_count(q) == sqrt4_count_oracle(q), q
-
-
-def test_sqrt4_counts_equal_one_scan_per_modulus():
-    counts = sqrt4_counts(3000)
-    assert counts.shape == (3001,) and counts[0] == 0
-    for q in range(1, 3001):
-        assert counts[q] == (sqrt4_count(q) if is_squarefree(q) else 0), q
-    assert sqrt4_counts(0).tolist() == [0]
-    assert sqrt4_counts(1).tolist() == [0, 1]
-    with pytest.raises(CapExceededError, match="exceeds cap"):
-        sqrt4_counts(DENSITY_MODULUS_CAP + 1)
 
 
 @settings(max_examples=20, deadline=None)

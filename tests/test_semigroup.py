@@ -449,6 +449,18 @@ def test_aleph_too_small():
         aleph_construct(20.0, 2)  # pivot ball below the smallest even word
 
 
+def test_aleph_decides_pivot_one_before_covering_sl2(monkeypatch):
+    # |SL2(Z/101)| = 1,030,200, so 2^(2R) * 2 exceeds 1000^2 whatever the
+    # representatives are: no walk over the group may run to find that out
+    def walk(modulus):
+        raise AssertionError(f"covered SL2(Z/{modulus}) for a pivot of 1")
+
+    monkeypatch.setattr(semigroup, "_residue_representatives", walk)
+    for bound, modulus in ((1000.0, 101), (1.0, 101), (1e6, 1_000_003)):  # R ~ 10^18 at the last
+        with pytest.raises(ValueError, match="ball too small at pivot 1; increase"):
+            aleph_construct(bound, modulus)
+
+
 def test_build_pi_single_product():
     pi = build_pi([(1, 1)], [(2, 2)], [(1, 2)])
     assert pi.size == 1
