@@ -301,6 +301,15 @@ def test_golden_enumerate_at_bench_norms(tmp_path, monkeypatch, alphabet, norm, 
     assert hashlib.sha256((tmp_path / "enumerate.jsonl").read_bytes()).hexdigest() == digest
 
 
+def test_golden_discriminants_at_bench_max_T(tmp_path, monkeypatch):
+    # digest recorded while trace_histogram added one full-length bincount per
+    # walk block; the flags are the discriminants step of the fiber_forms benchmark
+    monkeypatch.chdir(tmp_path)
+    assert run(["discriminants", "--alphabet", 10, "--max-T", 300000]) == 0
+    digest = hashlib.sha256((tmp_path / "discriminants.csv").read_bytes()).hexdigest()
+    assert digest == "6cee4aa8dd6824778e45871b678b498f44ef139faa0ba749e9ed749aa4917566"
+
+
 def test_golden_pi_ledger_at_cutoff_1000(tmp_path, monkeypatch):
     # digest recorded before the ledger became one pass (608 rows over 660 elements)
     monkeypatch.chdir(tmp_path)
