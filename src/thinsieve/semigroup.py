@@ -15,6 +15,11 @@ checks the parity and the element cap, DEFAULT_MAX_ELEMENTS.  Words are read
 back from the matrices, all at once (`_words`); a ball is counted against the
 cap before its matrices are held, so a ball over the cap fails in bounded
 memory and before any element is built.
+
+Traces are tallied in shards: a walk's blocks are joined (`_shards`) into
+arrays of at least _SHARD traces, each sorted and counted in one call
+(`_count`) and merged into the running tally of distinct traces (`_merge`).
+Memory grows with one shard and the distinct traces, not with the ball.
 """
 
 from __future__ import annotations
@@ -34,6 +39,9 @@ from .modular import sl2_order
 
 DEFAULT_MAX_ELEMENTS = 5_000_000
 DEFAULT_MAX_NODES = 20_000_000
+# aleph factors its modulus by trial division to the square root, which took
+# 0.02 s at 10^11, 0.2 s at 10^13 and 2.5 s at 10^15 on a 2-vCPU VM
+ALEPH_MODULUS_CAP = 10**12
 
 # Children a block walk forms at once.  Smaller blocks pay more Python per
 # node; larger ones hold more memory (the walk holds about 3 x depth x _BLOCK
@@ -44,7 +52,8 @@ _INT32_SAFE = 1 << 31
 _INT64_SAFE = 1 << 62
 # A walk with a node this wide cannot finish, capped or not.
 _MAX_CHILDREN = 1 << 48
-# Traces of the bilinear set formed at once.
+# Traces tallied at once: a shard of the bilinear set's traces, or of a walk's
+# blocks joined (`_shards`).
 _SHARD = 1 << 18
 
 
@@ -311,6 +320,20 @@ def _count(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values[first], np.diff(first, append=len(values))
 
 
+def _shards(blocks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """The blocks' entries, joined into arrays of at least _SHARD entries (the
+    last may be shorter), so each array is sorted or counted in one call."""
+    held, size = [], 0
+    for block in blocks:
+        held.append(block)
+        size += len(block)
+        if size >= _SHARD:
+            yield np.concatenate(held)
+            held, size = [], 0
+    if held:
+        yield np.concatenate(held)
+
+
 def _merge(runs: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
     """Tally a stream of (values, multiplicities) runs into one run of sorted
     distinct values.
@@ -336,7 +359,7 @@ def ball_traces(alphabet: int, norm: float) -> tuple[np.ndarray, np.ndarray]:
     Raises CapExceededError once the ball passes DEFAULT_MAX_ELEMENTS even words.
     """
     blocks = _ball_blocks(alphabet, _norm_sq_cap(norm), "even", DEFAULT_MAX_ELEMENTS)
-    return _merge((a + d, np.ones(len(a), dtype=np.int64)) for a, _, _, d in blocks)
+    return _merge(_count(s) for s in _shards(a + d for a, _, _, d in blocks))
 
 
 class HensleyFit(NamedTuple):
@@ -393,8 +416,9 @@ def trace_fiber(
 def trace_histogram(alphabet: int, t_max: int) -> np.ndarray:
     """counts[t] = #{even words with trace t} for 0 <= t <= t_max, from one walk."""
     counts = np.zeros(t_max + 1, dtype=np.int64)
-    for _, a, _, _, d in _frontier(alphabet, t_max, True, DEFAULT_MAX_NODES):
-        counts += np.bincount(a + d, minlength=t_max + 1)
+    traces = (a + d for _, a, _, _, d in _frontier(alphabet, t_max, True, DEFAULT_MAX_NODES))
+    for shard in _shards(traces):
+        counts += np.bincount(shard, minlength=t_max + 1)
     return counts
 
 
@@ -514,6 +538,8 @@ def aleph_construct(norm_bound: float, modulus: int = 2) -> AlephSet:
         raise ValueError(f"norm bound {norm_bound} is too large: its square overflows")
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
+    if modulus > ALEPH_MODULUS_CAP:
+        raise CapExceededError(f"modulus {modulus} exceeds cap {ALEPH_MODULUS_CAP}")
     R = sl2_order(modulus)  # also validates square-freeness
     if modulus == 1:
         cap = ceil(norm_bound * norm_bound) - 1

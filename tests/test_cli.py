@@ -6,9 +6,13 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from thinsieve.cli import COMMANDS, main
+from thinsieve.cli import _CHUNK, COMMANDS, _decimal, _line, _text, main
 from thinsieve.errors import CapExceededError
+from thinsieve.semigroup import _ball_words, _rows
+from thinsieve.sieve import BallSource, remainder_profile, sift_values
 
 
 def run(args):
@@ -204,6 +208,54 @@ def test_jsonl_lines_are_sorted_key_json_dumps(tmp_path, argv):
     assert lines
     for line in lines:
         assert line == json.dumps(json.loads(line), sort_keys=True) + "\n"
+
+
+# enumerate writes a chunk of lines from byte columns while the walk's entries
+# are numpy integers: the text must be the lines _line writes, row by row, for
+# any rows (alphabet 200 has three-digit letters; alphabet 1 walks on Python
+# ints past a squared norm of about 10^18)
+@given(st.tuples(st.sampled_from([*range(1, 13), 200]), st.integers(1, 20_000))
+       | st.just((1, 10**20)), st.sampled_from(["even", "any"]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_byte_columns_equal_the_line_writer(ball, parity, data):
+    alphabet, norm_sq = ball
+    words = _ball_words(alphabet, norm_sq, parity)
+    n = len(words.lengths)
+    lo = data.draw(st.integers(0, n), label="lo")
+    hi = data.draw(st.integers(lo, min(n, lo + 3 * _CHUNK)), label="hi")
+    for rows in (slice(lo, hi), slice(lo, lo)):
+        assert _text(words, rows) == "".join(_line(*row) for row in _rows(words, rows))
+
+
+def _int(text: str) -> int:
+    """int(text) for digits past the 4,300 that int() reads, 1,000 at a time."""
+    value = 0
+    for i in range(0, len(text), 1000):
+        value = value * 10 ** len(text[i : i + 1000]) + int(text[i : i + 1000])
+    return value
+
+
+@given(st.integers(0, 30_000), st.integers(-10**40, 10**40), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_decimal_writes_ints_of_any_length(digits, offset, negative):
+    n = (10**digits + offset) * (-1 if negative else 1)
+    text = _decimal(n)
+    assert re.fullmatch(r"-?(0|[1-9][0-9]*)", text)
+    assert (-1 if text[0] == "-" else 1) * _int(text.lstrip("-")) == n
+    if len(text) < 4000:
+        assert text == str(n)
+
+
+def test_ledger_summary_past_the_str_digit_limit(tmp_path, monkeypatch):
+    # 39,984 is the least cutoff at which a term of this ball's exact summary
+    # passes the 4,300 digits Python's str() writes for an int
+    monkeypatch.chdir(tmp_path)
+    assert run(["sieve-remainders", "--alphabet", 2, "--norm", 100, "--cutoff", 39984]) == 0
+    label, size, _, text = (tmp_path / "remainders.csv").read_text().splitlines()[-1].split(",")
+    summary = remainder_profile(sift_values(BallSource(2, 100.0)), 39984).summary
+    num, den = text.split("/")
+    assert label == "summary" and max(len(num), len(den)) > 4300
+    assert (_int(num), _int(den)) == (summary.numerator, summary.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +525,7 @@ CAPPED_INPUTS = [
     (["densities", "--modulus", "2000000"], "modular.primes_up_to"),
     (["expsum", "--prime", "10007", "--samples", "1"], "kloosterman"),
     (["expsum", "--prime", "113", "--samples", "1001"], "kloosterman"),
+    (["aleph", "--bound", "1e6", "--modulus", "10000000000000061"], "modular.factorize"),
 ]
 
 
@@ -502,6 +555,9 @@ OVER_CAP_INPUTS = [
     ["expsum", "--prime", "100003", "--samples", "0"],
     ["expsum", "--prime", "113", "--samples", "100000000000"],
     ["expsum", "--prime", "1000000000000000000000000000057", "--samples", "0"],  # not tested for primality
+    ["aleph", "--bound", "1e6", "--modulus", "10000000000000061"],  # not factored
+    ["build-pi", "--xi-bound", "40", "--aleph-bound", "1e6", "--omega-bound", "12",
+     "--modulus", "1000000000001"],
 ]
 
 

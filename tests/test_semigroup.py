@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import thinsieve.arith as arith
+import thinsieve.modular as modular
 import thinsieve.semigroup as semigroup
 from thinsieve.cf import IDENTITY, Mat2, generator, word_to_matrix
 from thinsieve.dimension import estimate
@@ -204,6 +206,44 @@ def test_ball_trace_cap_counts_even_words(monkeypatch):
     monkeypatch.setattr(semigroup, "DEFAULT_MAX_ELEMENTS", total - 1)
     with pytest.raises(CapExceededError):
         ball_traces(3, 200)
+
+
+def _counted_shards(monkeypatch) -> list[int]:
+    """Patch semigroup._shards to record the length of each shard it yields."""
+    shards, lengths = semigroup._shards, []
+
+    def counted(blocks):
+        for shard in shards(blocks):
+            lengths.append(len(shard))
+            yield shard
+
+    monkeypatch.setattr(semigroup, "_shards", counted)
+    return lengths
+
+
+# a small _SHARD joins a few walk blocks per shard (at 1, one block), so the
+# tally merges the counts of several shards
+@pytest.mark.parametrize("shard", [1, 1000])
+@pytest.mark.parametrize("alphabet, norm", [(2, 3000), (3, 1000), (5, 700)])
+def test_ball_traces_merge_their_shards(monkeypatch, shard, alphabet, norm):
+    monkeypatch.setattr(semigroup, "_SHARD", shard)
+    lengths = _counted_shards(monkeypatch)
+    traces, mult = ball_traces(alphabet, norm)
+    tally = Counter(e.trace for e in iter_ball(alphabet, round(norm * norm)))
+    assert list(zip(traces.tolist(), mult.tolist())) == sorted(tally.items())
+    assert len(lengths) > 1 and sum(lengths) == sum(tally.values())
+    assert all(n >= shard for n in lengths[:-1])
+
+
+# alphabet 1 has six words of trace <= 400, so only one-block shards split them
+@pytest.mark.parametrize("alphabet, shard", [(1, 1), (2, 1), (2, 50), (3, 50), (10, 50)])
+def test_trace_histogram_merges_its_shards(monkeypatch, alphabet, shard):
+    monkeypatch.setattr(semigroup, "_SHARD", shard)
+    lengths = _counted_shards(monkeypatch)
+    counts = trace_histogram(alphabet, 400).tolist()
+    assert counts == [0, 0, 0] + [trace_multiplicity(alphabet, t) for t in range(3, 401)]
+    assert len(lengths) > 1 and sum(lengths) == sum(counts)
+    assert all(n >= shard for n in lengths[:-1])
 
 
 @pytest.mark.parametrize("norm", [20_000, 21_000])
@@ -459,6 +499,21 @@ def test_aleph_decides_pivot_one_before_covering_sl2(monkeypatch):
     for bound, modulus in ((1000.0, 101), (1.0, 101), (1e6, 1_000_003)):  # R ~ 10^18 at the last
         with pytest.raises(ValueError, match="ball too small at pivot 1; increase"):
             aleph_construct(bound, modulus)
+
+
+def test_aleph_refuses_a_modulus_over_the_cap_before_factoring_it(monkeypatch):
+    # factoring 10^16 + 61 sieves the primes to 10^8 (seconds and hundreds of MB)
+    def factorize(n):
+        raise AssertionError(f"factored {n} above the cap")
+
+    monkeypatch.setattr(arith, "factorize", factorize)
+    monkeypatch.setattr(modular, "factorize", factorize)
+    for modulus in (semigroup.ALEPH_MODULUS_CAP + 1, 10_000_000_000_000_061):
+        with pytest.raises(CapExceededError, match="exceeds cap"):
+            aleph_construct(1e6, modulus)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="square-free"):  # at the cap, 10^12 is factored
+        aleph_construct(1e6, semigroup.ALEPH_MODULUS_CAP)
 
 
 def test_build_pi_single_product():
