@@ -12,9 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt, sqrt
 
-from .errors import InternalInvariantError
+from .errors import CapExceededError, InternalInvariantError
 
 Word = tuple[int, ...]
+
+# Digits cf_expand forms at most: 2 x 10^6 take about 1 s on a 2-vCPU VM
+CF_MAX_STEPS = 2_000_000
 
 
 def check_word(word) -> Word:
@@ -252,21 +255,28 @@ def cf_expand(x: Surd) -> tuple[tuple[int, ...], Word]:
     """Continued fraction of a quadratic irrational: (preperiod, primitive period).
 
     The first digit may be any integer (x itself need not exceed 1); later
-    digits are >= 1.  States (p, q) repeat exactly once the expansion becomes
-    periodic, so the period is read off the first repeated state.
+    digits are >= 1.  The expansion is purely periodic from its first reduced
+    state (p, q) (Galois); the period ends where that state returns.  Reduced
+    states have 0 < p < sqrt(d) and 0 < q < 2 sqrt(d): the period is below 2d,
+    after a preperiod of about log2 |q| steps.  Past twice that is an invariant
+    violation; past CF_MAX_STEPS digits, CapExceededError.
     """
     p, d, q = x.p, x.d, x.q
-    seen: dict[tuple[int, int], int] = {}
+    guard = 2 * d + 2 * abs(q).bit_length() + 4
+    stop = min(guard, CF_MAX_STEPS)
     digits: list[int] = []
-    while (p, q) not in seen:
-        if len(digits) > 100_000:
-            raise InternalInvariantError("continued fraction failed to cycle")
-        seen[(p, q)] = len(digits)
+    start = state = None  # where the period starts, and its first state
+    while (p, q) != state:
+        if state is None and is_reduced(Surd(p, d, q)):
+            start, state = len(digits), (p, q)
+        if len(digits) > stop:
+            if stop == guard:
+                raise InternalInvariantError("continued fraction failed to cycle")
+            raise CapExceededError(f"continued fraction of {x} exceeds cap {CF_MAX_STEPS} digits")
         a = _floor_surd(p, d, q)
         digits.append(a)
         p = a * q - p
         q = (d - p * p) // q
-    start = seen[(p, q)]
     return tuple(digits[:start]), tuple(digits[start:])
 
 

@@ -10,11 +10,12 @@ Every walk runs on one block frontier, `_frontier`: a depth-first stack of
 numpy blocks of (a, b, c, d), each expanded by all its digits at once and cut
 down by a keep mask and a descend mask.  Its entries are int32 or int64 while
 the bound's worst case fits them and Python ints beyond, so every count is
-exact.  Every norm ball is read through `_ball_blocks`, the one place that
-checks the parity and the element cap, DEFAULT_MAX_ELEMENTS.  Words are read
-back from the matrices, all at once (`_words`); a ball is counted against the
-cap before its matrices are held, so a ball over the cap fails in bounded
-memory and before any element is built.
+exact.  It checks every walk's alphabet and node cap, DEFAULT_MAX_NODES.
+Norm balls are read through `_ball_blocks`, which checks the parity and, for
+walks that hold words or a tally, the element cap DEFAULT_MAX_ELEMENTS.
+Words are read back from the matrices, all at once (`_words`); a ball is
+counted against the cap before its matrices are held, so a ball over the cap
+fails in bounded memory and before any element is built.
 
 Traces are tallied in shards: a walk's blocks are joined (`_shards`) into
 arrays of at least _SHARD traces, each sorted and counted in one call
@@ -27,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, isfinite, isqrt
+from math import ceil, isfinite, isqrt, sqrt
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -81,11 +82,12 @@ class SemigroupElement:
         return len(self.word)
 
 
-def _norm_sq_cap(norm: float) -> int:
-    """Integer cap for ||g||^2 <= norm^2 (norms on the grid are exact in floats)."""
+def _norm_sq_cap(norm: float, strict: bool = False) -> int:
+    """Integer cap for ||g||^2 <= norm^2 (norms on the grid are exact in floats),
+    or with strict, ceil(norm^2) - 1 for the open ball ||g|| < norm."""
     if not (isfinite(norm * norm) and norm >= 0):  # nan fails both; 1e200 squares to inf
         raise ValueError(f"norm must be >= 0 with a finite square, got {norm!r}")
-    return round(norm * norm)
+    return ceil(norm * norm) - 1 if strict else round(norm * norm)
 
 
 def iter_ball(alphabet: int, norm_sq_cap: int, parity: str = "even") -> Iterator[SemigroupElement]:
@@ -113,7 +115,7 @@ class _Frame:
 
 
 def _frontier(
-    alphabet: int, limit: int, by_trace: bool, max_nodes: int | None = None
+    alphabet: int, limit: int, by_trace: bool
 ) -> Iterator[tuple[bool, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Walk the tree of words in blocks, yielding the kept nodes as (even, a, b, c, d).
 
@@ -130,7 +132,11 @@ def _frontier(
     fewer than 3 x depth x _BLOCK nodes.  Entries are int32 while the largest
     entry or sum the bound allows stays below 2^31, int64 while it stays below
     2^62, and Python ints (dtype object) beyond, so every value is exact.
+    An alphabet below 1 raises ValueError, and a walk past DEFAULT_MAX_NODES
+    nodes (root and descended ones, the cap read at call time) CapExceededError.
     """
+    if alphabet < 1:
+        raise ValueError("alphabet bound must be >= 1")
     # no entry of a node inside the bound exceeds `reach`, so neither does a digit
     reach = limit if by_trace else isqrt(max(limit, 0))
     top = min(alphabet, reach)
@@ -189,8 +195,8 @@ def _frontier(
         child = [x[descend] for x in (na, a, nc, c)]
         if len(child[0]):
             nodes += len(child[0])
-            if max_nodes is not None and nodes > max_nodes:
-                raise CapExceededError(f"trace walk exceeded {max_nodes} nodes")
+            if nodes > DEFAULT_MAX_NODES:
+                raise CapExceededError(f"walk of {nodes} nodes exceeds cap {DEFAULT_MAX_NODES}")
             frame.waiting.append(child)
             frame.n_waiting += len(child[0])
         spent = hi == ends[-1]
@@ -208,8 +214,6 @@ def _ball_blocks(
 ) -> Iterator[list[np.ndarray]]:
     """The words of the given parity with ||g||^2 <= norm_sq_cap, as blocks of
     (a, b, c, d); raises CapExceededError once more than max_elements are seen."""
-    if alphabet < 1:
-        raise ValueError("alphabet bound must be >= 1")
     if parity not in ("even", "any"):
         raise ValueError("parity must be 'even' or 'any'")
     seen = 0
@@ -393,9 +397,7 @@ def hensley_exponent(alphabet: int, norms: Iterable[float]) -> HensleyFit:
 # trace fibers
 
 
-def trace_fiber(
-    alphabet: int, t: int, max_nodes: int = DEFAULT_MAX_NODES
-) -> list[SemigroupElement]:
+def trace_fiber(alphabet: int, t: int) -> list[SemigroupElement]:
     """All even words over {1..alphabet} whose matrix has trace exactly t.
 
     Prunes a branch once the least trace attainable by any completion exceeds
@@ -407,7 +409,7 @@ def trace_fiber(
     if t < 3:
         raise ValueError("trace fibers start at t = 3")
     hits = []
-    for _, a, b, c, d in _frontier(alphabet, t, True, max_nodes):
+    for _, a, b, c, d in _frontier(alphabet, t, True):
         hit = a + d == t
         hits.append([x[hit] for x in (a, b, c, d)])
     return list(_elements(_words(hits, min(alphabet, t))))
@@ -416,7 +418,7 @@ def trace_fiber(
 def trace_histogram(alphabet: int, t_max: int) -> np.ndarray:
     """counts[t] = #{even words with trace t} for 0 <= t <= t_max, from one walk."""
     counts = np.zeros(t_max + 1, dtype=np.int64)
-    traces = (a + d for _, a, _, _, d in _frontier(alphabet, t_max, True, DEFAULT_MAX_NODES))
+    traces = (a + d for _, a, _, _, d in _frontier(alphabet, t_max, True))
     for shard in _shards(traces):
         counts += np.bincount(shard, minlength=t_max + 1)
     return counts
@@ -471,10 +473,9 @@ class FixedSlice:
 def build_fixed_length_ball(alphabet: int, bound: float) -> FixedSlice:
     """Among even wordlengths in the open ball ||g|| < bound, keep the most
     populous one (ties resolved toward the shorter length)."""
-    if bound < 3:
+    if bound < 3:  # from 3 on, the ball holds (1, 1), of norm^2 7 < 9
         raise ValueError("bound must be >= 3 so the even ball is nonempty")
-    cap = ceil(bound * bound) - 1  # strict: ||g|| < bound
-    words = _ball_words(alphabet, cap, "even")  # holds (1, 1), of norm^2 7 < 9
+    words = _ball_words(alphabet, _norm_sq_cap(bound, strict=True), "even")
     best = int(np.bincount(words.lengths).argmax())  # the first of equals is the shortest
     return FixedSlice(best, tuple(_elements(words, words.lengths == best)))
 
@@ -542,16 +543,19 @@ def aleph_construct(norm_bound: float, modulus: int = 2) -> AlephSet:
         raise CapExceededError(f"modulus {modulus} exceeds cap {ALEPH_MODULUS_CAP}")
     R = sl2_order(modulus)  # also validates square-freeness
     if modulus == 1:
-        cap = ceil(norm_bound * norm_bound) - 1
-        els = tuple(iter_ball(2, cap, "even"))
+        els = tuple(iter_ball(2, _norm_sq_cap(norm_bound, strict=True), "even"))
         if not els:
             raise ValueError("ball too small; increase the norm bound")
         return AlephSet(els, 1, 1, len(els), int(norm_bound), None, ())
     target = norm_bound * norm_bound
-    # every element has ||g||^2 >= 2, so the pivot u below is 1, and its ball empty,
-    # whenever the root at xmax_sq = 2 is: decided before the walk over SL2(Z/B)
-    if iroot(int(target) // 2, 2 * R) < 2:
-        raise ValueError("ball too small at pivot 1; increase the norm bound")
+    # the pivot ball ||g|| < u below holds the least even word, (1, 1) of norm^2 7,
+    # only if u >= 3; as xmax_sq >= 2, u is at most the root at 2: decided before
+    # the walk over SL2(Z/B), at this bound and at every finite one (square < 2^1024)
+    if (most := iroot(int(target) // 2, 2 * R)) < 3:
+        fix = ("impossible: no finite norm bound reaches" if iroot(1 << 1023, 2 * R) < 3
+               else f"the norm bound to at least {sqrt(2 * 9**R):.4g} for")
+        raise ValueError(f"ball too small at pivot {max(1, most)}; increase {fix} "
+                         f"modulus {modulus}")
     reps = _residue_representatives(modulus)
     xmax_sq = max(e.norm_sq for e in reps)
     # largest u with u^(2R) * xmax_sq <= target, at least 1; the left side is an integer
@@ -682,16 +686,12 @@ class BilinearSet:
                       for i in range(0, len(left), rows))
 
 
-def _as_elements(factor) -> tuple[SemigroupElement, ...]:
-    """The items as elements; an item that is not one is read as a word."""
-    return tuple(e if isinstance(e, SemigroupElement) else SemigroupElement.from_word(e)
-                 for e in factor)
-
-
 def build_pi(xi, aleph, omega) -> BilinearSet:
     """Assemble the bilinear product set from its three factors.
 
     Factors may be FixedSlice / AlephSet instances, element sequences, or raw
-    word sequences.
+    word sequences; an item that is not an element is read as a word.
     """
-    return BilinearSet(_as_elements(xi), _as_elements(aleph), _as_elements(omega))
+    read = SemigroupElement.from_word
+    return BilinearSet(*(tuple(e if isinstance(e, SemigroupElement) else read(e) for e in factor)
+                         for factor in (xi, aleph, omega)))

@@ -3,9 +3,9 @@
 The measured objects are the congruence counts |A_q|, their exact local
 expectations beta(q) * |source|, and the resulting remainder ledger.  The
 multiset is a pair of sorted numpy arrays, the distinct values and their
-multiplicities, built from one tally of the source's traces: a norm ball's
-block walk, or the bilinear set's traces as one integer matrix product.
-Values are int64 while they fit, Python ints beyond.
+multiplicities, built by `sift_values` from one tally of the traces of one
+of two sources: a `BallSource`'s block walk, or a `BilinearSet`'s traces as
+one integer matrix product.  Values are int64 while they fit, Python ints beyond.
 
 The ledger walks the square-free q < Q depth first by decreasing primes,
 each q reached once from its largest prime down, keeping at each node the
@@ -26,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, sqrt
+from math import isqrt
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -39,7 +39,6 @@ from .modular import DENSITY_MODULUS_CAP, beta
 from .semigroup import (
     _INT64_SAFE,
     BilinearSet,
-    _as_elements,
     _count,
     _tally,
     ball_traces,
@@ -100,7 +99,7 @@ class BallSource:
 
 @dataclass(frozen=True, eq=False)
 class SiftingSequence:
-    """Multiset {trace^2 - 4} over a source set, with its norm parameter.
+    """Multiset {trace^2 - 4} over a source set of source_size elements.
 
     `value` holds the distinct values in ascending order (int64 while they
     lie in [-2^62, 2^63), Python ints otherwise) and `mult` their
@@ -110,7 +109,6 @@ class SiftingSequence:
     value: np.ndarray
     mult: np.ndarray
     source_size: int
-    norm_bound: float
 
     def __post_init__(self):
         for name in ("value", "mult"):
@@ -127,41 +125,35 @@ class SiftingSequence:
         if not isinstance(other, SiftingSequence):
             return NotImplemented
         return (
-            (self.source_size, self.norm_bound) == (other.source_size, other.norm_bound)
+            self.source_size == other.source_size
             and np.array_equal(self.value, other.value)
             and np.array_equal(self.mult, other.mult)
         )
 
     def __hash__(self) -> int:
-        return hash((self.source_size, self.norm_bound, len(self.value)))
+        return hash((self.source_size, len(self.value)))
 
     @classmethod
-    def from_values(cls, values: Iterable[int], norm_bound: float = 0.0) -> "SiftingSequence":
+    def from_values(cls, values: Iterable[int]) -> "SiftingSequence":
         value, mult = _count(np.array(list(values), dtype=object))
-        if not norm_bound:
-            top = int(value[-1]) if len(value) else -4
-            if top < -4:
-                raise ValueError(f"no trace gives {top} = t^2 - 4; pass norm_bound")
-            norm_bound = sqrt(top + 4.0)
-        return cls(_exact(value, _VALUE_LO, _VALUE_HI), mult, int(mult.sum()), norm_bound)
+        return cls(_exact(value, _VALUE_LO, _VALUE_HI), mult, int(mult.sum()))
 
     @classmethod
-    def from_traces(
-        cls, traces: np.ndarray, mult: np.ndarray, norm_bound: float
-    ) -> "SiftingSequence":
+    def from_traces(cls, traces: np.ndarray, mult: np.ndarray) -> "SiftingSequence":
         """The multiset of t^2 - 4 over distinct ascending traces with multiplicities."""
         traces = _exact(traces, -_TRACE_MAX, _TRACE_MAX + 1)
         value = traces * traces - 4
         if len(traces) and traces[0] < 0:  # t and -t give one value
             value, mult = _tally([(value, mult)])
-        return cls(value, mult, int(mult.sum()), norm_bound)
+        return cls(value, mult, int(mult.sum()))
 
 
-def sift_values(source) -> SiftingSequence:
-    """Build the sifting multiset from a bilinear set, a ball, or explicit elements.
+def sift_values(source: BilinearSet | BallSource) -> SiftingSequence:
+    """Build the sifting multiset from a bilinear set or a ball.
 
     Each source gives one tally of its traces.  The bilinear set's traces come
     from factor-wise matrix products, never materialising the product set.
+    Raises TypeError for any other source.
     """
     if isinstance(source, BilinearSet):
         if source.size > MAX_SIFT_SIZE:
@@ -170,17 +162,14 @@ def sift_values(source) -> SiftingSequence:
                 "lower --xi-bound, --aleph-bound or --omega-bound"
             )
         traces, mult = source.trace_tally()
-        norm = source.norm_bound()
     elif isinstance(source, BallSource):
         traces, mult = ball_traces(source.alphabet, source.norm)
-        norm = float(source.norm)
     else:
-        elements = _as_elements(source)
-        traces, mult = _count(np.array([e.trace for e in elements], dtype=object))
-        norm = sqrt(max((e.norm_sq for e in elements), default=0))
+        raise TypeError(f"sift_values takes a BilinearSet or a BallSource, "
+                        f"not {type(source).__name__}")
     if not len(traces):
         raise ValueError("empty sifting source")
-    return SiftingSequence.from_traces(traces, mult, norm)
+    return SiftingSequence.from_traces(traces, mult)
 
 
 def A_q(seq: SiftingSequence, q: int) -> int:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import thinsieve.cf as cf
 from thinsieve.cf import (
     Mat2,
     Surd,
@@ -20,6 +21,7 @@ from thinsieve.cf import (
     word_from_matrix,
     word_to_matrix,
 )
+from thinsieve.errors import CapExceededError
 
 words = st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=10).map(tuple)
 
@@ -171,6 +173,39 @@ def test_cf_expand_examples():
     paper_word = (1, 1, 2, 17, 1, 8, 5, 8, 1, 17, 2, 1, 1, 3, 1, 35, 1, 3)
     assert canonical_rotation(per) == canonical_rotation(paper_word)
     assert len(per) == 18
+
+
+def _cf_expand_by_repeat(x):
+    """Oracle: expand until a state (p, q) repeats; the period starts at its first visit."""
+    p, d, q = x.p, x.d, x.q
+    seen, digits = {}, []
+    while (p, q) not in seen:
+        seen[p, q] = len(digits)
+        digits.append(Surd(p, d, q).floor())
+        p = digits[-1] * q - p
+        q = (d - p * p) // q
+    return tuple(digits[: seen[p, q]]), tuple(digits[seen[p, q] :])
+
+
+@given(surds())
+@settings(max_examples=200)
+def test_cf_expand_equals_the_first_repeated_state(x):
+    assert cf_expand(x) == _cf_expand_by_repeat(x)
+
+
+def test_cf_expand_past_100000_digits():
+    # sqrt(d) = [a0; a1, ..., a(n-1), 2 a0] with a1..a(n-1) a palindrome; this
+    # period passes the fixed 100,000-step guard the expansion once had
+    d = 200_000_000_014
+    pre, per = cf_expand(Surd(0, d, 1))
+    assert pre == (math.isqrt(d),) and len(per) == 100_392
+    assert per[:-1] == per[-2::-1] and per[-1] == 2 * pre[0]
+
+
+def test_cf_expand_stops_at_the_step_cap(monkeypatch):
+    monkeypatch.setattr(cf, "CF_MAX_STEPS", 50_000)
+    with pytest.raises(CapExceededError, match="exceeds cap 50000"):
+        cf_expand(Surd(0, 200_000_000_014, 1))
 
 
 def test_unnormalized_surd_rejected():

@@ -611,6 +611,19 @@ def test_huge_balls_exit_3_at_the_element_cap(tmp_path, monkeypatch):
     assert built_before_the_cap == [0, 0]  # aleph's ball in each of the last two runs
 
 
+def test_count_only_walks_exit_3_at_the_node_cap(tmp_path, monkeypatch, capsys):
+    # a small node cap stands in for the default one: hensley-fit walks its
+    # largest ball with no element cap (alphabet 10 on the default grid walks
+    # about 10^9 nodes), so the node cap is what bounds it
+    import thinsieve.semigroup as semigroup
+
+    monkeypatch.setattr(semigroup, "DEFAULT_MAX_NODES", 10_000)
+    monkeypatch.chdir(tmp_path)
+    assert run(["hensley-fit", "--alphabet", 3, "--norms", "100,300,1000,3000"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "exceeds cap 10000" in err
+
+
 def test_bad_config_value_is_checked_by_the_flag_type(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("norm=-5\n")

@@ -1,13 +1,18 @@
-"""The demos are scripts that no test runs, so each name one imports from
-thinsieve is checked here against the package, without running the demo."""
+"""The demos are scripts: each name one imports from thinsieve is checked
+here against the package without running the demo, and the demos that sift
+are run whole."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_the_demos_are_found():
@@ -24,3 +29,14 @@ def test_demo_imports_resolve(demo):
         module = importlib.import_module(node.module)
         for alias in node.names:
             assert hasattr(module, alias.name), f"{demo.name}: {node.module}.{alias.name}"
+
+
+# the demos that sift: run whole, so a change to the sifting API that they use
+# fails here
+@pytest.mark.parametrize("name", ["bilinear_set.py", "sieve_remainders.py"])
+def test_sifting_demos_run(name, tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / name)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0 and "Traceback" not in done.stderr, done.stderr

@@ -1,5 +1,6 @@
 from collections import Counter
-from math import prod
+from math import inf, prod
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -361,9 +362,27 @@ def test_trace_fiber_equals_the_recursive_oracle():
 @settings(max_examples=60, deadline=None)
 def test_trace_fiber_node_cap_counts_visited_nodes(alphabet, t):
     fiber, visited = trace_fiber_oracle(alphabet, t)
-    assert trace_fiber(alphabet, t, max_nodes=visited) == fiber
-    with pytest.raises(CapExceededError):
-        trace_fiber(alphabet, t, max_nodes=visited - 1)
+    with mock.patch.object(semigroup, "DEFAULT_MAX_NODES", visited):
+        assert trace_fiber(alphabet, t) == fiber
+    with mock.patch.object(semigroup, "DEFAULT_MAX_NODES", visited - 1):
+        with pytest.raises(CapExceededError, match="exceeds cap"):
+            trace_fiber(alphabet, t)
+
+
+@pytest.mark.parametrize("alphabet", [0, -3])
+def test_trace_walks_check_the_alphabet(alphabet):
+    for walk in (trace_fiber, trace_histogram, cyclic_classes):
+        with pytest.raises(ValueError, match="alphabet"):
+            walk(alphabet, 6)
+
+
+def test_count_only_walks_stop_at_the_node_cap(monkeypatch):
+    # the alphabet-3 ball at norm 100 has 632 nodes, the root included
+    monkeypatch.setattr(semigroup, "DEFAULT_MAX_NODES", 600)
+    with pytest.raises(CapExceededError, match="exceeds cap 600"):
+        ball_count(3, 100)
+    with pytest.raises(CapExceededError, match="exceeds cap 600"):
+        hensley_exponent(3, [10, 30, 60, 100])
 
 
 @pytest.mark.parametrize("alphabet", [2, 3, 10])
@@ -420,6 +439,9 @@ def test_fixed_length_ball_examples():
     assert s.wordlength == 2 and [e.word for e in s] == [(1, 1)]
     with pytest.raises(ValueError):
         build_fixed_length_ball(2, 2.5)
+    for bound in (1e200, inf):  # open balls check the square as closed ones do
+        with pytest.raises(ValueError, match="finite square"):
+            build_fixed_length_ball(2, bound)
 
 
 def test_fixed_length_ball_pigeonhole():
@@ -493,12 +515,19 @@ def test_aleph_decides_pivot_one_before_covering_sl2(monkeypatch):
     # |SL2(Z/101)| = 1,030,200, so 2^(2R) * 2 exceeds 1000^2 whatever the
     # representatives are: no walk over the group may run to find that out
     def walk(modulus):
-        raise AssertionError(f"covered SL2(Z/{modulus}) for a pivot of 1")
+        raise AssertionError(f"covered SL2(Z/{modulus}) for a pivot below 3")
 
     monkeypatch.setattr(semigroup, "_residue_representatives", walk)
     for bound, modulus in ((1000.0, 101), (1.0, 101), (1e6, 1_000_003)):  # R ~ 10^18 at the last
         with pytest.raises(ValueError, match="ball too small at pivot 1; increase"):
             aleph_construct(bound, modulus)
+    # the least even word, (1, 1), has norm^2 7, so a pivot of 2 holds no word
+    # either; |SL2(Z/7)| = 336 and 2 * 3^672 > 2^1024, so no float bound reaches B = 7
+    with pytest.raises(ValueError, match="pivot 2; increase impossible: .* modulus 7$"):
+        aleph_construct(1e150, 7)
+    with pytest.raises(ValueError,
+                       match="pivot 1; increase the norm bound to at least 1031 for modulus 2$"):
+        aleph_construct(20.0, 2)
 
 
 def test_aleph_refuses_a_modulus_over_the_cap_before_factoring_it(monkeypatch):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from thinsieve import sieve
 from thinsieve.arith import is_squarefree, primes_up_to
+from thinsieve.cf import word_to_matrix
 from thinsieve.errors import CapExceededError
 from thinsieve.forms import is_fundamental
 from thinsieve.modular import DENSITY_MODULUS_CAP, beta
@@ -40,9 +41,15 @@ from thinsieve.sieve import (
 from test_modular import sl2_enumerate  # the CRT-product oracle of SL2(Z/q)
 
 
+def _sift_words(words):
+    """The sifting multiset of explicit words, from their trace tally."""
+    tally = sorted(Counter(word_to_matrix(w).trace for w in words).items())
+    return SiftingSequence.from_traces(*(np.array(column) for column in zip(*tally)))
+
+
 def test_sift_values_examples():
-    assert sift_values([(1, 1)]).values == ((5, 1),)
-    seq = sift_values([(1, 35), (5, 7)])
+    assert _sift_words([(1, 1)]).values == ((5, 1),)
+    seq = _sift_words([(1, 35), (5, 7)])
     assert seq.values == ((1365, 2),)
     seq = sift_values(BallSource(2, 100))
     assert seq.source_size == ball_count(2, 100)
@@ -50,11 +57,15 @@ def test_sift_values_examples():
 
 
 def test_sift_values_empty_ball_is_an_error():
-    # no even word has norm <= 1: an empty source, as for an empty element list
+    # no even word has norm <= 1: an empty source
     with pytest.raises(ValueError, match="empty sifting source"):
         sift_values(BallSource(2, 1))
-    with pytest.raises(ValueError, match="empty sifting source"):
-        sift_values([])
+
+
+def test_sift_values_takes_a_ball_or_a_bilinear_set_only():
+    for source in ([(1, 1)], [], (3, 100.0)):
+        with pytest.raises(TypeError, match="BilinearSet or a BallSource"):
+            sift_values(source)
 
 
 @given(st.integers(1, 5), st.floats(2, 300))
@@ -73,11 +84,8 @@ def test_ball_sources_equal_what_iter_ball_gives(alphabet, norm):
     )
 
 
-def test_from_values_rejects_a_value_no_trace_gives():
-    with pytest.raises(ValueError, match="-10"):
-        SiftingSequence.from_values([-10])
-    assert SiftingSequence.from_values([-4]).norm_bound == 0.0
-    assert SiftingSequence.from_values([-10], norm_bound=1.0).values == ((-10, 1),)
+def test_from_values_keeps_a_value_no_trace_gives():
+    assert SiftingSequence.from_values([-10]).values == ((-10, 1),)
 
 
 def test_sift_values_bilinear_streams_factorwise():
@@ -92,12 +100,12 @@ def test_sift_values_bilinear_streams_factorwise():
     assert streamed == direct
     assert seq.source_size == pi.size
     # support bound: n <= 2 T for nonnegative matrices
-    assert max(v for v, _ in seq.values) <= 2 * seq.norm_bound**2
+    assert max(v for v, _ in seq.values) <= 2 * pi.norm_bound()**2
 
 
 def test_A_q_examples():
-    assert A_q(sift_values([(1, 1)]), 5) == 1
-    seq = sift_values([(1, 35), (5, 7)])
+    assert A_q(_sift_words([(1, 1)]), 5) == 1
+    seq = _sift_words([(1, 35), (5, 7)])
     assert A_q(seq, 15) == 2
     assert A_q(seq, 2) == 0
     for q in (12, 0, -6):
@@ -114,7 +122,7 @@ def test_A_q_inclusion_structure():
 
 
 def test_remainder_profile_single_element():
-    profile = remainder_profile(sift_values([(1, 1)]), 3)
+    profile = remainder_profile(_sift_words([(1, 1)]), 3)
     row = profile.rows[-1]
     assert row.q == 2
     assert row.remainder == (1 if 5 % 2 == 0 else 0) - Fraction(2, 3)
@@ -160,8 +168,8 @@ def test_remainder_calibration_uniform_sl2_draws():
 
 
 def test_almost_prime_census():
-    assert almost_prime_census(sift_values([(1, 1)]), 3) == 1  # 5 has no factor <= 3
-    seq1365 = sift_values([(1, 35)])
+    assert almost_prime_census(_sift_words([(1, 1)]), 3) == 1  # 5 has no factor <= 3
+    seq1365 = _sift_words([(1, 35)])
     # all prime factors of 1365 = 3*5*7*13 exceed 2, but not 3
     assert almost_prime_census(seq1365, 2) == 1
     assert almost_prime_census(seq1365, 3) == 0
@@ -273,7 +281,7 @@ _element_lists = st.lists(
 ).map(lambda words: [(2,), *words])
 _ball_sources = st.builds(BallSource, st.integers(1, 4), st.integers(3, 300).map(float))
 _sources = st.one_of(
-    _element_lists.map(sift_values),
+    _element_lists.map(_sift_words),
     _ball_sources.map(sift_values),
     st.just(_PI_SEQ),
 )
@@ -287,7 +295,7 @@ def test_remainder_profile_equals_the_per_q_scan(seq, cutoff):
 
 def test_remainder_profile_counts_zero_values_at_every_q():
     # trace-2 words give the value 0, which every q divides
-    seq = sift_values([(2,), (2,), (1,), (1, 1)])
+    seq = _sift_words([(2,), (2,), (1,), (1, 1)])
     assert seq.values == ((-3, 1), (0, 2), (5, 1))
     profile = remainder_profile(seq, 1000)
     assert profile == _remainder_profile_by_scan(seq, 1000)
@@ -295,7 +303,7 @@ def test_remainder_profile_counts_zero_values_at_every_q():
 
 
 def test_remainder_profile_checks_the_density_cap_first():
-    seq = SiftingSequence.from_values([5], norm_bound=3.0)
+    seq = SiftingSequence.from_values([5])
     with pytest.raises(CapExceededError, match="exceeds cap"):
         remainder_profile(seq, DENSITY_MODULUS_CAP + 2)  # q = 1000001 = 101 * 9901
 
@@ -339,7 +347,7 @@ def test_remainder_profile_leaves_no_cycle_holding_the_sequence():
 )
 def test_almost_prime_census_equals_trial_division(values, z):
     # values below 2 never count, whatever their gcd
-    seq = SiftingSequence.from_values([-3, 0, 1, 2, *values], norm_bound=1.0)
+    seq = SiftingSequence.from_values([-3, 0, 1, 2, *values])
     assert almost_prime_census(seq, z) == _almost_prime_census_by_trial(seq, z)
 
 
@@ -349,7 +357,7 @@ def test_almost_prime_census_on_pi_equals_trial_division():
 
 
 def test_remainder_profile_on_zero_and_negative_values():
-    seq = SiftingSequence.from_values([0, 0, -30, -7, -4, 35, 6], norm_bound=1.0)
+    seq = SiftingSequence.from_values([0, 0, -30, -7, -4, 35, 6])
     profile = remainder_profile(seq, 100)
     assert profile == _remainder_profile_by_scan(seq, 100)
     counts = {row.q: row.count for row in profile.rows}
@@ -362,28 +370,28 @@ def test_remainder_profile_on_zero_and_negative_values():
 
 def test_values_are_int64_in_their_window_and_python_ints_outside():
     # int64 holds [-2^62, 2^63): there value // p * p cannot overflow
-    seq = SiftingSequence.from_values([-(2**62), 0, 2**62, 2**63 - 1], norm_bound=1.0)
+    seq = SiftingSequence.from_values([-(2**62), 0, 2**62, 2**63 - 1])
     assert seq.value.dtype == np.int64 and seq.mult.dtype == np.int64
     for edge in (2**63, -(2**62) - 1):
-        seq = SiftingSequence.from_values([edge, 5], norm_bound=1.0)
+        seq = SiftingSequence.from_values([edge, 5])
         assert seq.value.dtype == object
         assert seq.values == tuple(sorted([(edge, 1), (5, 1)]))
     # traces square exactly in int64 while |t| <= isqrt(2^63 + 3) = 3037000499
     top = 3037000499
-    seq = SiftingSequence.from_traces(np.array([2**31, top]), np.array([1, 2]), 1.0)
+    seq = SiftingSequence.from_traces(np.array([2**31, top]), np.array([1, 2]))
     assert seq.value.dtype == np.int64 and seq.values == ((2**62 - 4, 1), (top * top - 4, 2))
-    seq = SiftingSequence.from_traces(np.array([top + 1]), np.array([1]), 1.0)
+    seq = SiftingSequence.from_traces(np.array([top + 1]), np.array([1]))
     assert seq.value.dtype == object and seq.values == (((top + 1) ** 2 - 4, 1),)
 
 
 def test_traces_t_and_minus_t_give_one_value():
-    seq = SiftingSequence.from_traces(np.array([-4, 3, 4]), np.array([1, 2, 5]), 1.0)
+    seq = SiftingSequence.from_traces(np.array([-4, 3, 4]), np.array([1, 2, 5]))
     assert seq.values == ((5, 2), (12, 6)) and seq.source_size == 8
 
 
 def test_from_traces_leaves_the_callers_arrays_writable():
     traces, mult = np.array([3, 4]), np.array([2, 5])
-    seq = SiftingSequence.from_traces(traces, mult, 1.0)
+    seq = SiftingSequence.from_traces(traces, mult)
     traces[0], mult[0] = 7, 9  # no error
     assert seq.values == ((5, 9), (12, 5))  # mult is shared as a read-only view
     with pytest.raises(ValueError, match="read-only"):
@@ -391,11 +399,10 @@ def test_from_traces_leaves_the_callers_arrays_writable():
 
 
 def test_sifting_sequences_compare_and_hash_by_content():
-    a = SiftingSequence.from_values([30, 42, 30], norm_bound=2.0)
-    b = SiftingSequence.from_values([42, 30, 30], norm_bound=2.0)
+    a = SiftingSequence.from_values([30, 42, 30])
+    b = SiftingSequence.from_values([42, 30, 30])
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
-    assert a != SiftingSequence.from_values([30, 42, 42], norm_bound=2.0)
-    assert a != SiftingSequence.from_values([30, 42, 30], norm_bound=3.0)
+    assert a != SiftingSequence.from_values([30, 42, 42])
     assert a != a.values
     with pytest.raises(ValueError, match="read-only"):
         a.value[0] = 0
@@ -417,7 +424,7 @@ _wide_values = st.lists(
 @given(_wide_values, st.integers(2, 400))
 @settings(max_examples=80, deadline=None)
 def test_ledger_A_q_and_census_equal_the_oracles_at_the_int64_edges(values, cutoff):
-    seq = SiftingSequence.from_values(values, norm_bound=1.0)
+    seq = SiftingSequence.from_values(values)
     assert remainder_profile(seq, cutoff) == _remainder_profile_by_scan(seq, cutoff)
     for q in (1, 6, 30, 2310, cutoff if is_squarefree(cutoff) else 1):
         assert A_q(seq, q) == sum(m for v, m in seq.values if v % q == 0)
