@@ -3,8 +3,8 @@
 A *word* is a tuple of integer partial quotients a_j >= 1; it maps to the
 integer matrix  prod_j [[a_j, 1], [1, 0]],  whose determinant is (-1)^len.
 Quadratic irrationals are kept as exact surds (p + sqrt(d))/q, and every
-predicate on them (floors, reducedness, comparisons) is decided in integer
-arithmetic -- no floating point enters any decision.
+predicate on them (floors, reducedness) is decided in integer arithmetic from
+one root isqrt(d) -- no floating point enters any decision.
 """
 
 from __future__ import annotations
@@ -171,22 +171,14 @@ def _continuants(word: Word) -> tuple[int, int, int, int]:
 # quadratic irrationals
 
 
-def _sign_linear(u: int, v: int, d: int) -> int:
-    """Exact sign of u + v*sqrt(d) for positive non-square d."""
-    if v == 0:
-        return (u > 0) - (u < 0)
-    if v > 0:
-        if u >= 0:
-            return 1
-        return 1 if v * v * d > u * u else -1
-    if u <= 0:
-        return -1
-    return 1 if u * u > v * v * d else -1
+def _reduced(p: int, q: int, s: int) -> bool:
+    """(p + sqrt(d))/q is reduced, for s = isqrt(d) and d non-square: as s < sqrt(d) < s + 1,
+    this is p < sqrt(d) < p + q and q - p < sqrt(d), so 0 < p and 0 < q."""
+    return p <= s < p + q and q - p <= s
 
 
-def _floor_surd(p: int, d: int, q: int) -> int:
-    """Exact floor of (p + sqrt(d)) / q for nonzero q."""
-    s = isqrt(d)
+def _floor_surd(p: int, s: int, q: int) -> int:
+    """Exact floor of (p + sqrt(d)) / q for nonzero q, s = isqrt(d) and d non-square."""
     if q > 0:
         return (p + s) // q
     return (-p - s - 1) // (-q)
@@ -226,17 +218,12 @@ class Surd:
         return Surd(-self.p, self.d, -self.q)
 
     def floor(self) -> int:
-        return _floor_surd(self.p, self.d, self.q)
+        return _floor_surd(self.p, isqrt(self.d), self.q)
 
 
 def is_reduced(x: Surd) -> bool:
     """True iff x > 1 and its Galois conjugate lies strictly in (-1, 0)."""
-    qs = (x.q > 0) - (x.q < 0)
-    if _sign_linear(x.p - x.q, 1, x.d) * qs <= 0:  # x > 1
-        return False
-    if _sign_linear(x.p, -1, x.d) * qs >= 0:  # conjugate < 0
-        return False
-    return _sign_linear(x.p + x.q, -1, x.d) * qs > 0  # conjugate > -1
+    return _reduced(x.p, x.q, isqrt(x.d))
 
 
 def fixed_point(m: Mat2) -> Surd:
@@ -262,18 +249,19 @@ def cf_expand(x: Surd) -> tuple[tuple[int, ...], Word]:
     violation; past CF_MAX_STEPS digits, CapExceededError.
     """
     p, d, q = x.p, x.d, x.q
+    s = isqrt(d)  # every floor and reducedness test reads this one root
     guard = 2 * d + 2 * abs(q).bit_length() + 4
     stop = min(guard, CF_MAX_STEPS)
     digits: list[int] = []
     start = state = None  # where the period starts, and its first state
     while (p, q) != state:
-        if state is None and is_reduced(Surd(p, d, q)):
+        if state is None and _reduced(p, q, s):
             start, state = len(digits), (p, q)
         if len(digits) > stop:
             if stop == guard:
                 raise InternalInvariantError("continued fraction failed to cycle")
             raise CapExceededError(f"continued fraction of {x} exceeds cap {CF_MAX_STEPS} digits")
-        a = _floor_surd(p, d, q)
+        a = _floor_surd(p, s, q)
         digits.append(a)
         p = a * q - p
         q = (d - p * p) // q

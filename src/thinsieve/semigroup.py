@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, isfinite, isqrt, sqrt
+from math import ceil, floor, isfinite, isqrt, sqrt
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -83,11 +83,12 @@ class SemigroupElement:
 
 
 def _norm_sq_cap(norm: float, strict: bool = False) -> int:
-    """Integer cap for ||g||^2 <= norm^2 (norms on the grid are exact in floats),
-    or with strict, ceil(norm^2) - 1 for the open ball ||g|| < norm."""
+    """Integer cap floor(norm^2) for the closed ball ||g|| <= norm, or with
+    strict, ceil(norm^2) - 1 for the open ball ||g|| < norm; norm^2 is exact."""
     if not (isfinite(norm * norm) and norm >= 0):  # nan fails both; 1e200 squares to inf
         raise ValueError(f"norm must be >= 0 with a finite square, got {norm!r}")
-    return ceil(norm * norm) - 1 if strict else round(norm * norm)
+    square = Fraction(norm) ** 2
+    return ceil(square) - 1 if strict else floor(square)
 
 
 def iter_ball(alphabet: int, norm_sq_cap: int, parity: str = "even") -> Iterator[SemigroupElement]:

@@ -14,11 +14,11 @@ prime of q, keeps those of its parent's values that p divides.  The small
 primes divide the most values, and they are the ones with few primes left
 below them, so the largest nodes have the fewest children.  |A_q| is one sum of
 multiplicities per node, with no gcd or factorisation of a value, and the
-walk holds one index array per level.  Each node also carries beta(q), the
-product of its primes' local densities.  A_q and the almost-prime census
-take the same per-prime masks.  Python-int values are reduced modulo a product
-of primes below 2^62 first, so each prime is tested in int64.
-Square-freeness of t^2 - 4 is decided by trial division.
+walk holds one index array per level.  The expectations beta(q) |source| come
+from `modular.densities`, one sieve over the q < Q.  A_q and the almost-prime
+census take the same per-prime masks.  Python-int values are reduced modulo a
+product of primes below 2^62 first, so each prime is tested in int64.
+Square-freeness of t^2 - 4 is decided by `arith.is_squarefree`.
 """
 
 from __future__ import annotations
@@ -31,11 +31,11 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .arith import factorize, is_squarefree, primes_up_to
+from .arith import is_squarefree, primes_up_to
 from .cf import word_to_matrix
 from .errors import CapExceededError, InternalInvariantError
 from .forms import FormCycle, cycle, is_fundamental, matrix_to_form, reduce_form
-from .modular import DENSITY_MODULUS_CAP, beta
+from .modular import _check_modulus, densities
 from .semigroup import (
     _INT64_SAFE,
     BilinearSet,
@@ -174,10 +174,8 @@ def sift_values(source: BilinearSet | BallSource) -> SiftingSequence:
 
 def A_q(seq: SiftingSequence, q: int) -> int:
     """Total multiplicity of values divisible by q."""
-    if q < 1 or max((exponents := factorize(q)).values(), default=1) > 1:
-        raise ValueError(f"modulus must be square-free and positive, got {q}")
     hit = np.ones(len(seq.value), dtype=bool)
-    for divides in _masks(seq.value, list(exponents)):
+    for divides in _masks(seq.value, _check_modulus(q, q)):  # a count: no cap
         hit &= divides
     return int(seq.mult[hit].sum())
 
@@ -197,11 +195,10 @@ class RemainderProfile:
     source_size: int
 
 
-def _ledger_walk(seq: SiftingSequence, cutoff: int, primes: list[int], local: list[Fraction],
-                 found: dict[int, tuple[int, Fraction]], q: int, least: int,
-                 idx: np.ndarray | None) -> None:
-    """Enter in found every child q p < cutoff of q, for p below q's least prime
-    (primes[:least]), and every child of theirs in turn.  idx holds the indices
+def _ledger_walk(seq: SiftingSequence, cutoff: int, primes: list[int], found: dict[int, int],
+                 q: int, least: int, idx: np.ndarray | None) -> None:
+    """Enter in found |A_q p| for every child q p < cutoff of q, for p below q's
+    least prime (primes[:least]), and every child of theirs in turn.  idx holds the indices
     of the values q divides, None at the root for all of them.  A module-level
     function, not a closure that calls itself, so no reference cycle keeps seq
     alive after the walk."""
@@ -211,27 +208,26 @@ def _ledger_walk(seq: SiftingSequence, cutoff: int, primes: list[int], local: li
         hit = np.flatnonzero(divides)
         hit = hit if idx is None else idx[hit]
         child = q * primes[i]
-        found[child] = int(seq.mult[hit].sum()), found[q][1] * local[i]
-        _ledger_walk(seq, cutoff, primes, local, found, child, i, hit)
+        found[child] = int(seq.mult[hit].sum())
+        _ledger_walk(seq, cutoff, primes, found, child, i, hit)
 
 
 def remainder_profile(seq: SiftingSequence, cutoff: int) -> RemainderProfile:
     """Rows (q, |A_q|, beta(q)|source|, r(q)) for all square-free q < cutoff."""
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
-    if cutoff - 1 > DENSITY_MODULUS_CAP:
-        raise CapExceededError(f"modulus {cutoff - 1} exceeds cap {DENSITY_MODULUS_CAP}")
+    moduli, num, den, _ = densities(cutoff - 1)  # beta(q) = num / den; checks the cap
     primes = primes_up_to(cutoff - 1)
-    local = [beta(p) for p in primes]  # beta is multiplicative
-    found = {1: (int(seq.mult.sum()), Fraction(1))}  # q -> (|A_q|, beta(q))
-    _ledger_walk(seq, cutoff, primes, local, found, 1, len(primes), None)
+    found = {1: int(seq.mult.sum())}  # q -> |A_q|
+    _ledger_walk(seq, cutoff, primes, found, 1, len(primes), None)
+    if len(found) != len(moduli):
+        raise InternalInvariantError(f"ledger found {len(found)} moduli, densities {len(moduli)}")
     rows = []
     total = Fraction(0)
-    for q in sorted(found):
-        count, density = found[q]
-        expected = density * seq.source_size
-        r = count - expected
-        rows.append(RemainderRow(q, count, expected, r))
+    for q, n, m in zip(moduli.tolist(), num.tolist(), den.tolist()):
+        expected = Fraction(n * seq.source_size, m)
+        r = found[q] - expected
+        rows.append(RemainderRow(q, found[q], expected, r))
         total += abs(r)
     return RemainderProfile(tuple(rows), total / seq.source_size, seq.source_size)
 

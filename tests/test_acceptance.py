@@ -56,7 +56,7 @@ D1337_PERIOD = (1, 1, 2, 17, 1, 8, 5, 8, 1, 17, 2, 1, 1, 3, 1, 35, 1, 3)
 
 def naive_bfs_even_words(alphabet, norm):
     """Layer-by-layer enumeration with no pruning (independent oracle)."""
-    cap = round(norm * norm)
+    cap = math.floor(Fraction(norm) ** 2)
     out = []
     frontier = [((), (1, 0, 0, 1))]
     while frontier:

@@ -2,12 +2,16 @@ import gc
 import tracemalloc
 import weakref
 from functools import partial
+from math import isqrt
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thinsieve.arith import LEAF, iroot, pairwise_sum
+import thinsieve.arith as arith
+from thinsieve.arith import LEAF, iroot, is_squarefree, pairwise_sum, primes_up_to
+from thinsieve.errors import CapExceededError
 
 # item counts around numpy's unroll (8 scalars), its block (128) and LEAF; a
 # complex128 item is 2 scalars, so LEAF // 2 items is one full complex leaf
@@ -72,6 +76,12 @@ def test_iroot_equals_the_integer_root():
         for k in range(1, 12):
             r = iroot(n, k)
             assert r**k <= n < (r + 1) ** k, (n, k)
+    # about the float path's bound 2^52, near the cube 165,140^3 and at 2^52 - 1
+    for root in (165_139, 165_140, 165_141, 2**13, 2**26):
+        for k in (2, 3, 4):
+            for n in (root**k - 1, root**k, root**k + 1, 2**52 - 1, 2**52):
+                r = iroot(n, k)
+                assert r**k <= n < (r + 1) ** k, (n, k)
 
 
 def test_iroot_below_2_forms_no_power_of_2():
@@ -84,3 +94,56 @@ def test_iroot_below_2_forms_no_power_of_2():
     finally:
         tracemalloc.stop()
     assert peak < 10**5
+
+
+def is_squarefree_oracle(n):
+    """Trial division by every prime up to the square root of what is left of n."""
+    if n < 1:
+        return False
+    for p in primes_up_to(isqrt(n)):
+        if p * p > n:
+            break
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return False
+    return True
+
+
+_PRIMES = primes_up_to(2000)
+
+
+@settings(max_examples=400)
+@given(st.one_of(
+    st.integers(-5, 10**12),
+    # p^2 m, with p up to 2000 so the square sits above the cube root of small m
+    st.builds(lambda p, m: p * p * m, st.sampled_from(_PRIMES), st.integers(1, 10**6)),
+    # p q and p^2 for primes near the cube root: the cofactors the test must tell apart
+    st.builds(lambda p, q: p * q, st.sampled_from(_PRIMES[-50:]), st.sampled_from(_PRIMES)),
+))
+def test_is_squarefree_equals_trial_division_to_the_square_root(n):
+    assert is_squarefree(n) == is_squarefree_oracle(n)
+
+
+def test_is_squarefree_past_the_cube_root():
+    # the cofactor above the cube root is 1, p, p q or p^2
+    p, q = 1_000_003, 999_983
+    assert is_squarefree(p * q) and is_squarefree(2 * p) and is_squarefree(p)
+    assert not is_squarefree(p * p) and not is_squarefree(3 * p * p)
+    assert [n for n in range(1, 30) if not is_squarefree(n)] == [
+        4, 8, 9, 12, 16, 18, 20, 24, 25, 27, 28]
+
+
+def test_prime_table_stops_at_its_cap(monkeypatch):
+    monkeypatch.setattr(arith, "PRIME_TABLE_CAP", 1000)
+    monkeypatch.setattr(arith, "_primes", arith._primes[:11])  # the table to 31
+    monkeypatch.setattr(arith, "_sieved_to", 31)
+    assert primes_up_to(600)[-1] == 599
+    assert arith._sieved_to == 600
+    assert primes_up_to(1000)[-1] == 997
+    assert arith._sieved_to == 1000  # doubling 600 stops at the cap
+    with pytest.raises(CapExceededError, match="exceeds cap 1000"):
+        primes_up_to(1001)
+    with pytest.raises(CapExceededError, match="exceeds cap"):
+        is_squarefree(10**30)  # cube root 10^10
+    assert arith._sieved_to == 1000

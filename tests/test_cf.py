@@ -2,7 +2,7 @@ import math
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import thinsieve.cf as cf
@@ -222,6 +222,63 @@ def test_is_reduced_examples():
     assert is_reduced(Surd(1, 5, 2))
     assert is_reduced(Surd(35, 1365, 70))
     assert not is_reduced(Surd(-27, 1337, 38))
+
+
+def _sign_linear(u, v, d):
+    """Exact sign of u + v*sqrt(d) for positive non-square d, by comparing squares."""
+    if v == 0:
+        return (u > 0) - (u < 0)
+    if v > 0:
+        if u >= 0:
+            return 1
+        return 1 if v * v * d > u * u else -1
+    if u <= 0:
+        return -1
+    return 1 if u * u > v * v * d else -1
+
+
+def is_reduced_oracle(x):
+    """x > 1 and -1 < x' < 0, each decided by the sign of a linear form in sqrt(d)."""
+    qs = (x.q > 0) - (x.q < 0)
+    return (_sign_linear(x.p - x.q, 1, x.d) * qs > 0  # x > 1
+            and _sign_linear(x.p, -1, x.d) * qs < 0  # conjugate < 0
+            and _sign_linear(x.p + x.q, -1, x.d) * qs > 0)  # conjugate > -1
+
+
+@st.composite
+def surds_about_the_root(draw):
+    """Normalized (p + sqrt(d))/q for non-square d, with q of both signs and p
+    and q drawn on both sides of -sqrt(d), 0 and sqrt(d), and q also near
+    sqrt(d) - p and sqrt(d) + p, where reducedness changes."""
+    d = draw(st.integers(2, 5000).filter(lambda d: math.isqrt(d) ** 2 != d))
+    s = math.isqrt(d)
+
+    def near(*centres):  # within 3 of a centre, or anywhere in [-3s - 3, 3s + 3]
+        if draw(st.booleans()):
+            return draw(st.sampled_from(centres)) + draw(st.integers(-3, 3))
+        return draw(st.integers(-3 * s - 3, 3 * s + 3))
+
+    p = near(-2 * s, -s, 0, s, 2 * s)
+    q = near(-2 * s, -s, s, 2 * s, s - p, s + p, p - s, -s - p)
+    assume(q != 0)
+    return Surd.make(p, d, q)  # rescales by |q| when q does not divide d - p^2
+
+
+@given(surds_about_the_root())
+@settings(max_examples=300)
+def test_reducedness_from_the_root_equals_the_sign_analysis(x):
+    want = is_reduced_oracle(x)
+    assert cf._reduced(x.p, x.q, math.isqrt(x.d)) == want
+    assert is_reduced(x) == want
+
+
+def test_reduced_states_of_sqrt_7():
+    # every normalized state in a window around the root s = 2: four are reduced
+    d = 7
+    states = [(p, q) for p in range(-9, 10) for q in range(-9, 10) if q and (d - p * p) % q == 0]
+    assert [(p, q) for p, q in states if is_reduced_oracle(Surd(p, d, q))] == [
+        (1, 2), (1, 3), (2, 1), (2, 3)]
+    assert all(cf._reduced(p, q, 2) == is_reduced_oracle(Surd(p, d, q)) for p, q in states)
 
 
 @given(surds())

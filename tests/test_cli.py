@@ -544,8 +544,9 @@ def test_caps_exit_3_before_the_loops(tmp_path, monkeypatch, capsys, argv, untou
 
 
 # over their caps, exit 3 at once: reduced_forms checks the discriminant before
-# it enumerates, dimension its depth before it forms alphabet^depth, and expsum
-# its prime and sample count before the Kloosterman rows
+# it enumerates, dimension its depth before it forms alphabet^depth, expsum
+# its prime and sample count before the Kloosterman rows, and the prime table
+# its bound before it allocates
 OVER_CAP_INPUTS = [
     ["class-cycles", "--disc", "1000000000000000000000"],
     ["class-cycles", "--disc", "1000000001"],
@@ -558,6 +559,8 @@ OVER_CAP_INPUTS = [
     ["aleph", "--bound", "1e6", "--modulus", "10000000000000061"],  # not factored
     ["build-pi", "--xi-bound", "40", "--aleph-bound", "1e6", "--omega-bound", "12",
      "--modulus", "1000000000001"],
+    ["almost-prime", "--norm", "10", "--threshold", "10000000000"],
+    ["almost-prime", "--norm", "10", "--threshold", "100000000000000000000"],
 ]
 
 
@@ -569,6 +572,23 @@ def test_over_cap_inputs_exit_3_at_once(tmp_path, monkeypatch, capsys, argv):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert "Traceback" not in err and ("exceeds cap" in err or "exceeds budget" in err)
+
+
+def test_squarefree_count_exits_3_past_the_prime_table(tmp_path, monkeypatch, capsys):
+    # alphabet 1 has 95 even words below norm 1e40, so no walk cap fires; the
+    # square-free test of a trace near 10^21 needs primes past the table's
+    # cap, which the smaller traces have sieved up to (0.4 s on a 2-vCPU VM)
+    import thinsieve.arith as arith
+
+    for name in ("_primes", "_sieved_to"):  # leave the table as it was found
+        monkeypatch.setattr(arith, name, getattr(arith, name))
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    assert run(["squarefree-count", "--alphabet", 1, "--norm", "1e40"]) == 3
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and f"exceeds cap {arith.PRIME_TABLE_CAP}" in err
+    assert arith._sieved_to == arith.PRIME_TABLE_CAP
 
 
 @pytest.mark.parametrize("depth", (92, 2000))

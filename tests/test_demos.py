@@ -1,6 +1,6 @@
 """The demos are scripts: each name one imports from thinsieve is checked
 here against the package without running the demo, and the demos that sift
-are run whole."""
+or expand continued fractions are run whole."""
 
 import ast
 import importlib
@@ -31,9 +31,10 @@ def test_demo_imports_resolve(demo):
             assert hasattr(module, alias.name), f"{demo.name}: {node.module}.{alias.name}"
 
 
-# the demos that sift: run whole, so a change to the sifting API that they use
-# fails here
-@pytest.mark.parametrize("name", ["bilinear_set.py", "sieve_remainders.py"])
+# the demos that sift, and the one that expands continued fractions (cf_expand,
+# fixed_point, Surd): run whole, so a change to an API that they use fails here
+@pytest.mark.parametrize("name", ["bilinear_set.py", "sieve_remainders.py",
+                                  "form_word_dictionary.py"])
 def test_sifting_demos_run(name, tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}

@@ -273,7 +273,7 @@ def count_merged_oracle(cycles: list[FormCycle], partner) -> int:
 
 def cycle_to_word_oracle(cy: FormCycle):
     d = cy.discriminant
-    return min(rotations(tuple(_floor_surd(f.b, d, 2 * abs(f.c)) for f in cy.forms)))
+    return min(rotations(tuple(_floor_surd(f.b, isqrt(d), 2 * abs(f.c)) for f in cy.forms)))
 
 
 def _assert_cycles_equal_the_oracles(d: int):

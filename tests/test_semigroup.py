@@ -1,5 +1,6 @@
 from collections import Counter
-from math import inf, prod
+from fractions import Fraction
+from math import floor, inf, prod
 from unittest import mock
 
 import numpy as np
@@ -36,7 +37,7 @@ GRID = [1e3, 10**3.5, 1e4, 10**4.5, 1e5]
 
 def naive_bfs_even_words(alphabet, norm):
     """Layer-by-layer enumeration with no pruning (oracle)."""
-    cap = round(norm * norm)
+    cap = floor(Fraction(norm) ** 2)
     out = []
     frontier = [((), (1, 0, 0, 1))]
     while frontier:
@@ -56,7 +57,7 @@ def naive_bfs_even_words(alphabet, norm):
 def ball_oracle(alphabet, norm, parity="even"):
     """Recursive norm-pruned walk (oracle): the closed ball's words in
     lexicographic order, each word before its extensions."""
-    cap, want_even, out = round(norm * norm), parity == "even", []
+    cap, want_even, out = floor(Fraction(norm) ** 2), parity == "even", []
 
     def walk(word, a, b, c, d):
         for g in range(1, alphabet + 1):
@@ -107,6 +108,16 @@ def test_ball_examples():
     # alphabet 1: powers of [[1,1],[1,0]]^2 with Fibonacci entries
     fibs = [e.matrix.entries() for e in enumerate_ball(1, 100)]
     assert fibs == [(2, 1, 1, 1), (5, 3, 3, 2), (13, 8, 8, 5), (34, 21, 21, 13)]
+
+
+def test_radius_is_squared_exactly():
+    # 2.4^2 = 5.76 rounds to 6, the norm^2 of (2,); 216.485...^2 = 46865.85 rounds
+    # to 46866, which two words of alphabet 3 reach
+    assert [e.word for e in enumerate_ball(3, 2.4, "any")] == [(1,)]
+    assert ball_count(3, 216.48521879729068, "any") == 1880
+    assert len(ball_oracle(3, 216.48521879729068, "any")) == 1880
+    assert [semigroup._norm_sq_cap(r, strict) for r in (2.4, 3) for strict in (False, True)] == [
+        5, 5, 9, 8]
 
 
 def test_ball_matches_counts():

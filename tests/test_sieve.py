@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from thinsieve import sieve
 from thinsieve.arith import is_squarefree, primes_up_to
 from thinsieve.cf import word_to_matrix
-from thinsieve.errors import CapExceededError
+from thinsieve.errors import CapExceededError, InternalInvariantError
 from thinsieve.forms import is_fundamental
 from thinsieve.modular import DENSITY_MODULUS_CAP, beta
 from thinsieve.semigroup import (
@@ -306,6 +306,16 @@ def test_remainder_profile_checks_the_density_cap_first():
     seq = SiftingSequence.from_values([5])
     with pytest.raises(CapExceededError, match="exceeds cap"):
         remainder_profile(seq, DENSITY_MODULUS_CAP + 2)  # q = 1000001 = 101 * 9901
+
+
+def test_remainder_profile_checks_the_walk_against_the_density_sieve(monkeypatch):
+    # the rows take beta(q) from densities; a sieve that misses a modulus the
+    # walk reaches is an invariant violation, not a KeyError
+    seq = _sift_words([(1, 1), (1, 35), (5, 7), (2, 3)])
+    full = sieve.densities
+    monkeypatch.setattr(sieve, "densities", lambda n: tuple(a[:-1] for a in full(n)))
+    with pytest.raises(InternalInvariantError, match="ledger found 61 moduli, densities 60"):
+        remainder_profile(seq, 100)
 
 
 def test_remainder_profile_on_pi_at_cutoff_1000():
