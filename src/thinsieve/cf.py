@@ -1,10 +1,12 @@
-"""Exact continued fractions for quadratic irrationals, and the word/matrix dictionary.
+"""Exact continued fractions for quadratic irrationals, and the word/matrix/surd dictionary.
 
 A *word* is a tuple of integer partial quotients a_j >= 1; it maps to the
-integer matrix  prod_j [[a_j, 1], [1, 0]],  whose determinant is (-1)^len.
-Quadratic irrationals are kept as exact surds (p + sqrt(d))/q, and every
-predicate on them (floors, reducedness) is decided in integer arithmetic from
-one root isqrt(d) -- no floating point enters any decision.
+integer matrix  prod_j [[a_j, 1], [1, 0]],  whose determinant is (-1)^len, and
+is read back from the matrix's first column.  A hyperbolic matrix fixes the
+exact surd (p + sqrt(d))/q of fixed_point, and every predicate on surds
+(floors, reducedness) is decided in integer arithmetic from one root isqrt(d)
+-- no floating point enters any decision.  forms and geodesics take each of
+these steps from here.
 """
 
 from __future__ import annotations
@@ -129,33 +131,26 @@ def word_to_matrix(word) -> Mat2:
 def word_from_matrix(m: Mat2) -> Word | None:
     """Inverse of word_to_matrix, or None when m is not a product of generators.
 
-    Digits are read off the Euclidean expansion of a/b.  A rational has two
-    continued fractions (the last digit may split as x = (x-1) + 1/1), so both
-    candidates are checked against m; the generators form a free semigroup, so
-    at most one can match.
+    The first column has a/c = [g1; g2, ..., gn], so Euclid on (a, c) reads the
+    digits left to right.  Its last quotient g may also end the word as
+    (g - 1, 1); the determinant (-1)^n settles which.  The one candidate is
+    checked against m: the generators form a free semigroup, so it is the word
+    whenever m has one.
     """
     if m == IDENTITY:
         return ()
-    a, b = m.a, m.b
-    if a < 1 or b < 1 or b > a:
+    x, y = m.a, m.c
+    if x < 1 or y < 1:
         return None
-    quotients = []
-    x, y = a, b
+    digits = []
     while y:
-        quotients.append(x // y)
-        x, y = y, x - (x // y) * y
-    if x != 1:  # gcd(a, b) must be 1 for a unimodular product
-        return None
-    candidates = [quotients]
-    if quotients[-1] >= 2:
-        candidates.append(quotients[:-1] + [quotients[-1] - 1, 1])
-    elif len(quotients) >= 2:
-        candidates.append(quotients[:-2] + [quotients[-2] + 1])
-    for q in candidates:
-        w = tuple(reversed(q))
-        if all(digit >= 1 for digit in w) and _continuants(w) == (m.a, m.b, m.c, m.d):
-            return w
-    return None
+        digits.append(x // y)
+        x, y = y, x % y
+    if (len(digits) % 2 == 0) != (m.det == 1):
+        digits[-1] -= 1
+        digits.append(1)
+    w = tuple(digits)
+    return w if min(w) >= 1 and _continuants(w) == m.entries() else None
 
 
 def _continuants(word: Word) -> tuple[int, int, int, int]:
@@ -227,14 +222,13 @@ def is_reduced(x: Surd) -> bool:
 
 
 def fixed_point(m: Mat2) -> Surd:
-    """Attracting fixed point (a - d + sqrt(tr^2 - 4)) / (2c) of a hyperbolic matrix."""
+    """Attracting fixed point (a - d + sqrt(tr^2 - 4)) / (2c) of a hyperbolic matrix;
+    c != 0, as a determinant-1 integer matrix with c = 0 has trace +-2."""
     if m.det != 1:
         raise ValueError("fixed points are defined for determinant +1 matrices")
     t = m.trace
     if t * t <= 4:
         raise ValueError("not hyperbolic")
-    if m.c == 0:
-        raise ValueError("fixed point at infinity")
     return Surd(m.a - m.d, t * t - 4, 2 * m.c)
 
 

@@ -30,13 +30,13 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from . import __version__
-from .arith import is_prime
+from .arith import is_prime, primes_up_to
 from .cf import parse_word, serialize_word
 from .dimension import asymptote, estimate
 from .errors import CapExceededError, ConfigError, InternalInvariantError
 from .forms import class_cycles, count_mirror_merged, count_sign_merged, cycle_to_word
 from .geodesics import emit_arcs, geodesic_profile
-from .modular import DEFAULT_MODULUS_CAP, densities, kloosterman, sl2_charsum
+from .modular import DEFAULT_MODULUS_CAP, DENSITY_MODULUS_CAP, densities, kloosterman, sl2_charsum
 from .semigroup import (
     _ball_words,
     _norm_sq_cap,
@@ -329,6 +329,8 @@ def _sift(a):
 
 
 def _remainder_ledger(a) -> Table:
+    if a.cutoff - 1 > DENSITY_MODULUS_CAP:  # the densities' cap, before the sift
+        raise CapExceededError(f"modulus {a.cutoff - 1} exceeds cap {DENSITY_MODULUS_CAP}")
     profile = remainder_profile(_sift(a), a.cutoff)
     rows = [[r.q, r.count, _frac(r.expected), _frac(r.remainder)] for r in profile.rows]
     rows.append(["summary", profile.source_size, "", _frac(profile.summary)])
@@ -336,6 +338,7 @@ def _remainder_ledger(a) -> Table:
 
 
 def _almost_primes(a) -> Table:
+    primes_up_to(a.threshold)  # the table the census reads: its cap, before the sift
     seq = _sift(a)
     count = almost_prime_census(seq, a.threshold)
     return Table(["alphabet", "norm", "threshold", "count", "source_size"],

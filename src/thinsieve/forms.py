@@ -5,7 +5,9 @@ discriminant.  Reduction uses the classical step
     rho([A, B, C]) = [C, r, (r^2 - D) / (4C)],
 with r = -B mod 2|C| shifted into the reduced window; iterating rho from any
 form reaches a reduced form, and on reduced forms rho walks the (even-length)
-cycle that realises one proper equivalence class.
+cycle that realises one proper equivalence class.  A form is reduced exactly
+when its root (B + sqrt(D))/(2|A|) is a reduced surd, so cf decides it, and a
+matrix's form is read off its cf.fixed_point.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from math import isqrt
 import numpy as np
 
 from .arith import is_squarefree
-from .cf import Mat2, Word, canonical_rotation
+from .cf import Mat2, Word, _reduced, canonical_rotation, fixed_point
 from .errors import CapExceededError, InternalInvariantError
 
 # largest discriminant reduced_forms enumerates: its windows hold about d/4
@@ -64,27 +66,16 @@ def is_fundamental(d: int) -> bool:
 
 
 def matrix_to_form(m: Mat2) -> Form:
-    """The form [c, d-a, -b] fixed by a hyperbolic matrix; its root is fixed_point(m)."""
-    if m.det != 1:
-        raise ValueError("matrix must have determinant +1")
-    t = m.trace
-    if t * t <= 4:
-        raise ValueError("not hyperbolic")
-    if m.c == 0:
-        raise ValueError("matrix fixes infinity; no associated form")
-    return Form(m.c, m.d - m.a, -m.b)
+    """The form [c, d-a, -b] fixed by a hyperbolic matrix: the form whose root is
+    x = fixed_point(m) = (a - d + sqrt(D)) / (2c)."""
+    x = fixed_point(m)
+    return Form(x.q // 2, -x.p, -m.b)
 
 
 def is_reduced_form(f: Form) -> bool:
-    """Classical reduced predicate: 0 < B < sqrt(D) and sqrt(D) - B < 2|A| < sqrt(D) + B."""
-    d = f.discriminant
-    s = isqrt(d)
-    if f.b <= 0 or f.b > s:
-        return False
-    t = 2 * abs(f.a)
-    if d >= (t + f.b) ** 2:  # need sqrt(D) < 2|A| + B
-        return False
-    return t <= f.b or (t - f.b) ** 2 < d  # need 2|A| - B < sqrt(D)
+    """[A, B, C] is reduced exactly when its root (B + sqrt(D)) / (2|A|) is a reduced
+    surd: 0 < B < sqrt(D) and sqrt(D) - B < 2|A| < sqrt(D) + B."""
+    return _reduced(f.b, 2 * abs(f.a), isqrt(f.discriminant))
 
 
 def _rho(a: int, b: int, c: int, d: int, s: int) -> tuple[int, int, int]:
@@ -106,14 +97,15 @@ def rho(f: Form) -> Form:
 
 def reduce_form(f: Form) -> Form:
     """Iterate rho until the reduced window is reached."""
-    steps = 0
-    limit = 64 + 2 * max(abs(f.a), abs(f.b), abs(f.c)).bit_length()
-    while not is_reduced_form(f):
-        f = rho(f)
-        steps += 1
-        if steps > limit:
-            raise InternalInvariantError("reduction failed to terminate")
-    return f
+    d = f.discriminant
+    s = isqrt(d)
+    g = f.coefficients()
+    limit = 64 + 2 * max(map(abs, g)).bit_length()
+    for _ in range(limit + 1):
+        if _reduced(g[1], 2 * abs(g[0]), s):
+            return Form(*g)
+        g = _rho(*g, d, s)
+    raise InternalInvariantError("reduction failed to terminate")
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ whose conjugate lies in (-1, 0); the semicircle joining the two has apex
 height (alpha - conj) / 2 = sqrt(tr^2 - 4) / (2c).  The largest apex over all
 rotations is the cusp-excursion proxy: it is sandwiched between a_max / 2 and
 (a_max + 2) / 2, so bounded digits and bounded height are interchangeable.
+Rotation i fixes the i-th complete quotient (p_i + sqrt(D))/q_i of the word's
+fixed point, with q_i = 2 c_i, so one surd orbit gives every arc.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import sqrt
 
-from .cf import Word, check_word, rotations, word_to_matrix
+from .cf import Word, check_word, fixed_point, word_to_matrix
 
 
 @dataclass(frozen=True)
@@ -24,18 +26,23 @@ class GeodesicProfile:
 
 
 def _arcs(word) -> tuple[int, list[tuple[float, float]]]:
-    """tr^2 - 4 and the (center, radius) of each rotation's semicircle: the
-    center (alpha + conj)/2 = P/(2c), the radius (apex height) sqrt(D)/(2c)."""
+    """D = tr^2 - 4 and the (center, radius) of each rotation's semicircle: the
+    center (alpha + conj)/2 = p/q, the radius (apex height) sqrt(D)/q, or past
+    1,023 bits, where D has no float, the root of the rounded quotient D / q^2."""
     w = check_word(word)
     if not w:
         raise ValueError("empty word")
     if len(w) % 2 != 0:
         raise ValueError("word must have even length (determinant +1)")
-    ms = [word_to_matrix(r) for r in rotations(w)]
-    d = ms[0].trace * ms[0].trace - 4
-    if d <= 0:
-        raise ValueError("non-hyperbolic word")
-    return d, [((m.a - m.d) / (2 * m.c), sqrt(d) / (2 * m.c)) for m in ms]
+    x = fixed_point(word_to_matrix(w))
+    p, d, q = x.p, x.d, x.q
+    wide = d.bit_length() > 1023  # no float holds D
+    arcs = []
+    for g in w:
+        arcs.append((p / q, sqrt(d / (q * q)) if wide else sqrt(d) / q))
+        p = g * q - p
+        q = (d - p * p) // q
+    return d, arcs
 
 
 def rotation_heights(word) -> list[float]:

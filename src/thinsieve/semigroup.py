@@ -86,7 +86,7 @@ def _norm_sq_cap(norm: float, strict: bool = False) -> int:
     """Integer cap floor(norm^2) for the closed ball ||g|| <= norm, or with
     strict, ceil(norm^2) - 1 for the open ball ||g|| < norm; norm^2 is exact."""
     if not (isfinite(norm * norm) and norm >= 0):  # nan fails both; 1e200 squares to inf
-        raise ValueError(f"norm must be >= 0 with a finite square, got {norm!r}")
+        raise ValueError(f"norm {norm!r} must be >= 0 with a finite square; a larger one overflows")
     square = Fraction(norm) ** 2
     return ceil(square) - 1 if strict else floor(square)
 
@@ -536,31 +536,29 @@ def aleph_construct(norm_bound: float, modulus: int = 2) -> AlephSet:
 
     With B = 1 the construction degenerates to the plain even ball.
     """
-    if not isfinite(norm_bound * norm_bound):
-        raise ValueError(f"norm bound {norm_bound} is too large: its square overflows")
+    closed, inside = _norm_sq_cap(norm_bound), _norm_sq_cap(norm_bound, strict=True)
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
     if modulus > ALEPH_MODULUS_CAP:
         raise CapExceededError(f"modulus {modulus} exceeds cap {ALEPH_MODULUS_CAP}")
     R = sl2_order(modulus)  # also validates square-freeness
     if modulus == 1:
-        els = tuple(iter_ball(2, _norm_sq_cap(norm_bound, strict=True), "even"))
+        els = tuple(iter_ball(2, inside, "even"))
         if not els:
             raise ValueError("ball too small; increase the norm bound")
         return AlephSet(els, 1, 1, len(els), int(norm_bound), None, ())
-    target = norm_bound * norm_bound
     # the pivot ball ||g|| < u below holds the least even word, (1, 1) of norm^2 7,
     # only if u >= 3; as xmax_sq >= 2, u is at most the root at 2: decided before
     # the walk over SL2(Z/B), at this bound and at every finite one (square < 2^1024)
-    if (most := iroot(int(target) // 2, 2 * R)) < 3:
+    if (most := iroot(closed // 2, 2 * R)) < 3:
         fix = ("impossible: no finite norm bound reaches" if iroot(1 << 1023, 2 * R) < 3
                else f"the norm bound to at least {sqrt(2 * 9**R):.4g} for")
         raise ValueError(f"ball too small at pivot {max(1, most)}; increase {fix} "
                          f"modulus {modulus}")
     reps = _residue_representatives(modulus)
     xmax_sq = max(e.norm_sq for e in reps)
-    # largest u with u^(2R) * xmax_sq <= target, at least 1; the left side is an integer
-    u = max(1, iroot(int(target) // xmax_sq, 2 * R))
+    # largest u with u^(2R) * xmax_sq <= norm_bound^2, at least 1; the left side is an integer
+    u = max(1, iroot(closed // xmax_sq, 2 * R))
     base = list(iter_ball(2, u * u - 1, "even"))
     if not base:
         raise ValueError(f"ball too small at pivot {u}; increase the norm bound")
@@ -580,7 +578,7 @@ def aleph_construct(norm_bound: float, modulus: int = 2) -> AlephSet:
         for x in reps:
             elements.append(SemigroupElement(stem_word + x.word, stem_matrix * x.matrix))
     for e in elements:
-        if e.norm_sq >= target:
+        if e.norm_sq > inside:
             raise InternalInvariantError("constructed element escaped the norm bound")
     return AlephSet(tuple(elements), modulus, R, top, u, pilot, tuple(reps))
 

@@ -31,7 +31,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .arith import is_squarefree, primes_up_to
+from .arith import iroot, is_squarefree, primes_up_to
 from .cf import word_to_matrix
 from .errors import CapExceededError, InternalInvariantError
 from .forms import FormCycle, cycle, is_fundamental, matrix_to_form, reduce_form
@@ -251,7 +251,9 @@ def _squarefree_trace(t: int) -> bool:
 
 
 def count_squarefree(traces, mult) -> int:
-    """Total multiplicity of the traces t with t^2 - 4 square-free."""
+    """Total multiplicity of the traces t with t^2 - 4 square-free.  The largest odd
+    t asks for its primes first, so a table past the cap fails before any test."""
+    primes_up_to(iroot(int(traces[traces % 2 == 1].max(initial=0)) + 2, 3))
     return sum(m for t, m in zip(traces.tolist(), mult.tolist()) if _squarefree_trace(t))
 
 

@@ -80,6 +80,21 @@ def test_geodesic_profile_and_arcs(tmp_path):
     assert payload["max_height"] == pytest.approx(18.472953201911167)
 
 
+@pytest.mark.parametrize("digit, length", [(9, 200), (1, 2000)])
+def test_geodesic_of_a_word_past_the_float_range(tmp_path, capsys, digit, length):
+    # D = tr^2 - 4 has more than 1,023 bits, so no float holds it; each
+    # rotation of a constant word a...a has its height in (a/2, (a + 2)/2)
+    word = ",".join([str(digit)] * length)
+    arcs, profile = tmp_path / "arcs.csv", tmp_path / "profile.json"
+    assert run(["geodesic", "--word", word, "--emit", arcs]) == 0
+    assert run(["geodesic", "--word", word, "--emit", profile]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    radii = [float(row["radius"]) for row in csv.DictReader(arcs.open())]
+    heights = json.loads(profile.read_text())["rotation_heights"]
+    assert len(radii) == len(heights) == length
+    assert all(digit / 2 < h < (digit + 2) / 2 for h in radii + heights)
+
+
 def test_dimension_and_expsum(tmp_path):
     out = tmp_path / "dim.csv"
     assert run(["dimension", "--alphabets", "2", "--depth", 8, "--output", out]) == 0
@@ -519,6 +534,9 @@ def test_parser_help_and_usage_exit_codes(capsys, argv, code):
         assert "usage: thinsieve densities" in out + err
 
 
+# a Pi that takes about 2 s to build and sift
+PI_OVER_CAP = ["--alphabet", "2", "--xi-bound", "3000", "--omega-bound", "1000",
+               "--aleph-bound", "1e6"]
 # caps checked before any work: the patched library functions (in cli unless
 # a module is named) must never run
 CAPPED_INPUTS = [
@@ -526,6 +544,8 @@ CAPPED_INPUTS = [
     (["expsum", "--prime", "10007", "--samples", "1"], "kloosterman"),
     (["expsum", "--prime", "113", "--samples", "1001"], "kloosterman"),
     (["aleph", "--bound", "1e6", "--modulus", "10000000000000061"], "modular.factorize"),
+    (["sieve-remainders", "--use-pi", *PI_OVER_CAP, "--cutoff", "2000000"], "sift_values"),
+    (["almost-prime", "--use-pi", *PI_OVER_CAP, "--threshold", "10000000000"], "sift_values"),
 ]
 
 
@@ -576,19 +596,19 @@ def test_over_cap_inputs_exit_3_at_once(tmp_path, monkeypatch, capsys, argv):
 
 def test_squarefree_count_exits_3_past_the_prime_table(tmp_path, monkeypatch, capsys):
     # alphabet 1 has 95 even words below norm 1e40, so no walk cap fires; the
-    # square-free test of a trace near 10^21 needs primes past the table's
-    # cap, which the smaller traces have sieved up to (0.4 s on a 2-vCPU VM)
+    # square-free test of the largest odd trace, near 10^40, needs primes past
+    # the table's cap, and that is decided before any trace is tested
     import thinsieve.arith as arith
 
-    for name in ("_primes", "_sieved_to"):  # leave the table as it was found
-        monkeypatch.setattr(arith, name, getattr(arith, name))
+    monkeypatch.setattr(arith, "_primes", [p for p in arith._primes if p <= 31])
+    monkeypatch.setattr(arith, "_sieved_to", 31)
     monkeypatch.chdir(tmp_path)
     start = time.perf_counter()
     assert run(["squarefree-count", "--alphabet", 1, "--norm", "1e40"]) == 3
-    assert time.perf_counter() - start < 5.0
+    assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert "Traceback" not in err and f"exceeds cap {arith.PRIME_TABLE_CAP}" in err
-    assert arith._sieved_to == arith.PRIME_TABLE_CAP
+    assert arith._sieved_to == 31  # the table was not sieved
 
 
 @pytest.mark.parametrize("depth", (92, 2000))

@@ -100,6 +100,13 @@ def test_matrix_to_form_errors():
         matrix_to_form(Mat2(1, 1, 0, 1))  # parabolic
 
 
+@given(st.lists(st.tuples(st.integers(1, 40), st.integers(1, 40)), min_size=1, max_size=12))
+def test_matrix_to_form_reads_the_matrix(pairs):
+    w = sum(pairs, ())  # an even word
+    m = word_to_matrix(w)
+    assert matrix_to_form(m) == Form(m.c, m.d - m.a, -m.b)
+
+
 def test_disc_equals_trace_sq_minus_4_exhaustive():
     for length in (2, 4, 6, 8):
         for w in product((1, 2), repeat=length):
@@ -118,6 +125,24 @@ def test_fixed_point_is_root_exactly():
         rational = f.a * (p * p + d) + f.b * p * q + f.c * q * q
         radical = 2 * f.a * p + f.b * q
         assert rational == 0 and radical == 0
+
+
+def is_reduced_form_oracle(f: Form) -> bool:
+    """The classical window 0 < B < sqrt(D) and sqrt(D) - B < 2|A| < sqrt(D) + B,
+    squared out in integers."""
+    d = f.discriminant
+    s = isqrt(d)
+    if f.b <= 0 or f.b > s:
+        return False
+    t = 2 * abs(f.a)
+    if d >= (t + f.b) ** 2:  # need sqrt(D) < 2|A| + B
+        return False
+    return t <= f.b or (t - f.b) ** 2 < d  # need 2|A| - B < sqrt(D)
+
+
+@given(small_forms())
+def test_is_reduced_form_equals_the_window(f):
+    assert is_reduced_form(f) == is_reduced_form_oracle(f)
 
 
 def test_reduce_examples():

@@ -2,6 +2,8 @@ import math
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from thinsieve.cf import rotations, word_to_matrix
 from thinsieve.forms import class_cycles, cycle_to_word
@@ -12,6 +14,22 @@ from thinsieve.geodesics import (
     max_height,
     rotation_heights,
 )
+
+
+def arcs_by_rotation(w):
+    """(center, radius) of each rotation's semicircle, one matrix per rotation."""
+    ms = [word_to_matrix(r) for r in rotations(w)]
+    d = ms[0].trace ** 2 - 4
+    return [((m.a - m.d) / (2 * m.c), math.sqrt(d) / (2 * m.c)) for m in ms]
+
+
+even_words = st.lists(st.tuples(st.integers(1, 50), st.integers(1, 50)), min_size=1,
+                      max_size=30).map(lambda pairs: sum(pairs, ()))
+
+
+@given(even_words)
+def test_arcs_equal_one_matrix_per_rotation(w):
+    assert emit_arcs(w) == arcs_by_rotation(w)
 
 
 def test_rotation_heights_examples():

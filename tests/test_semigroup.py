@@ -493,6 +493,16 @@ def test_aleph_pivot_is_the_largest_fitting_power():
         assert aleph.pivot_bound == u
 
 
+def test_aleph_squares_its_bound_exactly():
+    # 53^12 * xmax_sq <= b^2 exactly, while the float b * b rounds below it
+    bound = 223849074677.97598
+    aleph = aleph_construct(bound, 2)
+    xmax_sq = max(e.norm_sq for e in aleph.residue_reps)
+    assert int(bound * bound) < 53 ** (2 * aleph.group_order) * xmax_sq <= Fraction(bound) ** 2
+    assert aleph.pivot_bound == 53
+    assert all(e.norm_sq < Fraction(bound) ** 2 for e in aleph)
+
+
 def test_aleph_huge_bound_reaches_the_ball_cap(monkeypatch):
     # the pivot comes from an integer root, so a huge finite bound meets the cap
     monkeypatch.setattr(semigroup, "DEFAULT_MAX_ELEMENTS", 10_000)
