@@ -371,12 +371,13 @@ def _arcs_or_profile(a):
     if Path(a.output).suffix != ".json":
         return Table(["center", "radius"], [[repr(c), repr(r)] for c, r in emit_arcs(word)])
     profile = geodesic_profile(word)
-    return {
+    rest = json.dumps({
         "period": serialize_word(profile.period),
         "rotation_heights": list(profile.rotation_heights),
         "max_height": profile.max_height,
-        "discriminant": profile.discriminant,
-    }
+    }, indent=2, sort_keys=True)
+    # json refuses an int past 4,300 digits, so D, whose key sorts first, goes through _decimal
+    return iter([f'{{\n  "discriminant": {_decimal(profile.discriminant)},{rest[1:]}\n'])
 
 
 _COMMON = (Flag("--config", help="key=value config file; explicit flags win"),

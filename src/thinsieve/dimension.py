@@ -18,20 +18,27 @@ pressure root from both sides:
 Brackets from depths k and k-1 are intersected.  This is a cylinder-sum
 method throughout; no transfer-operator discretisation is involved.
 
+Lengths.  No level of lengths is held: ``_Level`` forms those of a range of
+words, LEAF at a time for the sums and bins, from held prefix and suffix
+continuant pairs (at most 46,225 prefixes within the budget, at A = 215 and
+k = 3), every continuant exact: float64 below 2^53, Python ints past it.
+
 Certified signs.  Bisection reads only the sign of g(s) = log S(s) - sign s log C,
-S(s) = sum len^s, and S in full is np.power over all A^k lengths (added by
-``arith.pairwise_sum``, LEAF powers at a time, as numpy's sum of the whole
-array would add them).  So each depth is summarised once: x = -log(len) is
+S(s) = sum len^s, and S in full is np.power over all A^k lengths in word
+order (added by ``arith.pairwise_sum``, LEAF powers at a time, as numpy's
+sum of the whole array would add them).  s = 0 needs none: S(0) = A^k, and
+g(0) = log A^k is 0 for alphabet 1 and positive for any other.  Each depth
+is summarised once: x = -log(len) is
 cut into BINS equal bins [a, a + w] spanning [min x, max x], each keeping its
 count n and its mean as an offset m in [0, 1] bin widths from a.  min x and
-max x are -log of the longest and the shortest length, and the points are
-binned LEAF at a time.  As e^{-sx} is convex, a bin adds
-to S at least n e^{-s(a + m w)} (Jensen) and at most the chord value
-n e^{-sa} (1 - m (1 - e^{-sw})).  A midpoint whose lower bound gives
-g > MARGIN is +, one whose upper bound gives g < -MARGIN is -, and any
-other, like the endpoints s = 0 and 1, takes the full sum.  Every sign is
-then the one the full sum gives, so the bracket is bit for bit the full
-bisection's.
+max x are -log of the all-1 and the all-A word's lengths, the longest and
+the shortest (continuants increase in every digit, and rounding is
+monotone), and the points are binned LEAF at a time.  As e^{-sx} is convex,
+a bin adds to S at least n e^{-s(a + m w)} (Jensen) and at most the chord
+value n e^{-sa} (1 - m (1 - e^{-sw})).  A point s, a midpoint or the endpoint
+s = 1, whose lower bound gives g > MARGIN is +, one whose upper bound gives
+g < -MARGIN is -, and any other takes the full sum.  Every sign is then the
+one the full sum gives, so the bracket is bit for bit the full bisection's.
 
 Error budget (u = 2^-53; N <= DEPTH_BUDGET terms; x < 64, as
 x <= log 2 + 2k log(A + 1) when A^k <= DEPTH_BUDGET and A >= 2, while the
@@ -62,7 +69,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import expm1, isfinite, log, sqrt
-from typing import Iterator
 
 import numpy as np
 
@@ -73,6 +79,7 @@ from .errors import CapExceededError, InternalInvariantError
 DEPTH_BUDGET = 10**7
 MAX_DEPTH = 10**5  # deepest level; only alphabet 1 gets past depth 23 (about 0.8 s there)
 TOL_CAP = 1e-2  # coarsest bisection tolerance estimate accepts
+SPAN = 1 << 12  # most suffixes a level holds; see _Level
 BINS = 4096  # equal log-length bins of the certified-sign summary
 MARGIN = 1e-9  # slack on every certified sign; see the error budget above
 
@@ -95,12 +102,13 @@ def distortion_constant(alphabet: int) -> float:
     return 1.0 + (sqrt(a * a + 4.0 * a) - a) / 2.0
 
 
-def _fits_int64(alphabet: int, depth: int) -> bool:
-    """Whether every (q, r) formed up to depth stays below 2^62; the all-A word's is largest."""
+def _exact_in_float(alphabet: int, depth: int) -> bool:
+    """Whether every (q, r) formed up to depth stays below 2^53, so float64 steps
+    them exactly; the all-A word's is largest."""
     q, r = alphabet, alphabet + 1
     for _ in range(depth - 1):
         q, r = alphabet * q + r - q, alphabet * q + r
-        if r > 2**62:
+        if r >= 2**53:
             return False
     return True
 
@@ -114,22 +122,72 @@ def _step(q: np.ndarray, r: np.ndarray, digits: np.ndarray) -> tuple[np.ndarray,
     return (r - q[:, None]).ravel(), r.ravel()
 
 
-def _cylinder_lengths(alphabet: int, depth: int) -> Iterator[np.ndarray]:
-    """Float64 cylinder lengths of every word at depth k-1, then at depth k
-    (only k when k = 1), one level at a time.
+class _Level:
+    """The cylinder lengths of the A^k words of depth k, in lexicographic order,
+    formed a range at a time.
 
-    Words run in lexicographic order, and the length of a word with pair
-    (q, r) is 1 / (q r), taken as 1.0 / (float(q) * float(r)).  The caps are
-    checked and the pairs stepped by ``_step`` from the empty word's (1, 1) to
-    depth k-2 when this is called; each level is then filled from chunks of
-    those parents, stepped for their children, and at depth k those children
-    again for theirs.  A step forms at most LEAF children (one parent's
-    digits are split when A > LEAF), so no pair array of either level is
-    formed whole, and depth k is filled only once the caller asks for it,
-    after it has dropped depth k-1.  Continuants that could pass 2^62 (only
-    alphabet 1 gets there within the budget) are Python ints, and their
-    lengths the correctly rounded 1 / (q r), 0.0 once it underflows.
+    A word is a prefix and a suffix of `below` digits, the most with
+    A^below <= SPAN (one if A > SPAN, and for A = 1).  ``_step`` is linear in
+    (q, r), so the word's (q, r) is q_u x + r_u y in its prefix's (q_u, r_u),
+    where x and y are its suffix's pairs stepped from (q, r) = (1, 0) and
+    (0, 1); every term is a nonnegative integer no larger than the word's
+    own.  The prefixes' pairs are held once asked for, and so are the
+    suffixes' unless below = 1: then the prefixes are stepped by the digits
+    in range.
     """
+
+    def __init__(self, alphabet: int, depth: int):
+        self.alphabet, self.depth, self.n = alphabet, depth, alphabet**depth
+        self.below = 1  # alphabet 1 keeps one: its one prefix is cheaper to step than two seeds
+        while 1 < alphabet and self.below < depth and alphabet ** (self.below + 1) <= SPAN:
+            self.below += 1
+        self.span = alphabet**self.below  # words under each prefix
+        self.dtype = np.float64 if _exact_in_float(alphabet, depth) else object
+
+    def _digits(self, lo: int, hi: int) -> np.ndarray:
+        return np.arange(lo + 1, hi + 1).astype(self.dtype)
+
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        """The prefixes' (q, r), a row each, stepped from the empty word's (1, 1)."""
+        q = r = np.ones(1, dtype=self.dtype)
+        for _ in range(self.depth - self.below):
+            q, r = _step(q, r, self._digits(0, self.alphabet))
+        return np.stack((q, r), axis=1)
+
+    @cached_property
+    def _suffixes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The suffixes' q and r, stepped from (q, r) = (1, 0) in row 0 and from (0, 1) in row 1."""
+        q, r = np.array([1, 0]).astype(self.dtype), np.array([0, 1]).astype(self.dtype)
+        for _ in range(self.below):
+            q, r = _step(q, r, self._digits(0, self.alphabet))
+        return q.reshape(2, -1), r.reshape(2, -1)
+
+    def lengths(self, lo: int, hi: int) -> np.ndarray:
+        """A fresh array of 1.0 / (float(q) * float(r)) for words lo..hi-1 (hi <= n).
+
+        The prefixes of the range are stepped by every suffix, or by the
+        suffixes in range when there is one prefix, so fewer than 2 span
+        pairs are formed and dropped."""
+        first, last = lo // self.span, (hi - 1) // self.span  # prefixes of words lo and hi - 1
+        pairs = self.pairs[first : last + 1]
+        skip = lo - first * self.span  # words of the first prefix before word lo
+        start, end = (skip, skip + hi - lo) if first == last else (0, self.span)  # its suffixes
+        if self.below == 1:
+            q, r = _step(pairs[:, 0], pairs[:, 1], self._digits(start, end))
+        else:
+            x, y = self._suffixes
+            q, r = pairs @ x[:, start:end], pairs @ y[:, start:end]
+        skip -= start
+        q, r = q.ravel()[skip : skip + hi - lo], r.ravel()[skip : skip + hi - lo]
+        if self.dtype == object:  # past 2^53: correctly rounded, 0.0 once it underflows
+            return np.array([1 / x for x in q * r], dtype=np.float64)
+        den = q * r
+        return np.divide(1.0, den, out=den)
+
+
+def _cylinder_lengths(alphabet: int, depth: int) -> tuple[_Level, ...]:
+    """The levels of depth k-1 and k (only k when k = 1), once the caps are checked."""
     if alphabet < 1:
         raise ValueError("alphabet bound must be >= 1")
     if depth < 1:
@@ -139,85 +197,45 @@ def _cylinder_lengths(alphabet: int, depth: int) -> Iterator[np.ndarray]:
     # 2^bit_length > DEPTH_BUDGET, so clipping the exponent there keeps the test exact
     if alphabet ** min(depth, DEPTH_BUDGET.bit_length()) > DEPTH_BUDGET:
         raise CapExceededError(f"alphabet^depth = {alphabet}^{depth} exceeds budget {DEPTH_BUDGET}")
-    dtype = np.int64 if _fits_int64(alphabet, depth) else object
-    q = r = np.ones(1, dtype=dtype)  # the empty word: q = 1, q' = 0
-    parent_depth = max(depth - 2, 0)
-    for _ in range(parent_depth):
-        q, r = _step(q, r, np.arange(1, alphabet + 1).astype(dtype))
-    return _levels(q, r, alphabet, depth - parent_depth)
-
-
-def _levels(q: np.ndarray, r: np.ndarray, alphabet: int, levels: int) -> Iterator[np.ndarray]:
-    """The lengths of the words 1, 2, ..., levels digits below the pairs (q, r), a level at a time."""
-    for below in range(1, levels + 1):
-        out = np.empty(len(q) * alphabet**below)
-        _fill(out, q, r, 0, below, alphabet)
-        yield out
-        del out
-
-
-def _fill(out: np.ndarray, q: np.ndarray, r: np.ndarray, start: int, below: int, alphabet: int) -> None:
-    """Write into out the lengths of the words `below` digits under the pairs
-    start, start + 1, ... of their level, from at most LEAF children at a time."""
-    per = max(LEAF // alphabet, 1)  # parents stepped at once
-    span = min(alphabet, LEAF)  # digits stepped at once: all of them unless per = 1
-    for lo in range(0, len(q), per):
-        for d in range(0, alphabet, span):
-            digits = np.arange(d + 1, min(d + span, alphabet) + 1).astype(q.dtype)
-            q_c, r_c = _step(q[lo : lo + per], r[lo : lo + per], digits)
-            first = (start + lo) * alphabet + d
-            if below > 1:
-                _fill(out, q_c, r_c, first, below - 1, alphabet)
-                continue
-            den = out[first : first + len(q_c)]
-            if q_c.dtype == object:
-                den[:] = [1 / x for x in q_c * r_c]
-            else:
-                np.multiply(q_c, r_c, out=den, dtype=np.float64)
-                np.divide(1.0, den, out=den)
+    return tuple(_Level(alphabet, k) for k in range(max(depth - 1, 1), depth + 1))
 
 
 def pressure_sum(alphabet: int, depth: int, s: float) -> float:
     """Sum of cylinder_length(w)^s over all depth-k words; strictly decreasing in s."""
     if not isfinite(s):
         raise ValueError(f"s must be finite, got {s!r}")
-    *_, lengths = _cylinder_lengths(alphabet, depth)
-    return float(_power_sum(lengths, s))
+    return float(_power_sum(_cylinder_lengths(alphabet, depth)[-1], s))
 
 
-def _power_sum(lengths: np.ndarray, s: float) -> float:
+def _power_sum(level: _Level, s: float) -> float:
     """np.power(lengths, s).sum() bit for bit, with at most LEAF powers held at once."""
-    return pairwise_sum(len(lengths), lambda lo, hi: np.power(lengths[lo:hi], s))
+    return pairwise_sum(level.n, lambda lo, hi: np.power(level.lengths(lo, hi), s))
 
 
-def _log_sum(lengths: np.ndarray, s: float) -> float:
+def _log_sum(level: _Level, s: float) -> float:
     """log of the pressure sum in full: the value every certified sign agrees with."""
-    return log(float(_power_sum(lengths, s)))
+    return log(float(_power_sum(level, s)))
 
 
 class _Pressure:
-    """The pressure sum S(s) = sum len^s of one depth: in full, and bounded from bins."""
+    """The pressure sum S(s) = sum len^s of one level, bounded from bins."""
 
-    def __init__(self, lengths: np.ndarray):
-        self.lengths = lengths
-        self._full: dict[float, float] = {}  # shared by the two roots' endpoints
-
-    def log_sum(self, s: float) -> float:
-        if s not in self._full:
-            self._full[s] = _log_sum(self.lengths, s)
-        return self._full[s]
+    def __init__(self, level: _Level):
+        self.level = level
 
     @cached_property
     def _bins(self) -> tuple:
         """x = -log(len) in BINS equal bins: left edges, counts and widened mean offsets."""
-        lengths = self.lengths
-        log_max = float(np.log(lengths.max()))  # -min x
-        width = (log_max - float(np.log(lengths.min()))) / BINS
+        level = self.level
+        # the all-1 word (index 0) is the longest and the all-A word the shortest
+        log_max = float(np.log(level.lengths(0, 1)[0]))  # -min x
+        width = (log_max - float(np.log(level.lengths(level.n - 1, level.n)[0]))) / BINS
         scale = 1.0 / width if width > 0.0 else 0.0
         count = np.zeros(BINS, dtype=np.intp)
         offset = np.zeros(BINS)
-        for lo in range(0, len(lengths), LEAF):
-            t = np.log(lengths[lo : lo + LEAF])  # -x
+        for lo in range(0, level.n, LEAF):
+            t = level.lengths(lo, min(lo + LEAF, level.n))
+            np.log(t, out=t)  # -x
             np.subtract(log_max, t, out=t)  # x - min x
             t *= scale
             np.clip(t, 0.0, np.nextafter(BINS, 0), out=t)  # into the BINS bins
@@ -245,28 +263,26 @@ class _Pressure:
 def _root(pressure: _Pressure, sign: int, log_c: float, tol: float) -> float:
     """Solve  log S(s) = sign * s * log C  for s in [0, 1] by bisection."""
 
-    def g(s: float) -> float:
-        return pressure.log_sum(s) - sign * s * log_c
+    def side(s: float) -> int:
+        """The sign of g(s) = log S(s) - sign s log C: from the bins where
+        they decide it, else from the full sum."""
+        tilt = sign * s * log_c
+        low, high = pressure.log_bounds(s)
+        if low - MARGIN - tilt > 0.0:
+            return 1
+        if high + MARGIN - tilt < 0.0:
+            return -1
+        g = _log_sum(pressure.level, s) - tilt
+        return (g > 0.0) - (g < 0.0)
 
+    if pressure.level.n == 1:
+        return 0.0  # g(0) = log S(0) = log A^k, 0 only for alphabet 1's one word
     lo, hi = 0.0, 1.0
-    g_lo = g(lo)
-    if g_lo == 0.0:
-        return 0.0
-    if g_lo < 0.0:
-        raise InternalInvariantError("pressure not bracketed at s = 0")
-    if g(hi) >= 0.0:
+    if side(hi) >= 0:
         return 1.0  # root beyond 1; clip (dimension never exceeds 1)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        low, high = pressure.log_bounds(mid)
-        tilt = sign * mid * log_c
-        if low - MARGIN - tilt > 0.0:
-            positive = True
-        elif high + MARGIN - tilt < 0.0:
-            positive = False
-        else:
-            positive = g(mid) > 0.0
-        if positive:
+        if side(mid) > 0:
             lo = mid
         else:
             hi = mid
@@ -304,11 +320,10 @@ def estimate(alphabet: int, depth: int, tol: float = 1e-6) -> DimensionEstimate:
         raise ValueError(f"tol must lie in [1e-6, {TOL_CAP}], got {tol!r}")
     log_c = log(distortion_constant(alphabet))
     lower, upper = 0.0, 1.0
-    for lengths in _cylinder_lengths(alphabet, depth):
-        pressure = _Pressure(lengths)
+    for level in _cylinder_lengths(alphabet, depth):
+        pressure = _Pressure(level)
         lower = max(lower, _root(pressure, +1, log_c, tol))
         upper = min(upper, _root(pressure, -1, log_c, tol))
-        del lengths, pressure  # so the next level is filled without this one
     if lower > upper + 4 * tol:
         raise InternalInvariantError("depth brackets are inconsistent")
     lower = min(lower, upper)

@@ -1,7 +1,10 @@
 import csv
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -10,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thinsieve.cli import _CHUNK, COMMANDS, _decimal, _line, _text, main
+from thinsieve.cf import parse_word
 from thinsieve.errors import CapExceededError
+from thinsieve.geodesics import geodesic_profile
 from thinsieve.semigroup import _ball_words, _rows
 from thinsieve.sieve import BallSource, remainder_profile, sift_values
 
@@ -93,6 +98,18 @@ def test_geodesic_of_a_word_past_the_float_range(tmp_path, capsys, digit, length
     heights = json.loads(profile.read_text())["rotation_heights"]
     assert len(radii) == len(heights) == length
     assert all(digit / 2 < h < (digit + 2) / 2 for h in radii + heights)
+
+
+def test_geodesic_profile_of_a_discriminant_past_4300_digits(tmp_path, capsys):
+    # D of 2,300 nines has 4,414 digits, more than json writes or reads as an
+    # int, so it is read back as its digits
+    word = ",".join(["9"] * 2300)
+    profile = tmp_path / "profile.json"
+    assert run(["geodesic", "--word", word, "--emit", profile]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    payload = json.loads(profile.read_text(), parse_int=str)
+    assert payload["discriminant"] == _decimal(geodesic_profile(parse_word(word)).discriminant)
+    assert len(payload["rotation_heights"]) == 2300
 
 
 def test_dimension_and_expsum(tmp_path):
@@ -582,6 +599,46 @@ OVER_CAP_INPUTS = [
     ["almost-prime", "--norm", "10", "--threshold", "10000000000"],
     ["almost-prime", "--norm", "10", "--threshold", "100000000000000000000"],
 ]
+
+
+# dimension at the edge of its 10^7-cylinder budget, and the benchmark's
+# dimension step.  Each run holds no level of lengths, so in a fresh process
+# it exits 0 in 0.05-0.3 s and VmHWM grows by 1.2-2.3 MB past the import (it
+# grew by 17 MB on the benchmark's step, and by 46-112 MB at the budget's edge,
+# while a whole level was held)
+BUDGET_EDGE_INPUTS = [
+    ["dimension", "--alphabets", "2", "--depth", "23"],
+    ["dimension", "--alphabets", "3", "--depth", "14"],
+    ["dimension", "--alphabets", "10000000", "--depth", "1"],
+    ["dimension", "--alphabets", "2,3", "--depth", "13"],
+]
+
+_MEASURED_MAIN = """
+import json, sys, time
+from thinsieve.cli import main
+def hwm():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
+before, start = hwm(), time.perf_counter()
+code = main(sys.argv[1:])
+seconds, growth = time.perf_counter() - start, hwm() - before
+print(json.dumps({"code": code, "seconds": seconds, "growth_mb": growth}))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("argv", BUDGET_EDGE_INPUTS, ids=" ".join)
+def test_budget_edge_inputs_exit_0_in_bounded_memory(tmp_path, argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", _MEASURED_MAIN, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert "Traceback" not in done.stderr, done.stderr
+    measured = json.loads(done.stdout.splitlines()[-1])
+    assert measured["code"] == 0
+    assert measured["seconds"] < 3.0
+    assert measured["growth_mb"] <= 8.0
 
 
 @pytest.mark.parametrize("argv", OVER_CAP_INPUTS, ids=" ".join)

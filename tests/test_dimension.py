@@ -91,9 +91,9 @@ def test_binned_bounds_enclose_the_full_sum(case, s, bins):
     alphabet, depth, _ = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dimension, "BINS", bins)
-        for lengths in dimension._cylinder_lengths(alphabet, depth):
-            low, high = dimension._Pressure(lengths).log_bounds(s)
-            full = dimension._log_sum(lengths, s)
+        for level in dimension._cylinder_lengths(alphabet, depth):
+            low, high = dimension._Pressure(level).log_bounds(s)
+            full = dimension._log_sum(level, s)
             assert low - dimension.MARGIN <= full <= high + dimension.MARGIN
 
 
@@ -116,9 +116,63 @@ def test_certified_signs_leave_few_full_sums(monkeypatch):
                         lambda a, k: builds.append((a, k)) or lengths(a, k))
     est = estimate(3, 13)
     assert builds == [(3, 13)]  # one build gives both depths
-    assert [s for s in full if s in (0.0, 1.0)] == [0.0, 1.0] * 2  # endpoints once per depth
-    assert sum(0 < s < 1 for s in full) <= 3  # of 80 bisection midpoints
+    assert 0.0 not in full and 1.0 not in full  # S(0) = 3^k, and s = 1 is certified from the bins
+    assert len(full) <= 3  # of 80 bisection midpoints
     assert (est.lower, est.upper) == (0.686495304107666, 0.7307906150817871)
+
+
+# ---------------------------------------------------------------------------
+# the lengths each level forms, against the oracle's whole array
+
+def _level_depths(depth):
+    return [depth] if depth == 1 else [depth - 1, depth]
+
+
+def _joined(level, cuts):
+    """level.lengths over the consecutive ranges between the sorted cuts."""
+    edges = [0, *sorted(cuts), level.n]
+    return np.concatenate([level.lengths(lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cases(), st.lists(st.floats(0.0, 1.0), max_size=8))
+def test_level_lengths_equal_the_oracle(case, cuts):
+    alphabet, depth, _ = case
+    for k, level in zip(_level_depths(depth), dimension._cylinder_lengths(alphabet, depth)):
+        oracle = _oracle_lengths(alphabet, k)
+        assert level.n == len(oracle)
+        assert np.array_equal(_joined(level, [int(c * level.n) for c in cuts]), oracle)
+        # the all-1 word is the longest and the all-A word the shortest
+        assert level.lengths(0, 1)[0] == oracle.max()
+        assert level.lengths(level.n - 1, level.n)[0] == oracle.min()
+
+
+@pytest.mark.parametrize("alphabet, depth",
+                         [(2, 14), (3, 13), (5, 7), (70, 3), (1000, 2), (40000, 1)])
+def test_level_lengths_across_prefixes(alphabet, depth):
+    # ranges that start and end inside a prefix's words, span several prefixes
+    # or lie in one, and ranges wider than LEAF words; at (1000, 2) and
+    # (40000, 1) each prefix has a digit per word, 1000 and 40000 of them
+    for k, level in zip(_level_depths(depth), dimension._cylinder_lengths(alphabet, depth)):
+        oracle = _oracle_lengths(alphabet, k)
+        span = level.span
+        cuts = {c for m in range(1, 4) for c in (m * span - 1, m * span + 1, m * span + span // 2)}
+        cuts |= {5 * span + 3, 5 * span + 3 + dimension.LEAF + 5, level.n - span - 2}
+        assert np.array_equal(_joined(level, [c for c in cuts if 0 < c < level.n]), oracle)
+        leaves = range(dimension.LEAF, level.n, dimension.LEAF)
+        assert np.array_equal(_joined(level, leaves), oracle)
+
+
+def test_alphabet_one_lengths_at_every_depth():
+    # float64 continuants are exact while below 2^53 (to depth 76), and the
+    # length is 1.0 / (q * r) in floats, as the oracle's; past that it is the
+    # correctly rounded 1 / (q r) of Python ints
+    for depth in range(1, 92):
+        (length,) = dimension._cylinder_lengths(1, depth)[-1].lengths(0, 1)
+        if depth <= 76:
+            assert length == _oracle_lengths(1, depth)[0]
+        else:
+            assert length == float(cylinder_length((1,) * depth))
 
 
 def test_cylinder_length_examples():
@@ -248,15 +302,16 @@ def test_pressure_sum_rejects_bad_inputs(args):
         pressure_sum(*args)
 
 
-# estimate holds one length level at a time: 12.2 MiB at (3, 13), where the
-# two levels take 16.2 MiB, and 7.6 MiB at (1000, 2) and at (10^6, 1), whose
-# one parent's digits are stepped LEAF at a time
-@pytest.mark.parametrize("alphabet, depth, mib", [(3, 13, 18), (1000, 2, 10), (10**6, 1, 10)])
-def test_estimate_holds_no_full_length_temporaries(alphabet, depth, mib):
+# estimate holds no level of lengths: each is formed at most LEAF at a time
+# from the held prefix and suffix pairs, so the traced peak is 1.3-1.6 MiB at
+# every size (it was 16.4 MiB at (3, 13) and 37.6 MiB at (4, 11), where one
+# whole level was held); (1000, 2) and (10^6, 1) step one prefix by its digits
+@pytest.mark.parametrize("alphabet, depth", [(3, 13), (4, 11), (1000, 2), (10**6, 1)])
+def test_estimate_holds_no_full_length_temporaries(alphabet, depth):
     tracemalloc.start()
     try:
         estimate(alphabet, depth)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < mib * 2**20
+    assert peak < 3 * 2**20
