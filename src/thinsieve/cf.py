@@ -153,12 +153,16 @@ def word_from_matrix(m: Mat2) -> Word | None:
     return w if min(w) >= 1 and _continuants(w) == m.entries() else None
 
 
-def _continuants(word: Word) -> tuple[int, int, int, int]:
+def _continuants(word: Word, max_bits: int | None = None) -> tuple[int, int, int, int]:
     """Entries of the product of the word's generators, by the continuant
-    recurrence on plain ints."""
+    recurrence on plain ints.  The top-left entry is the largest and only grows
+    along the word, so with max_bits a word is refused (CapExceededError) at the
+    first digit that takes it past max_bits bits, whatever the word's length."""
     a, b, c, d = 1, 0, 0, 1
     for digit in word:
         a, b, c, d = a * digit + b, a, c * digit + d, c
+        if max_bits is not None and a.bit_length() > max_bits:
+            raise CapExceededError(f"word's matrix entry exceeds cap {max_bits} bits")
     return a, b, c, d
 
 

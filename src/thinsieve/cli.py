@@ -144,37 +144,33 @@ class Summarised:
 
 
 def _write(path: Path, content) -> None:
-    """A ``Table`` goes out as CSV, an iterator of text as it comes, a mapping as JSON."""
-    with open(path, "w", newline="") as fh:
-        if isinstance(content, Table):
-            writer = csv.writer(fh)
-            writer.writerow(content.header)
-            writer.writerows(content.rows)
-        elif isinstance(content, Iterator):
-            fh.writelines(content)
-        else:
-            json.dump(content, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    """The one writer of artifact values: a ``Table`` as CSV, a ``Fraction`` cell
+    as ``num/den``; an iterator of text as it comes; a mapping as JSON.  Floats
+    go out as their repr (by ``csv`` and ``json``), ints in full: the limit on
+    int-to-str digits, which still guards what the user sends, is lifted only
+    while the file is written."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        with open(path, "w", newline="") as fh:
+            if isinstance(content, Table):
+                writer = csv.writer(fh)
+                writer.writerow(content.header)
+                writer.writerows([f"{x.numerator}/{x.denominator}" if type(x) is Fraction else x
+                                  for x in row] for row in content.rows)
+            elif isinstance(content, Iterator):
+                fh.writelines(content)
+            else:
+                json.dump(content, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------------------
 # producers
-
-
-def _decimal(n: int) -> str:
-    """str(n) at any length.  str() refuses an int past 4,300 digits, so a
-    longer one is split by divmod with a power of ten and its parts written."""
-    if n < 0:
-        return "-" + _decimal(-n)
-    if n.bit_length() <= 10_000:  # at most 3,011 digits
-        return str(n)
-    k = n.bit_length() * 3 // 20  # about half its digits, log10(2) being 0.301
-    high, low = divmod(n, 10**k)
-    return _decimal(high) + _decimal(low).zfill(k)
-
-
-def _frac(x: Fraction) -> str:
-    return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
 
 
 def _line(word, a, b, c, d) -> str:
@@ -255,7 +251,7 @@ def _cycle_records(cycles) -> list[dict]:
 def _hensley_fit(a) -> Table:
     fit = hensley_exponent(a.alphabet, a.norms)
     rows = [[a.alphabet, n, c, "", ""] for n, c in fit.counts]
-    rows.append([a.alphabet, "fit", "", repr(fit.slope), repr(fit.residual)])
+    rows.append([a.alphabet, "fit", "", fit.slope, fit.residual])
     return Table(["alphabet", "norm", "count", "slope", "residual"], rows)
 
 
@@ -263,7 +259,7 @@ def _dimension_brackets(a) -> Table:
     rows = []
     for alph in a.alphabets:
         est = estimate(alph, a.depth, a.tol)
-        rows.append([alph, a.depth, repr(est.lower), repr(est.upper), repr(asymptote(alph))])
+        rows.append([alph, a.depth, est.lower, est.upper, asymptote(alph)])
     return Table(["alphabet", "depth", "lower", "upper", "asymptote"], rows)
 
 
@@ -281,7 +277,7 @@ def _exponential_sums(a) -> Table:
         raise CapExceededError(f"samples {a.samples} exceeds cap {MAX_SAMPLES}")
     if a.samples and p > DEFAULT_MODULUS_CAP:  # sl2_charsum's cap, before the O(p^2) rows
         raise CapExceededError(f"modulus {p} exceeds cap {DEFAULT_MODULUS_CAP}")
-    rows = [["kloosterman", p, f"1,{m}", repr(kloosterman(1, m, p)), repr(2 * p**0.5)]
+    rows = [["kloosterman", p, f"1,{m}", kloosterman(1, m, p), 2 * p**0.5]
             for m in range(1, p)]
     rng = random.Random(a.seed)
     for _ in range(a.samples):
@@ -289,7 +285,7 @@ def _exponential_sums(a) -> Table:
         while all(x % p == 0 for x in s):
             s = tuple(rng.randrange(p) for _ in range(4))
         value = abs(sl2_charsum(p, s))
-        rows.append(["charsum", p, ",".join(map(str, s)), repr(value), repr(2 * p**1.5)])
+        rows.append(["charsum", p, ",".join(map(str, s)), value, 2 * p**1.5])
     return Table(["kind", "p", "argument", "value", "bound"], rows)
 
 
@@ -332,8 +328,8 @@ def _remainder_ledger(a) -> Table:
     if a.cutoff - 1 > DENSITY_MODULUS_CAP:  # the densities' cap, before the sift
         raise CapExceededError(f"modulus {a.cutoff - 1} exceeds cap {DENSITY_MODULUS_CAP}")
     profile = remainder_profile(_sift(a), a.cutoff)
-    rows = [[r.q, r.count, _frac(r.expected), _frac(r.remainder)] for r in profile.rows]
-    rows.append(["summary", profile.source_size, "", _frac(profile.summary)])
+    rows = [[r.q, r.count, r.expected, r.remainder] for r in profile.rows]
+    rows.append(["summary", profile.source_size, "", profile.summary])
     return Table(["q", "A_q", "beta_times_size", "remainder"], rows)
 
 
@@ -351,7 +347,7 @@ def _squarefree_traces(a) -> Table:
     if not total:
         raise ConfigError(f"the ball of norm {a.norm} is empty")
     return Table(["alphabet", "norm", "squarefree_count", "ball_count", "fraction"],
-                 [[a.alphabet, a.norm, count, total, _frac(Fraction(count, total))]])
+                 [[a.alphabet, a.norm, count, total, Fraction(count, total)]])
 
 
 def _cycles_of(a) -> dict:
@@ -369,15 +365,14 @@ def _arcs_or_profile(a):
     """Arcs as CSV, or the height profile when the destination ends in ``.json``."""
     word = parse_word(a.word)
     if Path(a.output).suffix != ".json":
-        return Table(["center", "radius"], [[repr(c), repr(r)] for c, r in emit_arcs(word)])
+        return Table(["center", "radius"], emit_arcs(word))
     profile = geodesic_profile(word)
-    rest = json.dumps({
+    return {
+        "discriminant": profile.discriminant,
         "period": serialize_word(profile.period),
         "rotation_heights": list(profile.rotation_heights),
         "max_height": profile.max_height,
-    }, indent=2, sort_keys=True)
-    # json refuses an int past 4,300 digits, so D, whose key sorts first, goes through _decimal
-    return iter([f'{{\n  "discriminant": {_decimal(profile.discriminant)},{rest[1:]}\n'])
+    }
 
 
 _COMMON = (Flag("--config", help="key=value config file; explicit flags win"),

@@ -14,7 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import sqrt
 
-from .cf import Word, check_word, fixed_point, word_to_matrix
+from .cf import Mat2, Word, _continuants, check_word, fixed_point
+
+# Bits a word's matrix entries may reach (as tr <= 2a, D then has at most
+# 22,002).  Each of a word's steps squares and divides at D's size, so all-ones
+# words, with the most digits per bit, are the slowest: the longest accepted
+# one (15,844 ones) takes about 2 s on a 2-vCPU VM
+ENTRY_BITS_CAP = 11_000
 
 
 @dataclass(frozen=True)
@@ -34,14 +40,15 @@ def _arcs(word) -> tuple[int, list[tuple[float, float]]]:
         raise ValueError("empty word")
     if len(w) % 2 != 0:
         raise ValueError("word must have even length (determinant +1)")
-    x = fixed_point(word_to_matrix(w))
+    x = fixed_point(Mat2(*_continuants(w, ENTRY_BITS_CAP)))
     p, d, q = x.p, x.d, x.q
     wide = d.bit_length() > 1023  # no float holds D
     arcs = []
+    q_prev = (d - p * p) // q  # exact, as q | d - p^2; then no step divides
     for g in w:
         arcs.append((p / q, sqrt(d / (q * q)) if wide else sqrt(d) / q))
-        p = g * q - p
-        q = (d - p * p) // q
+        p, p_prev = g * q - p, p
+        q, q_prev = q_prev + g * (p_prev - p), q  # as q q' = d - p^2 at both steps
     return d, arcs
 
 

@@ -432,18 +432,21 @@ def trace_multiplicity(alphabet: int, t: int) -> int:
 
 def trace_multiplicity_by_divisors(alphabet: int, t: int) -> int:
     """Independent fiber count: solve a + d = t, bc = ad - 1 over divisor pairs,
-    then test semigroup membership by digit peeling."""
+    then test semigroup membership by digit peeling.  The continuants of a
+    nonempty word give a >= b >= d and a >= c >= d, which is necessary: so only
+    a >= t/2 and the pairs with d <= min(b, c) and max(b, c) <= a are peeled."""
     if t < 3:
         raise ValueError("trace fibers start at t = 3")
     count = 0
-    for a in range(1, t):
-        m = a * (t - a) - 1
-        if m < 1:
-            continue
+    for a in range((t + 1) // 2, t):  # a >= 2 and d >= 1, so m >= 1
+        d = t - a
+        m = a * d - 1
         for b in divisors(m):
-            w = word_from_matrix(Mat2(a, b, m // b, t - a))
-            if w is not None and len(w) % 2 == 0 and w and max(w) <= alphabet:
-                count += 1
+            c = m // b
+            if d <= min(b, c) and max(b, c) <= a:
+                w = word_from_matrix(Mat2(a, b, c, d))
+                if w is not None and len(w) % 2 == 0 and max(w) <= alphabet:
+                    count += 1
     return count
 
 

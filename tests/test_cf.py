@@ -59,6 +59,14 @@ def test_word_to_matrix_examples():
     assert m.trace == 37
 
 
+def test_continuants_refuse_past_max_bits():
+    # n ones have the top-left entry F(n + 1): F(16) = 987 has 10 bits, F(17) = 1597 has 11
+    assert cf._continuants((1,) * 15, max_bits=10)[0] == 987
+    for n in (16, 10**5):
+        with pytest.raises(CapExceededError, match="exceeds cap 10 bits"):
+            cf._continuants((1,) * n, max_bits=10)
+
+
 def test_empty_word_rejected():
     with pytest.raises(ValueError, match="empty word"):
         word_to_matrix(())

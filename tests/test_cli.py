@@ -6,13 +6,14 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thinsieve.cli import _CHUNK, COMMANDS, _decimal, _line, _text, main
+from thinsieve.cli import _CHUNK, COMMANDS, Table, _line, _text, _write, main
 from thinsieve.cf import parse_word
 from thinsieve.errors import CapExceededError
 from thinsieve.geodesics import geodesic_profile
@@ -108,7 +109,7 @@ def test_geodesic_profile_of_a_discriminant_past_4300_digits(tmp_path, capsys):
     assert run(["geodesic", "--word", word, "--emit", profile]) == 0
     assert "Traceback" not in capsys.readouterr().err
     payload = json.loads(profile.read_text(), parse_int=str)
-    assert payload["discriminant"] == _decimal(geodesic_profile(parse_word(word)).discriminant)
+    assert _int(payload["discriminant"]) == geodesic_profile(parse_word(word)).discriminant
     assert len(payload["rotation_heights"]) == 2300
 
 
@@ -261,21 +262,38 @@ def test_byte_columns_equal_the_line_writer(ball, parity, data):
 
 def _int(text: str) -> int:
     """int(text) for digits past the 4,300 that int() reads, 1,000 at a time."""
-    value = 0
-    for i in range(0, len(text), 1000):
-        value = value * 10 ** len(text[i : i + 1000]) + int(text[i : i + 1000])
-    return value
+    digits, value = text.lstrip("-"), 0
+    for i in range(0, len(digits), 1000):
+        value = value * 10 ** len(digits[i : i + 1000]) + int(digits[i : i + 1000])
+    return -value if text.startswith("-") else value
 
 
 @given(st.integers(0, 30_000), st.integers(-10**40, 10**40), st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_decimal_writes_ints_of_any_length(digits, offset, negative):
+def test_decimal_writes_ints_of_any_length(tmp_path_factory, digits, offset, negative):
+    # _write writes an int in full wherever it stands: a table cell, a
+    # fraction's numerator and denominator, a JSON value, a lazily formatted
+    # line; the digit limit is lifted only while it writes
     n = (10**digits + offset) * (-1 if negative else 1)
-    text = _decimal(n)
-    assert re.fullmatch(r"-?(0|[1-9][0-9]*)", text)
-    assert (-1 if text[0] == "-" else 1) * _int(text.lstrip("-")) == n
-    if len(text) < 4000:
-        assert text == str(n)
+    x = Fraction(n, 2 * abs(n) + 1)  # in lowest terms, as gcd(n, 2|n| + 1) = 1
+    limit, out = sys.get_int_max_str_digits(), tmp_path_factory.mktemp("write")
+    _write(out / "t.csv", Table(["n", "x"], [[n, x]]))
+    _write(out / "t.json", {"n": n})
+    _write(out / "t.jsonl", (f"{k}\n" for k in [n]))
+    assert sys.get_int_max_str_digits() == limit
+    cell, fraction = (out / "t.csv").read_text().splitlines()[1].split(",")
+    num, den = fraction.split("/")
+    value = json.loads((out / "t.json").read_text(), parse_int=str)["n"]
+    line = (out / "t.jsonl").read_text().rstrip("\n")
+    for text in (cell, num, value, line):
+        assert re.fullmatch(r"-?(0|[1-9][0-9]*)", text)
+    assert _int(cell) == _int(num) == _int(value) == _int(line) == n
+    assert _int(den) == x.denominator
+    if len(cell) < 4000:
+        assert cell == str(n)
+    with pytest.raises(OSError):
+        _write(out / "missing" / "t.csv", Table(["n"], [[n]]))
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_ledger_summary_past_the_str_digit_limit(tmp_path, monkeypatch):
@@ -491,6 +509,11 @@ def test_sift_cap_names_the_flags_that_shrink_pi(tmp_path, monkeypatch, capsys):
 # ---------------------------------------------------------------------------
 # exit-code contract: bad values are config errors (exit 2), never a traceback
 
+def _argv_id(argv: list[str]) -> str:
+    """The argv as a test id, an argument past 40 characters cut to its head and length."""
+    return " ".join(a if len(a) <= 40 else f"{a[:8]}...({len(a)} chars)" for a in argv)
+
+
 BAD_INPUTS = [
     ["enumerate", "--norm", "inf"],
     ["enumerate", "--norm", "1e300"],
@@ -525,10 +548,12 @@ BAD_INPUTS = [
     ["sieve-remainders", "--norm", "1"],
     ["almost-prime", "--norm", "1"],
     ["enumerate", "--norm", "5", "--output", "/nonexistent/dir/e.jsonl"],
+    # past the 4,300 digits int() parses: parsing keeps the limit that _write lifts
+    ["class-cycles", "--disc", "9" * 5000],
 ]
 
 
-@pytest.mark.parametrize("argv", BAD_INPUTS, ids=" ".join)
+@pytest.mark.parametrize("argv", BAD_INPUTS, ids=_argv_id)
 def test_bad_inputs_exit_2_without_traceback(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert run(argv) == 2
@@ -598,6 +623,8 @@ OVER_CAP_INPUTS = [
      "--modulus", "1000000000001"],
     ["almost-prime", "--norm", "10", "--threshold", "10000000000"],
     ["almost-prime", "--norm", "10", "--threshold", "100000000000000000000"],
+    # refused at the digit whose matrix entry passes geodesics.ENTRY_BITS_CAP
+    ["geodesic", "--word", ",".join(["1"] * 100_000)],
 ]
 
 
@@ -611,6 +638,10 @@ BUDGET_EDGE_INPUTS = [
     ["dimension", "--alphabets", "3", "--depth", "14"],
     ["dimension", "--alphabets", "10000000", "--depth", "1"],
     ["dimension", "--alphabets", "2,3", "--depth", "13"],
+    # the longest all-ones word below geodesics.ENTRY_BITS_CAP, the slowest word
+    # per bit there is: 1.2-1.7 s, and VmHWM grows by about 2 MB; its D has
+    # 6,623 digits, which the profile writes in full
+    ["geodesic", "--word", ",".join(["1"] * 15_844), "--emit", "profile.json"],
 ]
 
 _MEASURED_MAIN = """
@@ -627,7 +658,7 @@ print(json.dumps({"code": code, "seconds": seconds, "growth_mb": growth}))
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
-@pytest.mark.parametrize("argv", BUDGET_EDGE_INPUTS, ids=" ".join)
+@pytest.mark.parametrize("argv", BUDGET_EDGE_INPUTS, ids=_argv_id)
 def test_budget_edge_inputs_exit_0_in_bounded_memory(tmp_path, argv):
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -641,7 +672,7 @@ def test_budget_edge_inputs_exit_0_in_bounded_memory(tmp_path, argv):
     assert measured["growth_mb"] <= 8.0
 
 
-@pytest.mark.parametrize("argv", OVER_CAP_INPUTS, ids=" ".join)
+@pytest.mark.parametrize("argv", OVER_CAP_INPUTS, ids=_argv_id)
 def test_over_cap_inputs_exit_3_at_once(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     start = time.perf_counter()

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 import thinsieve.arith as arith
 import thinsieve.modular as modular
 import thinsieve.semigroup as semigroup
-from thinsieve.cf import IDENTITY, Mat2, generator, word_to_matrix
+from thinsieve.arith import divisors
+from thinsieve.cf import IDENTITY, Mat2, generator, word_from_matrix, word_to_matrix
 from thinsieve.dimension import estimate
 from thinsieve.errors import CapExceededError
 from thinsieve.semigroup import (
@@ -401,6 +402,32 @@ def test_trace_histogram_equals_the_divisor_count(alphabet):
     counts = trace_histogram(alphabet, 300).tolist()
     assert counts[:3] == [0, 0, 0]
     assert counts[3:] == [trace_multiplicity_by_divisors(alphabet, t) for t in range(3, 301)]
+
+
+def unpruned_divisor_words(t):
+    """Every even word of trace t, from every a + d = t and every divisor pair
+    of bc = ad - 1, each peeled (the divisor count's oracle, before its pruning
+    by entry order)."""
+    words = []
+    for a in range(1, t):
+        m = a * (t - a) - 1
+        if m < 1:
+            continue
+        for b in divisors(m):
+            w = word_from_matrix(Mat2(a, b, m // b, t - a))
+            if w is not None and len(w) % 2 == 0 and w:
+                words.append(w)
+    return words
+
+
+def test_divisor_count_equals_the_unpruned_count():
+    # pruning only drops candidates, so equal counts at alphabet t, where every
+    # word of the fiber counts, mean equal word sets, and so equal counts at all
+    for t in range(3, 301):
+        largest = [max(w) for w in unpruned_divisor_words(t)]
+        for alphabet in (2, t):
+            want = sum(g <= alphabet for g in largest)
+            assert trace_multiplicity_by_divisors(alphabet, t) == want, (alphabet, t)
 
 
 def test_trace_fiber_words_have_the_trace():
