@@ -2,21 +2,19 @@
 
 Each rotation of a period word contributes one semicircle (center, radius);
 the radius is the apex height, so the largest radius shows how far the
-geodesic climbs toward the cusp.  Files land next to this script.
+geodesic climbs toward the cusp.  Files land in the working directory.
 """
 
 import csv
-from pathlib import Path
 
 from thinsieve import emit_arcs, geodesic_profile, is_low_lying, serialize_word
 
 WORDS = [(1, 35), (5, 7), (1, 1, 1, 11), (1, 1, 1, 2, 1, 2)]
 
-out_dir = Path(__file__).resolve().parent
 for word in WORDS:
     profile = geodesic_profile(word)
     name = "arcs_" + "_".join(map(str, word)) + ".csv"
-    with open(out_dir / name, "w", newline="") as fh:
+    with open(name, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["center", "radius"])
         for center, radius in emit_arcs(word):

@@ -12,7 +12,6 @@ from .cf import (
     cf_expand,
     check_word,
     fixed_point,
-    generator,
     is_reduced,
     parse_word,
     rotations,

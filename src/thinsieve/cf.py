@@ -114,13 +114,6 @@ class Mat2:
 IDENTITY = Mat2(1, 0, 0, 1)
 
 
-def generator(a: int) -> Mat2:
-    """The matrix [[a, 1], [1, 0]] of a single partial quotient."""
-    if a < 1:
-        raise ValueError("partial quotients must be >= 1")
-    return Mat2(a, 1, 1, 0)
-
-
 def word_to_matrix(word) -> Mat2:
     w = check_word(word)
     if not w:

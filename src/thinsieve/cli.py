@@ -36,7 +36,7 @@ from .dimension import asymptote, estimate
 from .errors import CapExceededError, ConfigError, InternalInvariantError
 from .forms import class_cycles, count_mirror_merged, count_sign_merged, cycle_to_word
 from .geodesics import emit_arcs, geodesic_profile
-from .modular import DEFAULT_MODULUS_CAP, DENSITY_MODULUS_CAP, densities, kloosterman, sl2_charsum
+from .modular import DENSITY_MODULUS_CAP, densities, kloosterman, sl2_charsum
 from .semigroup import (
     _ball_words,
     _norm_sq_cap,
@@ -275,18 +275,16 @@ def _exponential_sums(a) -> Table:
         raise CapExceededError(f"prime {p} exceeds cap {KLOOSTERMAN_PRIME_CAP}")
     if a.samples > MAX_SAMPLES:
         raise CapExceededError(f"samples {a.samples} exceeds cap {MAX_SAMPLES}")
-    if a.samples and p > DEFAULT_MODULUS_CAP:  # sl2_charsum's cap, before the O(p^2) rows
-        raise CapExceededError(f"modulus {p} exceeds cap {DEFAULT_MODULUS_CAP}")
-    rows = [["kloosterman", p, f"1,{m}", kloosterman(1, m, p), 2 * p**0.5]
-            for m in range(1, p)]
+    sums = []  # before the O(p^2) Kloosterman rows, so sl2_charsum's cap fires first
     rng = random.Random(a.seed)
     for _ in range(a.samples):
         s = tuple(rng.randrange(p) for _ in range(4))
         while all(x % p == 0 for x in s):
             s = tuple(rng.randrange(p) for _ in range(4))
-        value = abs(sl2_charsum(p, s))
-        rows.append(["charsum", p, ",".join(map(str, s)), value, 2 * p**1.5])
-    return Table(["kind", "p", "argument", "value", "bound"], rows)
+        sums.append(["charsum", p, ",".join(map(str, s)), abs(sl2_charsum(p, s)), 2 * p**1.5])
+    rows = [["kloosterman", p, f"1,{m}", kloosterman(1, m, p), 2 * p**0.5]
+            for m in range(1, p)]
+    return Table(["kind", "p", "argument", "value", "bound"], rows + sums)
 
 
 def _aleph_set(a) -> Summarised:

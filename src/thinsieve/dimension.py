@@ -124,7 +124,8 @@ def _step(q: np.ndarray, r: np.ndarray, digits: np.ndarray) -> tuple[np.ndarray,
 
 class _Level:
     """The cylinder lengths of the A^k words of depth k, in lexicographic order,
-    formed a range at a time.
+    formed a range at a time, and the bins that bound its pressure sum
+    S(s) = sum len^s.
 
     A word is a prefix and a suffix of `below` digits, the most with
     A^below <= SPAN (one if A > SPAN, and for A = 1).  ``_step`` is linear in
@@ -185,6 +186,41 @@ class _Level:
         den = q * r
         return np.divide(1.0, den, out=den)
 
+    @cached_property
+    def _bins(self) -> tuple:
+        """x = -log(len) in BINS equal bins: left edges, counts and widened mean offsets."""
+        # the all-1 word (index 0) is the longest and the all-A word the shortest
+        log_max = float(np.log(self.lengths(0, 1)[0]))  # -min x
+        width = (log_max - float(np.log(self.lengths(self.n - 1, self.n)[0]))) / BINS
+        scale = 1.0 / width if width > 0.0 else 0.0
+        count = np.zeros(BINS, dtype=np.intp)
+        offset = np.zeros(BINS)
+        for lo in range(0, self.n, LEAF):
+            t = self.lengths(lo, min(lo + LEAF, self.n))
+            np.log(t, out=t)  # -x
+            np.subtract(log_max, t, out=t)  # x - min x
+            t *= scale
+            np.clip(t, 0.0, np.nextafter(BINS, 0), out=t)  # into the BINS bins
+            bin_of = t.astype(np.intp)
+            t -= bin_of  # offset from the bin's left edge, in [0, 1) bin widths
+            count += np.bincount(bin_of, minlength=BINS)
+            offset += np.bincount(bin_of, weights=t, minlength=BINS)
+        full = np.flatnonzero(count)
+        n = count[full].astype(np.float64)
+        mean = offset[full] / n
+        slack = n * 2.0**-52  # the offsets' summation error, in bin widths
+        m_lo = np.clip(mean - slack, 0.0, 1.0)
+        m_hi = np.clip(mean + slack, 0.0, 1.0)
+        left = full * width
+        return -log_max, width, n, left, left + width * m_hi, m_lo
+
+    def log_bounds(self, s: float) -> tuple[float, float]:
+        """Rigorous (lower, upper) bounds on log S(s), up to the rounding MARGIN covers."""
+        x_min, width, n, left, mean_hi, m_lo = self._bins
+        lower = (n * np.exp(-s * mean_hi)).sum()  # Jensen, per bin
+        upper = (n * np.exp(-s * left) * (1.0 + m_lo * expm1(-s * width))).sum()  # chord
+        return log(float(lower)) - s * x_min, log(float(upper)) - s * x_min
+
 
 def _cylinder_lengths(alphabet: int, depth: int) -> tuple[_Level, ...]:
     """The levels of depth k-1 and k (only k when k = 1), once the caps are checked."""
@@ -217,65 +253,22 @@ def _log_sum(level: _Level, s: float) -> float:
     return log(float(_power_sum(level, s)))
 
 
-class _Pressure:
-    """The pressure sum S(s) = sum len^s of one level, bounded from bins."""
-
-    def __init__(self, level: _Level):
-        self.level = level
-
-    @cached_property
-    def _bins(self) -> tuple:
-        """x = -log(len) in BINS equal bins: left edges, counts and widened mean offsets."""
-        level = self.level
-        # the all-1 word (index 0) is the longest and the all-A word the shortest
-        log_max = float(np.log(level.lengths(0, 1)[0]))  # -min x
-        width = (log_max - float(np.log(level.lengths(level.n - 1, level.n)[0]))) / BINS
-        scale = 1.0 / width if width > 0.0 else 0.0
-        count = np.zeros(BINS, dtype=np.intp)
-        offset = np.zeros(BINS)
-        for lo in range(0, level.n, LEAF):
-            t = level.lengths(lo, min(lo + LEAF, level.n))
-            np.log(t, out=t)  # -x
-            np.subtract(log_max, t, out=t)  # x - min x
-            t *= scale
-            np.clip(t, 0.0, np.nextafter(BINS, 0), out=t)  # into the BINS bins
-            bin_of = t.astype(np.intp)
-            t -= bin_of  # offset from the bin's left edge, in [0, 1) bin widths
-            count += np.bincount(bin_of, minlength=BINS)
-            offset += np.bincount(bin_of, weights=t, minlength=BINS)
-        full = np.flatnonzero(count)
-        n = count[full].astype(np.float64)
-        mean = offset[full] / n
-        slack = n * 2.0**-52  # the offsets' summation error, in bin widths
-        m_lo = np.clip(mean - slack, 0.0, 1.0)
-        m_hi = np.clip(mean + slack, 0.0, 1.0)
-        left = full * width
-        return -log_max, width, n, left, left + width * m_hi, m_lo
-
-    def log_bounds(self, s: float) -> tuple[float, float]:
-        """Rigorous (lower, upper) bounds on log S(s), up to the rounding MARGIN covers."""
-        x_min, width, n, left, mean_hi, m_lo = self._bins
-        lower = (n * np.exp(-s * mean_hi)).sum()  # Jensen, per bin
-        upper = (n * np.exp(-s * left) * (1.0 + m_lo * expm1(-s * width))).sum()  # chord
-        return log(float(lower)) - s * x_min, log(float(upper)) - s * x_min
-
-
-def _root(pressure: _Pressure, sign: int, log_c: float, tol: float) -> float:
+def _root(level: _Level, sign: int, log_c: float, tol: float) -> float:
     """Solve  log S(s) = sign * s * log C  for s in [0, 1] by bisection."""
 
     def side(s: float) -> int:
         """The sign of g(s) = log S(s) - sign s log C: from the bins where
         they decide it, else from the full sum."""
         tilt = sign * s * log_c
-        low, high = pressure.log_bounds(s)
+        low, high = level.log_bounds(s)
         if low - MARGIN - tilt > 0.0:
             return 1
         if high + MARGIN - tilt < 0.0:
             return -1
-        g = _log_sum(pressure.level, s) - tilt
+        g = _log_sum(level, s) - tilt
         return (g > 0.0) - (g < 0.0)
 
-    if pressure.level.n == 1:
+    if level.n == 1:
         return 0.0  # g(0) = log S(0) = log A^k, 0 only for alphabet 1's one word
     lo, hi = 0.0, 1.0
     if side(hi) >= 0:
@@ -321,9 +314,8 @@ def estimate(alphabet: int, depth: int, tol: float = 1e-6) -> DimensionEstimate:
     log_c = log(distortion_constant(alphabet))
     lower, upper = 0.0, 1.0
     for level in _cylinder_lengths(alphabet, depth):
-        pressure = _Pressure(level)
-        lower = max(lower, _root(pressure, +1, log_c, tol))
-        upper = min(upper, _root(pressure, -1, log_c, tol))
+        lower = max(lower, _root(level, +1, log_c, tol))
+        upper = min(upper, _root(level, -1, log_c, tol))
     if lower > upper + 4 * tol:
         raise InternalInvariantError("depth brackets are inconsistent")
     lower = min(lower, upper)

@@ -142,7 +142,7 @@ def _frontier(
     reach = limit if by_trace else isqrt(max(limit, 0))
     top = min(alphabet, reach)
     if top >= _MAX_CHILDREN:
-        raise CapExceededError(f"a node of the walk has up to {top} children")
+        raise CapExceededError(f"children per node, up to {top}, exceeds cap {_MAX_CHILDREN}")
     # sums reach 4 x limit for norms, 2a' + b' + c' + d' <= 5 x limit for traces
     worst = 5 * max(limit, 0)
     dtype = np.int32 if worst < _INT32_SAFE else np.int64 if worst < _INT64_SAFE else object
@@ -630,9 +630,6 @@ class BilinearSet:
     @property
     def size(self) -> int:
         return len(self.xi) * len(self.aleph) * len(self.omega)
-
-    def __len__(self) -> int:
-        return self.size
 
     def _norms_sq(self) -> list[int]:
         return [max(e.norm_sq for e in f) for f in (self.xi, self.aleph, self.omega)]

@@ -47,6 +47,7 @@ from .semigroup import (
 )
 
 MAX_SIFT_SIZE = 20_000_000
+MAX_T_CAP = 10**8  # discriminants: t up to 10^4
 
 # int64 values lie in [-2^62, 2^63), where value // p * p cannot overflow;
 # a trace squares into that window while |t| <= isqrt(2^63 + 3)
@@ -275,8 +276,8 @@ def discriminant_census(
     min_multiplicity: int = 1,
 ) -> list[DiscriminantRecord]:
     """All t <= sqrt(max_T) with t^2 - 4 square-free and a populous trace fiber."""
-    if max_T > 1e8:
-        raise CapExceededError("max_T capped at 1e8 (t up to 1e4)")
+    if max_T > MAX_T_CAP:
+        raise CapExceededError(f"max_T {max_T:g} exceeds cap {MAX_T_CAP:g}")
     traces = [t for t in range(3, isqrt(int(max_T)) + 1) if _squarefree_trace(t)]
     if not traces:
         return []
@@ -299,9 +300,9 @@ def class_census(d: int, alphabet: int) -> list[FormCycle]:
     Each rotation class of the fiber is sent through its matrix's form and
     reduced; the resulting cycles are asserted pairwise distinct.
     """
-    t = isqrt(d + 4)
-    if t * t != d + 4:
-        raise ValueError("discriminant must have the form t^2 - 4")
+    t = isqrt(max(d + 4, 0))
+    if t < 3 or t * t != d + 4:
+        raise ValueError(f"discriminant must be t^2 - 4 with t >= 3, got {d}")
     cycles = []
     for word in cyclic_classes(alphabet, t):
         cy = cycle(reduce_form(matrix_to_form(word_to_matrix(word))))

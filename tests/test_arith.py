@@ -29,7 +29,7 @@ def _values(n, seed, spread, is_complex):
     return draw() + 1j * draw() if is_complex else draw()
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.sampled_from(LENGTHS), st.integers(0, 2**32 - 1), st.sampled_from([0, 8, 150]),
        st.booleans())
 def test_pairwise_sum_equals_numpy_sum(n, seed, spread, is_complex):

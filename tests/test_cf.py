@@ -13,7 +13,6 @@ from thinsieve.cf import (
     cf_expand,
     check_word,
     fixed_point,
-    generator,
     is_reduced,
     parse_word,
     rotations,
@@ -100,7 +99,7 @@ def test_word_from_matrix_round_trip(w):
 def generator_product(w) -> Mat2:
     m = Mat2(1, 0, 0, 1)
     for a in w:
-        m = m * generator(a)
+        m = m * Mat2(a, 1, 1, 0)
     return m
 
 

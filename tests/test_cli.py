@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from thinsieve.cli import _CHUNK, COMMANDS, Table, _line, _text, _write, main
 from thinsieve.cf import parse_word
-from thinsieve.errors import CapExceededError
+from thinsieve.errors import CapExceededError, InternalInvariantError
 from thinsieve.geodesics import geodesic_profile
 from thinsieve.semigroup import _ball_words, _rows
 from thinsieve.sieve import BallSource, remainder_profile, sift_values
@@ -152,6 +152,9 @@ def test_exit_codes(tmp_path):
     assert run(["enumerate", "--config", bad_cfg, "--norm", 3]) == 2
     assert run(["enumerate", "--norm", 3, "--config"]) == 2
     assert run(["enumerate", "--norm", 3, "--config", tmp_path / "missing.cfg"]) == 2
+    no_eq_cfg = tmp_path / "no_eq.cfg"
+    no_eq_cfg.write_text("alphabet 2\n")
+    assert run(["enumerate", "--config", no_eq_cfg, "--norm", 3]) == 2
     # caps: square-free SL2 enumeration cap via expsum on a huge prime
     assert run(["expsum", "--prime", 1009, "--samples", 1, "--output", tmp_path / "x.csv"]) == 3
     # invalid values
@@ -249,7 +252,7 @@ def test_jsonl_lines_are_sorted_key_json_dumps(tmp_path, argv):
 # ints past a squared norm of about 10^18)
 @given(st.tuples(st.sampled_from([*range(1, 13), 200]), st.integers(1, 20_000))
        | st.just((1, 10**20)), st.sampled_from(["even", "any"]), st.data())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 def test_byte_columns_equal_the_line_writer(ball, parity, data):
     alphabet, norm_sq = ball
     words = _ball_words(alphabet, norm_sq, parity)
@@ -269,7 +272,7 @@ def _int(text: str) -> int:
 
 
 @given(st.integers(0, 30_000), st.integers(-10**40, 10**40), st.booleans())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_decimal_writes_ints_of_any_length(tmp_path_factory, digits, offset, negative):
     # _write writes an int in full wherever it stands: a table cell, a
     # fraction's numerator and denominator, a JSON value, a lazily formatted
@@ -544,6 +547,11 @@ BAD_INPUTS = [
     ["sieve-remainders", "--use-pi", "--omega-bound", "nan"],
     ["discriminants", "--max-T", "inf"],
     ["discriminants", "--max-T", "-5"],
+    ["class-census", "--disc", "-5"],  # refused before its root is taken
+    ["trace-fiber", "--trace", "2"],
+    ["sieve-remainders", "--cutoff", "1"],
+    ["aleph", "--bound", "2", "--modulus", "1"],  # the modulus-1 ball is empty
+    ["aleph", "--bound", "1100", "--modulus", "2"],  # the pivot ball, after covering SL2
     ["squarefree-count", "--norm", "1"],
     ["sieve-remainders", "--norm", "1"],
     ["almost-prime", "--norm", "1"],
@@ -558,6 +566,26 @@ def test_bad_inputs_exit_2_without_traceback(tmp_path, monkeypatch, capsys, argv
     monkeypatch.chdir(tmp_path)
     assert run(argv) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_class_census_refuses_a_discriminant_in_its_own_words(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(["class-census", "--disc", "-5"]) == 2
+    err = capsys.readouterr().err
+    assert "t^2 - 4 with t >= 3" in err and "isqrt" not in err
+
+
+def test_internal_invariant_exits_4_without_traceback(tmp_path, monkeypatch, capsys):
+    import thinsieve.cli as cli
+
+    def broken(d):
+        raise InternalInvariantError("cycles out of order")
+
+    monkeypatch.setattr(cli, "class_cycles", broken)
+    monkeypatch.chdir(tmp_path)
+    assert run(["class-cycles", "--disc", 1365]) == 4
+    err = capsys.readouterr().err
+    assert "internal invariant violation" in err and "Traceback" not in err
 
 
 # main builds the parser of the named command alone; without a known command
@@ -607,8 +635,9 @@ def test_caps_exit_3_before_the_loops(tmp_path, monkeypatch, capsys, argv, untou
 
 # over their caps, exit 3 at once: reduced_forms checks the discriminant before
 # it enumerates, dimension its depth before it forms alphabet^depth, expsum
-# its prime and sample count before the Kloosterman rows, and the prime table
-# its bound before it allocates
+# its prime and sample count before the Kloosterman rows, the prime table its
+# bound before it allocates, discriminant_census its max_T before it tests a t,
+# and every walk the children a node may have before it starts
 OVER_CAP_INPUTS = [
     ["class-cycles", "--disc", "1000000000000000000000"],
     ["class-cycles", "--disc", "1000000001"],
@@ -623,6 +652,8 @@ OVER_CAP_INPUTS = [
      "--modulus", "1000000000001"],
     ["almost-prime", "--norm", "10", "--threshold", "10000000000"],
     ["almost-prime", "--norm", "10", "--threshold", "100000000000000000000"],
+    ["discriminants", "--max-T", "1e9"],
+    ["enumerate", "--alphabet", "1000000000000000", "--norm", "1e15"],  # past 2^48 children a node
     # refused at the digit whose matrix entry passes geodesics.ENTRY_BITS_CAP
     ["geodesic", "--word", ",".join(["1"] * 100_000)],
 ]

@@ -31,7 +31,7 @@ def test_demo_imports_resolve(demo):
 
 
 # every demo, run whole, so a change to an API that one uses fails here
-# (geodesic_arcs.py writes its arcs_*.csv beside itself; git ignores them)
+# in a fresh working directory, where geodesic_arcs.py writes its arcs_*.csv
 @pytest.mark.parametrize("name", [demo.name for demo in DEMOS])
 def test_sifting_demos_run(name, tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

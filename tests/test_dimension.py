@@ -78,21 +78,21 @@ def _cases(draw):
     return alphabet, depth, tol
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(_cases())
 def test_estimate_equals_the_exact_bisection(case):
     est = estimate(*case)
     assert (est.lower, est.upper) == _oracle_estimate(*case)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_cases(), st.floats(0.0, 1.0), st.sampled_from([1, 7, 4096]))
 def test_binned_bounds_enclose_the_full_sum(case, s, bins):
     alphabet, depth, _ = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dimension, "BINS", bins)
         for level in dimension._cylinder_lengths(alphabet, depth):
-            low, high = dimension._Pressure(level).log_bounds(s)
+            low, high = level.log_bounds(s)
             full = dimension._log_sum(level, s)
             assert low - dimension.MARGIN <= full <= high + dimension.MARGIN
 
@@ -134,7 +134,7 @@ def _joined(level, cuts):
     return np.concatenate([level.lengths(lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi])
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_cases(), st.lists(st.floats(0.0, 1.0), max_size=8))
 def test_level_lengths_equal_the_oracle(case, cuts):
     alphabet, depth, _ = case

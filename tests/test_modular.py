@@ -181,7 +181,7 @@ def test_sqrt4_count_equals_the_loop():
             assert sqrt4_count(q) == sqrt4_count_oracle(q), q
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(st.integers(0, 5000))
 @example(0)
 @example(1)

@@ -12,7 +12,7 @@ import thinsieve.arith as arith
 import thinsieve.modular as modular
 import thinsieve.semigroup as semigroup
 from thinsieve.arith import divisors
-from thinsieve.cf import IDENTITY, Mat2, generator, word_from_matrix, word_to_matrix
+from thinsieve.cf import IDENTITY, Mat2, word_from_matrix, word_to_matrix
 from thinsieve.dimension import estimate
 from thinsieve.errors import CapExceededError
 from thinsieve.semigroup import (
@@ -186,7 +186,7 @@ def test_ball_walks_reject_a_negative_or_non_finite_norm(norm):
 
 
 @given(st.integers(1, 5), st.floats(1, 300))
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 def test_block_ball_walks_equal_iter_ball(alphabet, norm):
     words = list(enumerate_ball(alphabet, norm, "any"))
     even = [e for e in words if len(e.word) % 2 == 0]
@@ -198,7 +198,7 @@ def test_block_ball_walks_equal_iter_ball(alphabet, norm):
 
 
 @given(st.integers(1, 8), st.floats(1, 300), st.sampled_from(["even", "any"]))
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 def test_block_built_ball_equals_the_recursive_oracle(alphabet, norm, parity):
     assert list(enumerate_ball(alphabet, norm, parity)) == ball_oracle(alphabet, norm, parity)
 
@@ -296,11 +296,11 @@ def test_block_walks_are_exact_past_int64():
 def test_norm_strictly_grows(w):
     m = word_to_matrix(w) if w else IDENTITY
     for g in (1, 2, 3, 4, 5):
-        assert (m * generator(g)).norm_sq > m.norm_sq
+        assert (m * Mat2(g, 1, 1, 0)).norm_sq > m.norm_sq
 
 
 @given(st.integers(1, 4), st.lists(st.floats(2, 3000), min_size=4, max_size=8, unique=True))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_hensley_counts_equal_ball_count(alphabet, norms):
     expected = tuple((n, ball_count(alphabet, n)) for n in sorted(norms))
     if expected[0][1] == 0:
@@ -371,7 +371,7 @@ def test_trace_fiber_equals_the_recursive_oracle():
 
 
 @given(st.integers(1, 12), st.integers(3, 600))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_trace_fiber_node_cap_counts_visited_nodes(alphabet, t):
     fiber, visited = trace_fiber_oracle(alphabet, t)
     with mock.patch.object(semigroup, "DEFAULT_MAX_NODES", visited):
@@ -622,7 +622,7 @@ def _bilinear_sets(draw):
 
 
 @given(_bilinear_sets(), st.sampled_from([1, 7, 1 << 18]))
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 def test_trace_tally_equals_the_trace_stream(pi, shard):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(semigroup, "_SHARD", shard)  # 1 and 7: one Xi row per shard
@@ -633,7 +633,7 @@ def test_trace_tally_equals_the_trace_stream(pi, shard):
 
 
 @given(st.lists(st.lists(st.integers(-50, 50), max_size=40), max_size=12), st.booleans())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 def test_merge_equals_one_counter_over_the_runs(runs, counted):
     def run(values):
         values = np.array(values, dtype=np.int64)

@@ -69,7 +69,7 @@ def test_sift_values_takes_a_ball_or_a_bilinear_set_only():
 
 
 @given(st.integers(1, 5), st.floats(2, 300))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_ball_sources_equal_what_iter_ball_gives(alphabet, norm):
     traces = Counter(e.trace for e in enumerate_ball(alphabet, norm))
     if not traces:
@@ -288,7 +288,7 @@ _sources = st.one_of(
 
 
 @given(_sources, st.integers(2, 1000))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_remainder_profile_equals_the_per_q_scan(seq, cutoff):
     assert remainder_profile(seq, cutoff) == _remainder_profile_by_scan(seq, cutoff)
 
@@ -432,7 +432,7 @@ _wide_values = st.lists(
 
 
 @given(_wide_values, st.integers(2, 400))
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 def test_ledger_A_q_and_census_equal_the_oracles_at_the_int64_edges(values, cutoff):
     seq = SiftingSequence.from_values(values)
     assert remainder_profile(seq, cutoff) == _remainder_profile_by_scan(seq, cutoff)
