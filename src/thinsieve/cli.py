@@ -435,7 +435,7 @@ COMMANDS: dict[str, Command] = {
         (_ALPHABET, Flag("--norm", _RADIUS, 1e4)), _squarefree_traces),
     "discriminants": Command(
         "square-free t^2-4 census with fiber multiplicities", "discriminants.csv",
-        (_ALPHABET, Flag("--max-T", _POSITIVE, 1e4), Flag("--min-multiplicity", int, 1)),
+        (_ALPHABET, Flag("--max-T", _POSITIVE, 1e4), Flag("--min-multiplicity", _at_least(0), 1)),
         lambda a: Table(["t", "discriminant", "multiplicity"], [
             [rec.t, rec.discriminant, rec.multiplicity]
             for rec in discriminant_census(a.alphabet, a.max_T, a.min_multiplicity)

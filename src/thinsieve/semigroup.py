@@ -21,6 +21,8 @@ Traces are tallied in shards: a walk's blocks are joined (`_shards`) into
 arrays of at least _SHARD traces, each sorted and counted in one call
 (`_count`) and merged into the running tally of distinct traces (`_merge`).
 Memory grows with one shard and the distinct traces, not with the ball.
+The bilinear set's factors are such word arrays (`_Words`) from walk to sift;
+elements are formed only when a slice or the bilinear set is iterated.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, isfinite, isqrt, sqrt
+from math import ceil, floor, isfinite, isqrt, prod, sqrt
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -250,7 +252,7 @@ def _words(blocks: Iterable[list[np.ndarray]], top: int) -> _Words:
     n = len(a)
     kind = np.min_scalar_type(top + 1)  # a last quotient may be top + 1
     columns, lengths = [], np.zeros(n, dtype=np.int64)
-    x, y, live = a, c, np.arange(n)
+    x, y, live = a[c != 0], c[c != 0], np.flatnonzero(c)  # c = 0: the identity, no digit
     while len(live):
         q = x // y
         columns.append(np.zeros(n, dtype=kind))
@@ -288,9 +290,9 @@ def _rows(words: _Words, rows=slice(None)) -> Iterator[tuple]:
         yield digits[:length], *m
 
 
-def _elements(words: _Words, rows=slice(None)) -> Iterator[SemigroupElement]:
-    """The elements of the given rows of words."""
-    return (SemigroupElement(tuple(w), Mat2(*m)) for w, *m in _rows(words, rows))
+def _elements(words: _Words) -> Iterator[SemigroupElement]:
+    """The elements of the rows of words."""
+    return (SemigroupElement(tuple(w), Mat2(*m)) for w, *m in _rows(words))
 
 
 def ball_count(alphabet: int, norm: float, parity: str = "even") -> int:
@@ -460,18 +462,18 @@ def cyclic_classes(alphabet: int, t: int) -> list[Word]:
 # fixed-wordlength slices and the bilinear set
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FixedSlice:
-    """The most populous fixed-wordlength slice of a norm ball."""
+    """The most populous fixed-wordlength slice of a norm ball, as the walk's rows."""
 
     wordlength: int
-    elements: tuple[SemigroupElement, ...]
+    words: _Words
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.words.lengths)
 
     def __iter__(self) -> Iterator[SemigroupElement]:
-        return iter(self.elements)
+        return _elements(self.words)
 
 
 def build_fixed_length_ball(alphabet: int, bound: float) -> FixedSlice:
@@ -481,7 +483,9 @@ def build_fixed_length_ball(alphabet: int, bound: float) -> FixedSlice:
         raise ValueError("bound must be >= 3 so the even ball is nonempty")
     words = _ball_words(alphabet, _norm_sq_cap(bound, strict=True), "even")
     best = int(np.bincount(words.lengths).argmax())  # the first of equals is the shortest
-    return FixedSlice(best, tuple(_elements(words, words.lengths == best)))
+    rows = words.lengths == best
+    return FixedSlice(best, _Words(words.digits[rows, :best], words.lengths[rows],
+                                   tuple(x[rows] for x in words.matrix)))
 
 
 @dataclass(frozen=True)
@@ -602,37 +606,35 @@ def aleph_error(aleph: Iterable[SemigroupElement], q: int) -> float:
     return float(worst)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BilinearSet:
-    """Triple product Xi * Aleph * Omega, realised lazily.
+    """Triple product Xi * Aleph * Omega, realised lazily from its factors' rows.
 
     Xi and Omega have fixed wordlengths and Aleph lives over the alphabet {1,2},
     so distinct factor triples concatenate to distinct words: the product set
     has exactly |Xi| * |Aleph| * |Omega| elements.
     """
 
-    xi: tuple[SemigroupElement, ...]
-    aleph: tuple[SemigroupElement, ...]
-    omega: tuple[SemigroupElement, ...]
+    xi: _Words
+    aleph: _Words
+    omega: _Words
 
     def __post_init__(self):
         for name, factor in (("Xi", self.xi), ("Aleph", self.aleph), ("Omega", self.omega)):
-            if not factor:
+            if not len(factor.lengths):
                 raise ValueError(f"empty factor {name}")
-        if len({len(e.word) for e in self.xi}) != 1:
-            raise ValueError("Xi must have a fixed wordlength")
-        if len({len(e.word) for e in self.omega}) != 1:
-            raise ValueError("Omega must have a fixed wordlength")
-        for e in self.aleph:
-            if len(e.word) % 2 or (e.word and max(e.word) > 2):
-                raise ValueError("Aleph must consist of even alphabet-2 words")
+        for name, factor in (("Xi", self.xi), ("Omega", self.omega)):
+            if factor.lengths.min() != factor.lengths.max():
+                raise ValueError(f"{name} must have a fixed wordlength")
+        if (self.aleph.lengths % 2).any() or self.aleph.digits.max() > 2:
+            raise ValueError("Aleph must consist of even alphabet-2 words")
 
     @property
     def size(self) -> int:
-        return len(self.xi) * len(self.aleph) * len(self.omega)
+        return len(self.xi.lengths) * len(self.aleph.lengths) * len(self.omega.lengths)
 
-    def _norms_sq(self) -> list[int]:
-        return [max(e.norm_sq for e in f) for f in (self.xi, self.aleph, self.omega)]
+    def _norms_sq(self) -> list[int]:  # exact: a walk's dtype holds 5 x its bound
+        return [int(sum(x * x for x in f.matrix).max()) for f in (self.xi, self.aleph, self.omega)]
 
     def norm_bound(self) -> float:
         """Upper bound on member norms (Frobenius norms are submultiplicative)."""
@@ -640,21 +642,17 @@ class BilinearSet:
         return float(np.sqrt(float(parts[0]) * parts[1] * parts[2]))
 
     def iter_elements(self) -> Iterator[SemigroupElement]:
-        for mid in self.aleph:
-            for right in self.omega:
+        xi, omega = list(_elements(self.xi)), list(_elements(self.omega))
+        for mid in _elements(self.aleph):
+            for right in omega:
                 tail_w = mid.word + right.word
                 tail_m = mid.matrix * right.matrix
-                for left in self.xi:
+                for left in xi:
                     yield SemigroupElement(left.word + tail_w, left.matrix * tail_m)
 
     def iter_traces(self) -> Iterator[int]:
         """Every member's trace, one at a time (the oracle of trace_tally)."""
-        for mid in self.aleph:
-            for right in self.omega:
-                t = mid.matrix * right.matrix
-                for left in self.xi:
-                    m = left.matrix
-                    yield m.a * t.a + m.b * t.c + m.c * t.b + m.d * t.d
+        return (e.trace for e in self.iter_elements())
 
     def trace_tally(self) -> tuple[np.ndarray, np.ndarray]:
         """The distinct traces of the product set, ascending, and their multiplicities.
@@ -670,16 +668,12 @@ class BilinearSet:
         of the factors' largest squared norms; entries are int64 while that
         root stays below 2^62 and Python ints (dtype object) beyond.
         """
-        xi, aleph, omega = self._norms_sq()
-        dtype = np.int64 if xi * aleph * omega < _INT64_SAFE**2 else object
-
-        def entries(factor):  # (n, 2, 2)
-            return np.array([((m.a, m.b), (m.c, m.d)) for m in (e.matrix for e in factor)],
-                            dtype=dtype)
-
-        tails = entries(self.aleph)[:, None] @ entries(self.omega)[None, :]
+        dtype = np.int64 if prod(self._norms_sq()) < _INT64_SAFE**2 else object
+        xi, aleph, omega = (np.stack(f.matrix, axis=1).astype(dtype).reshape(-1, 2, 2)
+                            for f in (self.xi, self.aleph, self.omega))  # (n, 2, 2) each
+        tails = aleph[:, None] @ omega[None, :]
         right = tails.transpose(0, 1, 3, 2).reshape(-1, 4).T  # columns (Ta, Tc, Tb, Td)
-        left = entries(self.xi).reshape(-1, 4)
+        left = xi.reshape(-1, 4)
         rows = max(1, _SHARD // right.shape[1])
         return _merge(_count((left[i : i + rows] @ right).ravel())
                       for i in range(0, len(left), rows))
@@ -688,9 +682,14 @@ class BilinearSet:
 def build_pi(xi, aleph, omega) -> BilinearSet:
     """Assemble the bilinear product set from its three factors.
 
-    Factors may be FixedSlice / AlephSet instances, element sequences, or raw
-    word sequences; an item that is not an element is read as a word.
+    A FixedSlice gives its rows as they are; any other factor (an AlephSet,
+    elements or words) is read back into rows from its matrices, on Python ints.
     """
-    read = SemigroupElement.from_word
-    return BilinearSet(*(tuple(e if isinstance(e, SemigroupElement) else read(e) for e in factor)
-                         for factor in (xi, aleph, omega)))
+    def rows(factor) -> _Words:
+        if isinstance(factor, FixedSlice):
+            return factor.words
+        ms = (e.matrix if isinstance(e, SemigroupElement) else word_to_matrix(e) for e in factor)
+        columns = np.array([m.entries() for m in ms], dtype=object).reshape(-1, 4).T
+        return _words([columns], max(columns[0], default=0))  # no digit exceeds a
+
+    return BilinearSet(*(rows(factor) for factor in (xi, aleph, omega)))

@@ -547,6 +547,7 @@ BAD_INPUTS = [
     ["sieve-remainders", "--use-pi", "--omega-bound", "nan"],
     ["discriminants", "--max-T", "inf"],
     ["discriminants", "--max-T", "-5"],
+    ["discriminants", "--min-multiplicity", "-5"],
     ["class-census", "--disc", "-5"],  # refused before its root is taken
     ["trace-fiber", "--trace", "2"],
     ["sieve-remainders", "--cutoff", "1"],
@@ -673,7 +674,13 @@ BUDGET_EDGE_INPUTS = [
     # per bit there is: 1.2-1.7 s, and VmHWM grows by about 2 MB; its D has
     # 6,623 digits, which the profile writes in full
     ["geodesic", "--word", ",".join(["1"] * 15_844), "--emit", "profile.json"],
+    # Xi and Omega of 63,004 words each, held as the walk's arrays: about
+    # 0.3 s and 34 MB of VmHWM growth (1 s and 110 MB as tuples of elements)
+    ["build-pi", "--alphabet", "2", "--xi-bound", "1e5", "--aleph-bound", "1e6",
+     "--omega-bound", "1e5"],
 ]
+# VmHWM growth allowed past the import, by subcommand
+_GROWTH_MB = {"build-pi": 64.0}
 
 _MEASURED_MAIN = """
 import json, sys, time
@@ -700,7 +707,7 @@ def test_budget_edge_inputs_exit_0_in_bounded_memory(tmp_path, argv):
     measured = json.loads(done.stdout.splitlines()[-1])
     assert measured["code"] == 0
     assert measured["seconds"] < 3.0
-    assert measured["growth_mb"] <= 8.0
+    assert measured["growth_mb"] <= _GROWTH_MB.get(argv[0], 8.0)
 
 
 @pytest.mark.parametrize("argv", OVER_CAP_INPUTS, ids=_argv_id)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thinsieve import sieve
+from thinsieve import semigroup, sieve
 from thinsieve.arith import is_squarefree, primes_up_to
 from thinsieve.cf import word_to_matrix
 from thinsieve.errors import CapExceededError, InternalInvariantError
@@ -101,6 +101,19 @@ def test_sift_values_bilinear_streams_factorwise():
     assert seq.source_size == pi.size
     # support bound: n <= 2 T for nonnegative matrices
     assert max(v for v, _ in seq.values) <= 2 * pi.norm_bound()**2
+
+
+def test_xi_and_omega_reach_the_sift_without_an_element(monkeypatch):
+    aleph = aleph_construct(1e6, 2)  # aleph is built from elements, so before the patch
+
+    def formed(words):
+        raise AssertionError("an element was formed")
+
+    monkeypatch.setattr(semigroup, "_elements", formed)
+    pi = build_pi(build_fixed_length_ball(2, 40), aleph, build_fixed_length_ball(2, 12))
+    seq = sift_values(pi)
+    monkeypatch.undo()  # the oracle forms elements
+    assert seq.values == tuple(sorted(Counter(t * t - 4 for t in pi.iter_traces()).items()))
 
 
 def test_A_q_examples():
