@@ -302,7 +302,8 @@ def _aleph_set(a) -> Summarised:
 
 def _pi_factors(a) -> tuple:
     xi = build_fixed_length_ball(a.alphabet, a.xi_bound)
-    omega = build_fixed_length_ball(a.alphabet, a.omega_bound)
+    omega = (xi if a.omega_bound == a.xi_bound  # a shared bound is walked once
+             else build_fixed_length_ball(a.alphabet, a.omega_bound))
     return xi, aleph_construct(a.aleph_bound, a.modulus), omega
 
 

@@ -7,15 +7,14 @@ pruned subtree; trace fibers prune on the least trace attainable by extending
 a prefix instead.
 
 Every walk runs on one block frontier, `_frontier`: a depth-first stack of
-numpy blocks of (a, b, c, d), each expanded by all its digits at once and cut
-down by a keep mask and a descend mask.  Its entries are int32 or int64 while
-the bound's worst case fits them and Python ints beyond, so every count is
-exact.  It checks every walk's alphabet and node cap, DEFAULT_MAX_NODES.
-Norm balls are read through `_ball_blocks`, which checks the parity and, for
-walks that hold words or a tally, the element cap DEFAULT_MAX_ELEMENTS.
-Words are read back from the matrices, all at once (`_words`); a ball is
-counted against the cap before its matrices are held, so a ball over the cap
-fails in bounded memory and before any element is built.
+numpy blocks of (a, b, c, d), each expanded by all its digits at once, cut
+down by a keep mask and a descend mask, and given with its depth.  Entries are
+int32 or int64 while the bound's worst case fits them and Python ints beyond,
+so every count is exact.  It checks every walk's alphabet and node cap,
+DEFAULT_MAX_NODES; `_ball_blocks` checks a norm ball's parity and, for walks
+that hold words or a tally, the element cap DEFAULT_MAX_ELEMENTS.  A ball is
+counted per length against the cap, holding nothing, and only then are the
+matrices of the lengths kept read back into words, all at once (`_words`).
 
 Traces are tallied in shards: a walk's blocks are joined (`_shards`) into
 arrays of at least _SHARD traces, each sorted and counted in one call
@@ -106,10 +105,10 @@ def enumerate_ball(alphabet: int, norm: float, parity: str = "even") -> Iterator
 class _Frame:
     """Nodes of one depth in a block walk, with a cursor over their children."""
 
-    __slots__ = ("even", "rows", "starts", "ends", "lo", "waiting", "n_waiting")
+    __slots__ = ("depth", "rows", "starts", "ends", "lo", "waiting", "n_waiting")
 
-    def __init__(self, even: bool, rows: tuple, starts: np.ndarray, ends: np.ndarray):
-        self.even = even  # depth parity of the nodes
+    def __init__(self, depth: int, rows: tuple, starts: np.ndarray, ends: np.ndarray):
+        self.depth = depth  # the nodes' word length
         self.rows = rows  # entries (a, b, c, d), one array each
         self.starts, self.ends = starts, ends  # each node's children, numbered
         self.lo = 0  # the next child to form
@@ -119,8 +118,8 @@ class _Frame:
 
 def _frontier(
     alphabet: int, limit: int, by_trace: bool
-) -> Iterator[tuple[bool, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Walk the tree of words in blocks, yielding the kept nodes as (even, a, b, c, d).
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Walk the tree of words in blocks, yielding the kept nodes as (depth, a, b, c, d).
 
     By norm, every word with ||g||^2 <= limit is kept and descended.  By trace,
     the even words with trace <= limit are kept, and a prefix is descended only
@@ -150,8 +149,8 @@ def _frontier(
     dtype = np.int32 if worst < _INT32_SAFE else np.int64 if worst < _INT64_SAFE else object
     nodes = 1  # the root
 
-    def push(even: bool, a, b, c, d) -> None:
-        if by_trace and not even:
+    def push(depth: int, a, b, c, d) -> None:
+        if by_trace and depth % 2:
             room = (limit - b - c) // a  # even children: trace g*a + b + c <= limit
         elif by_trace:
             room = (limit - a - b - d) // (a + c)  # odd children: a' + b' + c' <= limit
@@ -160,10 +159,10 @@ def _frontier(
         counts = np.minimum(np.maximum(room, 0), top).astype(np.int64, copy=False)
         ends = np.cumsum(counts)
         if ends[-1]:  # a frame of leaves has nothing to expand
-            stack.append(_Frame(even, (a, b, c, d), ends - counts, ends))
+            stack.append(_Frame(depth, (a, b, c, d), ends - counts, ends))
 
     stack: list[_Frame] = []
-    push(True, *(np.array([x], dtype=dtype) for x in (1, 0, 0, 1)))
+    push(0, *(np.array([x], dtype=dtype) for x in (1, 0, 0, 1)))
     while stack:
         frame = stack[-1]
         a, b, c, d = frame.rows
@@ -189,11 +188,11 @@ def _frontier(
             na, a, nc, c = na[keep], a[keep], nc[keep], c[keep]
             descend = slice(None)
             if len(na):
-                yield not frame.even, na, a, nc, c
-        elif frame.even:  # odd children: every candidate is descended, none kept
+                yield frame.depth + 1, na, a, nc, c
+        elif frame.depth % 2 == 0:  # odd children: every candidate is descended, none kept
             descend = slice(None)
         else:
-            yield True, na, a, nc, c
+            yield frame.depth + 1, na, a, nc, c
             descend = 2 * na + a + nc + c <= limit
         child = [x[descend] for x in (na, a, nc, c)]
         if len(child[0]):
@@ -209,20 +208,20 @@ def _frontier(
         if frame.n_waiting and (spent or frame.n_waiting >= _BLOCK):
             rows = [np.concatenate(column) for column in zip(*frame.waiting)]
             frame.waiting, frame.n_waiting = [], 0
-            push(not frame.even, *rows)
+            push(frame.depth + 1, *rows)
 
 
 def _ball_blocks(
     alphabet: int, norm_sq_cap: int, parity: str, max_elements: int | None
-) -> Iterator[list[np.ndarray]]:
-    """The words of the given parity with ||g||^2 <= norm_sq_cap, as blocks of
-    (a, b, c, d); raises CapExceededError once more than max_elements are seen."""
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The words of the given parity with ||g||^2 <= norm_sq_cap, as blocks of (length,
+    a, b, c, d); raises CapExceededError once more than max_elements are seen."""
     if parity not in ("even", "any"):
         raise ValueError("parity must be 'even' or 'any'")
     seen = 0
-    for even, *block in _frontier(alphabet, norm_sq_cap, False):
-        if even or parity == "any":
-            seen += len(block[0])
+    for block in _frontier(alphabet, norm_sq_cap, False):
+        if block[0] % 2 == 0 or parity == "any":
+            seen += len(block[1])
             if max_elements is not None and seen > max_elements:
                 raise CapExceededError(f"ball enumeration exceeded {max_elements} elements")
             yield block
@@ -272,13 +271,14 @@ def _words(blocks: Iterable[list[np.ndarray]], top: int) -> _Words:
     return _Words(digits[order], lengths[order], tuple(x[order] for x in (a, b, c, d)))
 
 
-def _ball_words(alphabet: int, norm_sq_cap: int, parity: str) -> _Words:
-    """The words of the given parity with ||g||^2 <= norm_sq_cap.  One block
-    walk counts the ball against DEFAULT_MAX_ELEMENTS, holding nothing, and a
-    second reads its matrices, so a ball over the cap fails in bounded memory."""
-    for _ in _ball_blocks(alphabet, norm_sq_cap, parity, DEFAULT_MAX_ELEMENTS):
-        pass
-    blocks = _ball_blocks(alphabet, norm_sq_cap, parity, None)
+def _ball_words(alphabet: int, norm_sq_cap: int, parity: str, pick=None) -> _Words:
+    """The words of the given parity with ||g||^2 <= norm_sq_cap, of the lengths pick keeps
+    from a first walk's count per length against DEFAULT_MAX_ELEMENTS (all without pick)."""
+    tally = Counter()
+    for n, a, *_ in _ball_blocks(alphabet, norm_sq_cap, parity, DEFAULT_MAX_ELEMENTS):
+        tally[n] += len(a)
+    keep = tally if pick is None else pick(tally)
+    blocks = (b for n, *b in _ball_blocks(alphabet, norm_sq_cap, parity, None) if n in keep)
     return _words(blocks, min(alphabet, isqrt(max(norm_sq_cap, 0))))
 
 
@@ -297,7 +297,7 @@ def _elements(words: _Words) -> Iterator[SemigroupElement]:
 
 def ball_count(alphabet: int, norm: float, parity: str = "even") -> int:
     """Fast count of the ball, without materialising elements."""
-    return sum(len(a) for a, _, _, _ in _ball_blocks(alphabet, _norm_sq_cap(norm), parity, None))
+    return sum(len(a) for _, a, *_ in _ball_blocks(alphabet, _norm_sq_cap(norm), parity, None))
 
 
 def _starts(values: np.ndarray) -> np.ndarray:
@@ -366,7 +366,7 @@ def ball_traces(alphabet: int, norm: float) -> tuple[np.ndarray, np.ndarray]:
     Raises CapExceededError once the ball passes DEFAULT_MAX_ELEMENTS even words.
     """
     blocks = _ball_blocks(alphabet, _norm_sq_cap(norm), "even", DEFAULT_MAX_ELEMENTS)
-    return _merge(_count(s) for s in _shards(a + d for a, _, _, d in blocks))
+    return _merge(_count(s) for s in _shards(a + d for _, a, _, _, d in blocks))
 
 
 class HensleyFit(NamedTuple):
@@ -383,7 +383,7 @@ def hensley_exponent(alphabet: int, norms: Iterable[float]) -> HensleyFit:
     # one walk at the largest norm; each word counts toward the first cap that holds it
     caps = np.array([_norm_sq_cap(n) for n in grid])  # int64, or Python ints past it
     hits = np.zeros(len(grid), dtype=np.int64)
-    for a, b, c, d in _ball_blocks(alphabet, _norm_sq_cap(grid[-1]), "even", None):
+    for _, a, b, c, d in _ball_blocks(alphabet, _norm_sq_cap(grid[-1]), "even", None):
         norm_sq = a * a + b * b + c * c + d * d  # <= the cap, so exact in the walk's dtype
         hits += np.bincount(np.searchsorted(caps, norm_sq), minlength=len(grid))
     counts = list(zip(grid, np.cumsum(hits).tolist()))
@@ -477,15 +477,15 @@ class FixedSlice:
 
 
 def build_fixed_length_ball(alphabet: int, bound: float) -> FixedSlice:
-    """Among even wordlengths in the open ball ||g|| < bound, keep the most
-    populous one (ties resolved toward the shorter length)."""
-    if bound < 3:  # from 3 on, the ball holds (1, 1), of norm^2 7 < 9
-        raise ValueError("bound must be >= 3 so the even ball is nonempty")
-    words = _ball_words(alphabet, _norm_sq_cap(bound, strict=True), "even")
-    best = int(np.bincount(words.lengths).argmax())  # the first of equals is the shortest
-    rows = words.lengths == best
-    return FixedSlice(best, _Words(words.digits[rows, :best], words.lengths[rows],
-                                   tuple(x[rows] for x in words.matrix)))
+    """Among even wordlengths in the open ball ||g|| < bound, keep the most populous
+    one (ties resolved toward the shorter length), chosen before any word is read."""
+    def most_populous(tally: Counter) -> tuple[int]:
+        if not tally:
+            raise ValueError(f"the open ball of norm < {bound} holds no even word")
+        return (min(tally, key=lambda n: (-tally[n], n)),)
+
+    words = _ball_words(alphabet, _norm_sq_cap(bound, strict=True), "even", most_populous)
+    return FixedSlice(int(words.lengths[0]), words)
 
 
 @dataclass(frozen=True)
@@ -558,10 +558,9 @@ def aleph_construct(norm_bound: float, modulus: int = 2) -> AlephSet:
     # only if u >= 3; as xmax_sq >= 2, u is at most the root at 2: decided before
     # the walk over SL2(Z/B), at this bound and at every finite one (square < 2^1024)
     if (most := iroot(closed // 2, 2 * R)) < 3:
-        fix = ("impossible: no finite norm bound reaches" if iroot(1 << 1023, 2 * R) < 3
-               else f"the norm bound to at least {sqrt(2 * 9**R):.4g} for")
-        raise ValueError(f"ball too small at pivot {max(1, most)}; increase {fix} "
-                         f"modulus {modulus}")
+        fix = ("no finite norm bound reaches" if iroot(1 << 1023, 2 * R) < 3
+               else f"increase the norm bound to at least {sqrt(2 * 9**R):.4g} for")
+        raise ValueError(f"ball too small at pivot {max(1, most)}; {fix} modulus {modulus}")
     reps = _residue_representatives(modulus)
     xmax_sq = max(e.norm_sq for e in reps)
     # largest u with u^(2R) * xmax_sq <= norm_bound^2, at least 1; the left side is an integer

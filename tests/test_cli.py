@@ -229,6 +229,14 @@ def test_word_steps_count_their_ball_then_read_it(tmp_path, monkeypatch, argv):
     assert len(calls) == 2 and calls[0] == calls[1]
 
 
+# build-pi walks each slice's ball twice and aleph's twice; a bound that Xi and
+# Omega share is walked for one slice, which serves as both
+@pytest.mark.parametrize("omega, walks", [(40, 4), (12, 6)])
+def test_a_shared_slice_bound_is_walked_once(tmp_path, monkeypatch, omega, walks):
+    argv = ["build-pi", "--xi-bound", 40, "--aleph-bound", 1e6, "--omega-bound", omega]
+    assert len(_walks(tmp_path, monkeypatch, argv)) == walks
+
+
 # every JSON-lines artifact reads as json.dumps(record, sort_keys=True) writes it,
 # whether its writer formats the line by hand or not
 @pytest.mark.parametrize("argv", [
@@ -544,6 +552,7 @@ BAD_INPUTS = [
     ["aleph", "--bound", "1000", "--modulus", "101"],  # pivot 1, known before covering SL2
     ["build-pi", "--xi-bound", "40", "--aleph-bound", "inf", "--omega-bound", "12"],
     ["build-pi", "--xi-bound", "1e300", "--aleph-bound", "1e6", "--omega-bound", "12"],
+    ["build-pi", "--xi-bound", "2.5", "--aleph-bound", "1e6", "--omega-bound", "12"],  # no even word
     ["sieve-remainders", "--use-pi", "--omega-bound", "nan"],
     ["discriminants", "--max-T", "inf"],
     ["discriminants", "--max-T", "-5"],
@@ -678,9 +687,16 @@ BUDGET_EDGE_INPUTS = [
     # 0.3 s and 34 MB of VmHWM growth (1 s and 110 MB as tuples of elements)
     ["build-pi", "--alphabet", "2", "--xi-bound", "1e5", "--aleph-bound", "1e6",
      "--omega-bound", "1e5"],
+    # one slice of 644,206 words of length 20, read alone from a ball of
+    # 1,722,749 and serving as Xi and Omega
+    ["build-pi", "--alphabet", "2", "--xi-bound", "1e6", "--aleph-bound", "1e6",
+     "--omega-bound", "1e6"],
 ]
-# VmHWM growth allowed past the import, by subcommand
-_GROWTH_MB = {"build-pi": 64.0}
+# VmHWM growth allowed past the import, by row
+_GROWTH_MB = {
+    "build-pi --alphabet 2 --xi-bound 1e5 --aleph-bound 1e6 --omega-bound 1e5": 64.0,
+    "build-pi --alphabet 2 --xi-bound 1e6 --aleph-bound 1e6 --omega-bound 1e6": 192.0,
+}
 
 _MEASURED_MAIN = """
 import json, sys, time
@@ -707,7 +723,7 @@ def test_budget_edge_inputs_exit_0_in_bounded_memory(tmp_path, argv):
     measured = json.loads(done.stdout.splitlines()[-1])
     assert measured["code"] == 0
     assert measured["seconds"] < 3.0
-    assert measured["growth_mb"] <= _GROWTH_MB.get(argv[0], 8.0)
+    assert measured["growth_mb"] <= _GROWTH_MB.get(" ".join(argv), 8.0)
 
 
 @pytest.mark.parametrize("argv", OVER_CAP_INPUTS, ids=_argv_id)

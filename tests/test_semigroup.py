@@ -490,6 +490,39 @@ def test_fixed_length_ball_pigeonhole():
     assert len(slice_) >= len(open_ball) // len(lengths)
 
 
+def test_fixed_length_ball_is_the_open_ball_when_it_holds_one_even_word():
+    # norm < 2.9 caps norm^2 at 8, which (1, 1), of norm^2 7, fits
+    s = build_fixed_length_ball(2, 2.9)
+    assert s.wordlength == 2 and [e.word for e in s] == [(1, 1)]
+    with pytest.raises(ValueError, match="holds no even word"):
+        build_fixed_length_ball(2, 2.5)  # norm^2 at most 6
+
+
+@pytest.mark.parametrize("alphabet, bound", [(1, 1e4), (2, 3), (2, 40), (2, 1e3), (3, 300),
+                                             (5, 1e2), (7, 60)])
+def test_fixed_length_ball_is_the_most_populous_length_of_the_open_ball(alphabet, bound):
+    # oracle: every even word of the open ball, tallied by length
+    ball = list(iter_ball(alphabet, semigroup._norm_sq_cap(bound, strict=True), "even"))
+    tally = Counter(len(e.word) for e in ball)
+    best = min(tally, key=lambda n: (-tally[n], n))
+    s = build_fixed_length_ball(alphabet, bound)
+    assert s.wordlength == best
+    assert list(s) == [e for e in ball if len(e.word) == best]
+
+
+def test_a_slice_reads_only_the_rows_it_keeps(monkeypatch):
+    read, rows = semigroup._words, []
+
+    def counted(blocks, top):
+        blocks = list(blocks)
+        rows.append(sum(len(a) for a, *_ in blocks))
+        return read(blocks, top)
+
+    monkeypatch.setattr(semigroup, "_words", counted)
+    s = build_fixed_length_ball(2, 1e3)
+    assert rows == [len(s)] and len(s) < ball_count(2, 1e3)
+
+
 def test_fixed_length_ball_deterministic():
     a = build_fixed_length_ball(5, 1e2)
     b = build_fixed_length_ball(5, 1e2)
@@ -568,11 +601,12 @@ def test_aleph_decides_pivot_one_before_covering_sl2(monkeypatch):
 
     monkeypatch.setattr(semigroup, "_residue_representatives", walk)
     for bound, modulus in ((1000.0, 101), (1.0, 101), (1e6, 1_000_003)):  # R ~ 10^18 at the last
-        with pytest.raises(ValueError, match="ball too small at pivot 1; increase"):
+        with pytest.raises(ValueError, match="ball too small at pivot 1; no finite norm bound "
+                                             f"reaches modulus {modulus}$"):
             aleph_construct(bound, modulus)
     # the least even word, (1, 1), has norm^2 7, so a pivot of 2 holds no word
     # either; |SL2(Z/7)| = 336 and 2 * 3^672 > 2^1024, so no float bound reaches B = 7
-    with pytest.raises(ValueError, match="pivot 2; increase impossible: .* modulus 7$"):
+    with pytest.raises(ValueError, match="pivot 2; no finite norm bound reaches modulus 7$"):
         aleph_construct(1e150, 7)
     with pytest.raises(ValueError,
                        match="pivot 1; increase the norm bound to at least 1031 for modulus 2$"):
