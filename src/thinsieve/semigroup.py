@@ -219,12 +219,12 @@ def _ball_blocks(
     if parity not in ("even", "any"):
         raise ValueError("parity must be 'even' or 'any'")
     seen = 0
-    for block in _frontier(alphabet, norm_sq_cap, False):
-        if block[0] % 2 == 0 or parity == "any":
-            seen += len(block[1])
+    for length, *block in _frontier(alphabet, norm_sq_cap, False):
+        if length % 2 == 0 or parity == "any":
+            seen += len(block[0])
             if max_elements is not None and seen > max_elements:
                 raise CapExceededError(f"ball enumeration exceeded {max_elements} elements")
-            yield block
+            yield length, *block
 
 
 class _Words(NamedTuple):

@@ -552,7 +552,8 @@ BAD_INPUTS = [
     ["aleph", "--bound", "1000", "--modulus", "101"],  # pivot 1, known before covering SL2
     ["build-pi", "--xi-bound", "40", "--aleph-bound", "inf", "--omega-bound", "12"],
     ["build-pi", "--xi-bound", "1e300", "--aleph-bound", "1e6", "--omega-bound", "12"],
-    ["build-pi", "--xi-bound", "2.5", "--aleph-bound", "1e6", "--omega-bound", "12"],  # no even word
+    # the open ball of norm < 2.5 holds no even word
+    ["build-pi", "--xi-bound", "2.5", "--aleph-bound", "1e6", "--omega-bound", "12"],
     ["sieve-remainders", "--use-pi", "--omega-bound", "nan"],
     ["discriminants", "--max-T", "inf"],
     ["discriminants", "--max-T", "-5"],
