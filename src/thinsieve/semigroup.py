@@ -214,8 +214,8 @@ def _frontier(
 def _ball_blocks(
     alphabet: int, norm_sq_cap: int, parity: str, max_elements: int | None
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """The words of the given parity with ||g||^2 <= norm_sq_cap, as blocks of (length,
-    a, b, c, d); raises CapExceededError once more than max_elements are seen."""
+    """The words of the given parity with ||g||^2 <= norm_sq_cap, as blocks of
+    (length, a, b, c, d); raises CapExceededError past max_elements words."""
     if parity not in ("even", "any"):
         raise ValueError("parity must be 'even' or 'any'")
     seen = 0
