@@ -179,10 +179,6 @@ def _line(word, a, b, c, d) -> str:
             f'"trace": {a + d}, "word": "{serialize_word(word)}"}}\n')
 
 
-def _element_lines(elements) -> Iterator[str]:
-    return (_line(e.word, *e.matrix.entries()) for e in elements)
-
-
 def _ascii(x: np.ndarray) -> np.ndarray:
     """The decimal digits of nonnegative int64 entries as ASCII bytes, along a
     new last axis as wide as the largest entry's, NUL bytes padding the left."""
@@ -231,10 +227,8 @@ def _text(words, rows: slice) -> str:
     return m[m != 0].tobytes().decode()
 
 
-def _ball_lines(a) -> Iterator[str]:
-    """enumerate's lines, formed from the ball's arrays _CHUNK rows at a time.
-    The ball is walked, and its cap checked, before the first line is formed."""
-    words = _ball_words(a.alphabet, _norm_sq_cap(a.norm), a.parity)
+def _lines(words) -> Iterator[str]:
+    """The JSON lines of words, formed from its arrays _CHUNK rows at a time."""
     return (_text(words, slice(lo, lo + _CHUNK)) for lo in range(0, len(words.lengths), _CHUNK))
 
 
@@ -297,7 +291,7 @@ def _aleph_set(a) -> Summarised:
         "pivot_bound": aleph.pivot_bound,
         "error_at_q": {str(q): aleph_error(aleph, q) for q in (1, 2, 3)},
     }
-    return Summarised(_element_lines(aleph), summary)
+    return Summarised(_lines(aleph.words), summary)
 
 
 def _pi_factors(a) -> tuple:
@@ -395,11 +389,12 @@ COMMANDS: dict[str, Command] = {
     "enumerate": Command(
         "list a semigroup norm ball as JSON lines", "enumerate.jsonl",
         (_ALPHABET, Flag("--norm", _RADIUS, _REQUIRED), Flag("--parity", _PARITY, "even")),
-        _ball_lines),
+        # the ball is walked, and its cap checked, before the first line is formed
+        lambda a: _lines(_ball_words(a.alphabet, _norm_sq_cap(a.norm), a.parity))),
     "trace-fiber": Command(
         "list all even words of a given trace", "trace_fiber.jsonl",
         (_ALPHABET, Flag("--trace", int, _REQUIRED)),
-        lambda a: _element_lines(trace_fiber(a.alphabet, a.trace))),
+        lambda a: (_line(e.word, *e.matrix.entries()) for e in trace_fiber(a.alphabet, a.trace))),
     "hensley-fit": Command(
         "fit the ball-growth exponent on a norm grid", "hensley_fit.csv",
         (_ALPHABET, Flag("--norms", _items(_RADIUS),

@@ -21,7 +21,7 @@ arrays of at least _SHARD traces, each sorted and counted in one call
 (`_count`) and merged into the running tally of distinct traces (`_merge`).
 Memory grows with one shard and the distinct traces, not with the ball.
 The bilinear set's factors are such word arrays (`_Words`) from walk to sift;
-elements are formed only when a slice or the bilinear set is iterated.
+elements are formed only when a factor or the bilinear set is iterated.
 """
 
 from __future__ import annotations
@@ -228,13 +228,17 @@ def _ball_blocks(
 
 
 class _Words(NamedTuple):
-    """Words as arrays, one row each in lexicographic order: row i's word is
-    digits[i, :lengths[i]] (zeros pad the rest) and its matrix (a, b, c, d)
-    is matrix[0][i], ..., matrix[3][i]."""
+    """Words as arrays, one row each: row i's word is digits[i, :lengths[i]]
+    (zeros pad the rest) and its matrix (a, b, c, d) is matrix[0][i], ...,
+    matrix[3][i]."""
 
     digits: np.ndarray
     lengths: np.ndarray
     matrix: tuple[np.ndarray, ...]
+
+    def mats(self, dtype) -> np.ndarray:
+        """The rows' matrices, an (n, 2, 2) array of the given dtype."""
+        return np.stack(self.matrix, axis=1).astype(dtype).reshape(-1, 2, 2)
 
 
 def _words(blocks: Iterable[list[np.ndarray]], top: int) -> _Words:
@@ -243,8 +247,7 @@ def _words(blocks: Iterable[list[np.ndarray]], top: int) -> _Words:
     A word's first column has a/c = [g1; g2, ..., gn], so one Euclid on (a, c)
     peels every word's digits left to right, digit = a // c as in
     word_from_matrix.  Its last quotient g may also end the word as (g - 1, 1);
-    the determinant ad - bc = (-1)^length settles which.  Rows are sorted by
-    their digits, padded with zeros, so a prefix comes before its extensions.
+    the determinant ad - bc = (-1)^length settles which; rows keep the blocks' order.
     """
     blocks = list(blocks) or [[np.zeros(0, dtype=np.int64)] * 4]
     a, b, c, d = (np.concatenate(column) for column in zip(*blocks))
@@ -267,8 +270,13 @@ def _words(blocks: Iterable[list[np.ndarray]], top: int) -> _Words:
     digits[split, last - 1] -= 1
     digits[split, last] = 1
     lengths[split] += 1
-    order = np.lexsort(digits.T[::-1])
-    return _Words(digits[order], lengths[order], tuple(x[order] for x in (a, b, c, d)))
+    return _Words(digits, lengths, (a, b, c, d))
+
+
+def _lex(words: _Words) -> _Words:
+    """The rows sorted by their digits, so a prefix comes before its extensions."""
+    order = np.lexsort(words.digits.T[::-1])
+    return _Words(words.digits[order], words.lengths[order], tuple(x[order] for x in words.matrix))
 
 
 def _ball_words(alphabet: int, norm_sq_cap: int, parity: str, pick=None) -> _Words:
@@ -279,7 +287,7 @@ def _ball_words(alphabet: int, norm_sq_cap: int, parity: str, pick=None) -> _Wor
         tally[n] += len(a)
     keep = tally if pick is None else pick(tally)
     blocks = (b for n, *b in _ball_blocks(alphabet, norm_sq_cap, parity, None) if n in keep)
-    return _words(blocks, min(alphabet, isqrt(max(norm_sq_cap, 0))))
+    return _lex(_words(blocks, min(alphabet, isqrt(max(norm_sq_cap, 0)))))
 
 
 def _rows(words: _Words, rows=slice(None)) -> Iterator[tuple]:
@@ -415,7 +423,7 @@ def trace_fiber(alphabet: int, t: int) -> list[SemigroupElement]:
     for _, a, b, c, d in _frontier(alphabet, t, True):
         hit = a + d == t
         hits.append([x[hit] for x in (a, b, c, d)])
-    return list(_elements(_words(hits, min(alphabet, t))))
+    return list(_elements(_lex(_words(hits, min(alphabet, t)))))
 
 
 def trace_histogram(alphabet: int, t_max: int) -> np.ndarray:
@@ -488,16 +496,16 @@ def build_fixed_length_ball(alphabet: int, bound: float) -> FixedSlice:
     return FixedSlice(int(words.lengths[0]), words)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlephSet:
-    """Residue-balanced subset of the alphabet-2 semigroup.
+    """Residue-balanced subset of the alphabet-2 semigroup, as the rows of words.
 
     Built by pigeonholing the small ball on its residues mod B, powering the
     popular element to reach the identity class, then translating into every
     class of SL2(Z/B); the union therefore hits all classes mod B equally.
     """
 
-    elements: tuple[SemigroupElement, ...]
+    words: _Words
     modulus: int
     group_order: int
     base_size: int
@@ -506,10 +514,10 @@ class AlephSet:
     residue_reps: tuple[SemigroupElement, ...]
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.words.lengths)
 
     def __iter__(self) -> Iterator[SemigroupElement]:
-        return iter(self.elements)
+        return _elements(self.words)
 
 
 def _residue_representatives(modulus: int) -> list[SemigroupElement]:
@@ -550,10 +558,10 @@ def aleph_construct(norm_bound: float, modulus: int = 2) -> AlephSet:
         raise CapExceededError(f"modulus {modulus} exceeds cap {ALEPH_MODULUS_CAP}")
     R = sl2_order(modulus)  # also validates square-freeness
     if modulus == 1:
-        els = tuple(iter_ball(2, inside, "even"))
-        if not els:
+        words = _ball_words(2, inside, "even")
+        if not len(words.lengths):
             raise ValueError("ball too small; increase the norm bound")
-        return AlephSet(els, 1, 1, len(els), int(norm_bound), None, ())
+        return AlephSet(words, 1, 1, len(words.lengths), int(norm_bound), None, ())
     # the pivot ball ||g|| < u below holds the least even word, (1, 1) of norm^2 7,
     # only if u >= 3; as xmax_sq >= 2, u is at most the root at 2: decided before
     # the walk over SL2(Z/B), at this bound and at every finite one (square < 2^1024)
@@ -565,38 +573,35 @@ def aleph_construct(norm_bound: float, modulus: int = 2) -> AlephSet:
     xmax_sq = max(e.norm_sq for e in reps)
     # largest u with u^(2R) * xmax_sq <= norm_bound^2, at least 1; the left side is an integer
     u = max(1, iroot(closed // xmax_sq, 2 * R))
-    base = list(iter_ball(2, u * u - 1, "even"))
-    if not base:
+    base = _ball_words(2, u * u - 1, "even")
+    if not len(base.lengths):
         raise ValueError(f"ball too small at pivot {u}; increase the norm bound")
-    residues = [e.matrix.mod(modulus) for e in base]
-    tally = Counter(residues)
-    top = max(tally.values())
-    popular = min(r for r, n in tally.items() if n == top)
-    pilot = base[residues.index(popular)]
-    tail_word = pilot.word * (R - 1)
-    tail_matrix = pilot.matrix ** (R - 1)
-    elements = []
-    for e, r in zip(base, residues):
-        if r != popular:
-            continue
-        stem_word = e.word + tail_word
-        stem_matrix = e.matrix * tail_matrix
-        for x in reps:
-            elements.append(SemigroupElement(stem_word + x.word, stem_matrix * x.matrix))
-    for e in elements:
-        if e.norm_sq > inside:
-            raise InternalInvariantError("constructed element escaped the norm bound")
-    return AlephSet(tuple(elements), modulus, R, top, u, pilot, tuple(reps))
+    # each residue (a, b, c, d) mod B as its index in lexicographic order; a
+    # pivot of 3 or more needs |SL2(Z/B)| <= 322, so B <= 6 and B^4 is small
+    residue = np.ravel_multi_index([(x % modulus).astype(np.intp) for x in base.matrix],
+                                   (modulus,) * 4)
+    tally = np.bincount(residue)
+    stems = residue == np.argmax(tally)  # the least of the most common residues
+    (word, *m), = _rows(base, np.flatnonzero(stems)[:1])
+    pilot = SemigroupElement(tuple(word), Mat2(*m))
+    # a product's entries and partial sums are at most its own entries, below sqrt(inside)
+    dtype = np.int64 if inside < _INT64_SAFE else object
+    tail = np.array((pilot.matrix ** (R - 1)).entries(), dtype=dtype).reshape(2, 2)
+    right = np.array([x.matrix.entries() for x in reps], dtype=dtype).reshape(-1, 2, 2)
+    products = (base.mats(dtype)[stems] @ tail)[:, None] @ right[None]  # stem-major, then reps
+    words = _words([products.reshape(-1, 4).T], 2)
+    if (sum(x * x for x in words.matrix) > inside).any():
+        raise InternalInvariantError("constructed element escaped the norm bound")
+    return AlephSet(words, modulus, R, int(tally.max()), u, pilot, tuple(reps))
 
 
-def aleph_error(aleph: Iterable[SemigroupElement], q: int) -> float:
+def aleph_error(aleph: AlephSet, q: int) -> float:
     """Worst deviation of the residue distribution of the set from uniform on SL2(Z/q)."""
-    elements = list(aleph)
-    if not elements:
+    n = len(aleph)
+    if not n:
         raise ValueError("empty set")
     order = sl2_order(q)
-    counts = Counter(e.matrix.mod(q) for e in elements)
-    n = len(elements)
+    counts = Counter(zip(*((x % q).tolist() for x in aleph.words.matrix)))
     worst = Fraction(0)
     for c in counts.values():
         worst = max(worst, abs(Fraction(c, n) - Fraction(1, order)))
@@ -668,8 +673,7 @@ class BilinearSet:
         root stays below 2^62 and Python ints (dtype object) beyond.
         """
         dtype = np.int64 if prod(self._norms_sq()) < _INT64_SAFE**2 else object
-        xi, aleph, omega = (np.stack(f.matrix, axis=1).astype(dtype).reshape(-1, 2, 2)
-                            for f in (self.xi, self.aleph, self.omega))  # (n, 2, 2) each
+        xi, aleph, omega = (f.mats(dtype) for f in (self.xi, self.aleph, self.omega))
         tails = aleph[:, None] @ omega[None, :]
         right = tails.transpose(0, 1, 3, 2).reshape(-1, 4).T  # columns (Ta, Tc, Tb, Td)
         left = xi.reshape(-1, 4)
@@ -681,11 +685,11 @@ class BilinearSet:
 def build_pi(xi, aleph, omega) -> BilinearSet:
     """Assemble the bilinear product set from its three factors.
 
-    A FixedSlice gives its rows as they are; any other factor (an AlephSet,
-    elements or words) is read back into rows from its matrices, on Python ints.
+    A FixedSlice or an AlephSet gives its rows as they are; elements or words
+    are read into rows, in their order, from their matrices on Python ints.
     """
     def rows(factor) -> _Words:
-        if isinstance(factor, FixedSlice):
+        if isinstance(factor, (FixedSlice, AlephSet)):
             return factor.words
         ms = (e.matrix if isinstance(e, SemigroupElement) else word_to_matrix(e) for e in factor)
         columns = np.array([m.entries() for m in ms], dtype=object).reshape(-1, 4).T

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from thinsieve.cli import _CHUNK, COMMANDS, Table, _line, _text, _write, main
 from thinsieve.cf import parse_word
-from thinsieve.errors import CapExceededError, InternalInvariantError
+from thinsieve.errors import InternalInvariantError
 from thinsieve.geodesics import geodesic_profile
 from thinsieve.semigroup import _ball_words, _rows
 from thinsieve.sieve import BallSource, remainder_profile, sift_values
@@ -670,6 +670,12 @@ OVER_CAP_INPUTS = [
 ]
 
 
+# Aleph at modulus 1 is the whole even ball, 1,722,749 words held as the
+# walk's arrays: about 2 s and 290 MB of VmHWM growth (21-31 s and 1.8 GB as a
+# tuple of elements)
+_PI_MODULUS_1 = ["build-pi", "--xi-bound", "40", "--aleph-bound", "1e6", "--omega-bound", "40",
+                 "--modulus", "1"]
+
 # dimension at the edge of its 10^7-cylinder budget, and the benchmark's
 # dimension step.  Each run holds no level of lengths, so in a fresh process
 # it exits 0 in 0.05-0.3 s and VmHWM grows by 1.2-2.3 MB past the import (it
@@ -692,12 +698,18 @@ BUDGET_EDGE_INPUTS = [
     # 1,722,749 and serving as Xi and Omega
     ["build-pi", "--alphabet", "2", "--xi-bound", "1e6", "--aleph-bound", "1e6",
      "--omega-bound", "1e6"],
+    _PI_MODULUS_1,
 ]
-# VmHWM growth allowed past the import, by row
+# the sift of that Pi, of 833,810,516 elements, is over its cap once Pi is built
+_SIFT_OVER_CAP = ["sieve-remainders", "--use-pi", *_PI_MODULUS_1[1:]]
+# VmHWM growth allowed past the import, and seconds allowed, by row
 _GROWTH_MB = {
     "build-pi --alphabet 2 --xi-bound 1e5 --aleph-bound 1e6 --omega-bound 1e5": 64.0,
     "build-pi --alphabet 2 --xi-bound 1e6 --aleph-bound 1e6 --omega-bound 1e6": 192.0,
+    " ".join(_PI_MODULUS_1): 384.0,
+    " ".join(_SIFT_OVER_CAP): 384.0,
 }
+_SECONDS = {" ".join(_PI_MODULUS_1): 6.0, " ".join(_SIFT_OVER_CAP): 6.0}
 
 _MEASURED_MAIN = """
 import json, sys, time
@@ -712,9 +724,8 @@ print(json.dumps({"code": code, "seconds": seconds, "growth_mb": growth}))
 """
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
-@pytest.mark.parametrize("argv", BUDGET_EDGE_INPUTS, ids=_argv_id)
-def test_budget_edge_inputs_exit_0_in_bounded_memory(tmp_path, argv):
+def _within_budget(tmp_path, argv: list[str], code: int) -> None:
+    """Run argv in a fresh process: it exits with code within its row's seconds and growth."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
@@ -722,9 +733,21 @@ def test_budget_edge_inputs_exit_0_in_bounded_memory(tmp_path, argv):
                           capture_output=True, text=True, timeout=60)
     assert "Traceback" not in done.stderr, done.stderr
     measured = json.loads(done.stdout.splitlines()[-1])
-    assert measured["code"] == 0
-    assert measured["seconds"] < 3.0
-    assert measured["growth_mb"] <= _GROWTH_MB.get(" ".join(argv), 8.0)
+    row = " ".join(argv)
+    assert measured["code"] == code
+    assert measured["seconds"] < _SECONDS.get(row, 3.0)
+    assert measured["growth_mb"] <= _GROWTH_MB.get(row, 8.0)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("argv", BUDGET_EDGE_INPUTS, ids=_argv_id)
+def test_budget_edge_inputs_exit_0_in_bounded_memory(tmp_path, argv):
+    _within_budget(tmp_path, argv, 0)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_a_sift_of_pi_over_its_cap_exits_3_in_bounded_memory(tmp_path):
+    _within_budget(tmp_path, _SIFT_OVER_CAP, 3)
 
 
 @pytest.mark.parametrize("argv", OVER_CAP_INPUTS, ids=_argv_id)
@@ -770,28 +793,28 @@ def test_expsum_without_samples_has_no_cap(tmp_path, monkeypatch):
 
 def test_huge_balls_exit_3_at_the_element_cap(tmp_path, monkeypatch):
     # a small cap stands in for the default one, which every ball walk reads at
-    # call time; the word walk that meets the cap builds no element before it
+    # call time; the word walk that meets the cap reads no row of its ball
     import thinsieve.semigroup as semigroup
 
-    walk, built_before_the_cap = semigroup.iter_ball, []
+    slices = [len(semigroup.build_fixed_length_ball(2, bound)) for bound in (40, 12)]
+    read, handed = semigroup._words, []
 
-    def watched(*args):
-        built = 0
-        try:
-            for e in walk(*args):
-                built += 1
-                yield e
-        except CapExceededError:
-            built_before_the_cap.append(built)
-            raise
+    def watched(blocks, top):
+        blocks = list(blocks)
+        handed[-1].append(sum(len(a) for a, *_ in blocks))
+        return read(blocks, top)
 
-    monkeypatch.setattr(semigroup, "iter_ball", watched)
+    monkeypatch.setattr(semigroup, "_words", watched)
     monkeypatch.setattr(semigroup, "DEFAULT_MAX_ELEMENTS", 10_000)
     monkeypatch.chdir(tmp_path)
-    assert run(["squarefree-count", "--alphabet", 3, "--norm", 1e8]) == 3
-    assert run(["aleph", "--bound", 1e100]) == 3
-    assert run(["build-pi", "--xi-bound", 40, "--aleph-bound", 1e100, "--omega-bound", 12]) == 3
-    assert built_before_the_cap == [0, 0]  # aleph's ball in each of the last two runs
+    for argv in (["squarefree-count", "--alphabet", 3, "--norm", 1e8],
+                 ["aleph", "--bound", 1e100],
+                 ["build-pi", "--xi-bound", 40, "--aleph-bound", 1e100, "--omega-bound", 12]):
+        handed.append([])
+        assert run(argv) == 3
+    # rows handed to _words, by run: build-pi reads its slices Xi and Omega
+    # before aleph, and no run reads a row of aleph's ball
+    assert handed == [[], [], slices]
 
 
 def test_count_only_walks_exit_3_at_the_node_cap(tmp_path, monkeypatch, capsys):

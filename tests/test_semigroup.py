@@ -536,6 +536,52 @@ def test_aleph_degenerate_modulus_1():
     assert [e.word for e in aleph] == expected
 
 
+def _aleph_oracle(bound, modulus, pivot_bound, reps):
+    """(pilot, base size, elements) of aleph, built element by element: the
+    stems, the base ball's elements in the most common residue class mod B (the
+    least such class), each times the pilot, the first stem, to the power
+    R - 1, then times every residue representative."""
+    if modulus == 1:
+        ball = list(iter_ball(2, semigroup._norm_sq_cap(bound, strict=True), "even"))
+        return None, len(ball), ball
+    base = list(iter_ball(2, pivot_bound**2 - 1, "even"))
+    residues = [e.matrix.mod(modulus) for e in base]
+    tally = Counter(residues)
+    top = max(tally.values())
+    popular = min(r for r, n in tally.items() if n == top)
+    pilot = base[residues.index(popular)]
+    R = modular.sl2_order(modulus)
+    tail_word, tail_matrix = pilot.word * (R - 1), pilot.matrix ** (R - 1)
+    stems = [e for e, r in zip(base, residues) if r == popular]
+    return pilot, top, [SemigroupElement(e.word + tail_word + x.word,
+                                         e.matrix * tail_matrix * x.matrix)
+                        for e in stems for x in reps]
+
+
+def _error_oracle(elements, q):
+    """aleph_error from a per-element Counter of residues mod q."""
+    counts = Counter(e.matrix.mod(q) for e in elements)
+    order, n = modular.sl2_order(q), len(elements)
+    worst = max(abs(Fraction(c, n) - Fraction(1, order)) for c in counts.values())
+    return float(max(worst, Fraction(1, order)) if len(counts) < order else worst)
+
+
+# products past 2^62 (a bound past about 2.1e9) are formed on Python ints
+@pytest.mark.parametrize("modulus, bound", [(2, 1e6), (2, 1e12), (2, 1e20), (2, 1e25),
+                                            (3, 1e20), (3, 1e30), (1, 10), (1, 1e4)])
+def test_aleph_rows_equal_the_element_by_element_construction(modulus, bound):
+    aleph = aleph_construct(bound, modulus)
+    pilot, base_size, elements = _aleph_oracle(bound, modulus, aleph.pivot_bound,
+                                               aleph.residue_reps)
+    assert list(aleph) == elements  # in order: stem-major, the reps in residue order
+    assert (aleph.pilot, aleph.base_size) == (pilot, base_size)
+    if modulus > 1:
+        inside = semigroup._norm_sq_cap(bound, strict=True)
+        assert aleph.words.matrix[0].dtype == (np.int64 if inside < 2**62 else object)
+    for q in (1, 2, 3, 5):
+        assert aleph_error(aleph, q) == _error_oracle(elements, q)
+
+
 def test_aleph_rejects_a_bound_whose_square_overflows():
     # the pivot search would never end against an infinite target
     for modulus in (1, 2):

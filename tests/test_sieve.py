@@ -103,14 +103,13 @@ def test_sift_values_bilinear_streams_factorwise():
     assert max(v for v, _ in seq.values) <= 2 * pi.norm_bound()**2
 
 
-def test_xi_and_omega_reach_the_sift_without_an_element(monkeypatch):
-    aleph = aleph_construct(1e6, 2)  # aleph is built from elements, so before the patch
-
+def test_the_whole_pi_reaches_the_sift_without_an_element(monkeypatch):
     def formed(words):
         raise AssertionError("an element was formed")
 
     monkeypatch.setattr(semigroup, "_elements", formed)
-    pi = build_pi(build_fixed_length_ball(2, 40), aleph, build_fixed_length_ball(2, 12))
+    pi = build_pi(build_fixed_length_ball(2, 40), aleph_construct(1e6, 2),
+                  build_fixed_length_ball(2, 12))
     seq = sift_values(pi)
     monkeypatch.undo()  # the oracle forms elements
     assert seq.values == tuple(sorted(Counter(t * t - 4 for t in pi.iter_traces()).items()))
