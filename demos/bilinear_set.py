@@ -12,6 +12,7 @@ from thinsieve import (
     build_pi,
     remainder_profile,
     sift_values,
+    squarefree_census,
 )
 
 print("=== the residue-balanced set (B = 2) ===")
@@ -38,3 +39,5 @@ print(f"norm bound on members: {pi.norm_bound():.0f}")
 seq = sift_values(pi)
 profile = remainder_profile(seq, 30)
 print(f"sifted {seq.source_size} products; sum_q<30 |r(q)|/size = {float(profile.summary):.4f}")
+print(f"products with t^2 - 4 square-free (a fundamental discriminant): "
+      f"{squarefree_census(seq)} of {seq.source_size}")

@@ -82,5 +82,6 @@ from .sieve import (
     discriminant_census,
     remainder_profile,
     sift_values,
+    squarefree_census,
     squarefree_trace_census,
 )

@@ -43,7 +43,6 @@ from .semigroup import (
     _rows,
     aleph_construct,
     aleph_error,
-    ball_traces,
     build_fixed_length_ball,
     build_pi,
     hensley_exponent,
@@ -53,10 +52,10 @@ from .sieve import (
     BallSource,
     almost_prime_census,
     class_census,
-    count_squarefree,
     discriminant_census,
     remainder_profile,
     sift_values,
+    squarefree_census,
 )
 
 # expsum's caps, each about 4 s of work on a 2-vCPU VM: the Kloosterman rows
@@ -335,10 +334,8 @@ def _almost_primes(a) -> Table:
 
 
 def _squarefree_traces(a) -> Table:
-    traces, mult = ball_traces(a.alphabet, a.norm)
-    count, total = count_squarefree(traces, mult), int(mult.sum())
-    if not total:
-        raise ConfigError(f"the ball of norm {a.norm} is empty")
+    seq = sift_values(BallSource(a.alphabet, a.norm))
+    count, total = squarefree_census(seq), seq.source_size
     return Table(["alphabet", "norm", "squarefree_count", "ball_count", "fraction"],
                  [[a.alphabet, a.norm, count, total, Fraction(count, total)]])
 
@@ -422,10 +419,10 @@ COMMANDS: dict[str, Command] = {
         "assemble the bilinear product set and report sizes", "pi.json", _pi_flags(), _pi_report),
     "sieve-remainders": Command(
         "remainder ledger over a ball (or bilinear) source", "remainders.csv",
-        (*_SIFT, Flag("--cutoff", int, 100)), _remainder_ledger),
+        (*_SIFT, Flag("--cutoff", _at_least(2), 100)), _remainder_ledger),
     "almost-prime": Command(
         "almost-prime census over a ball (or bilinear) source", "almost_prime.csv",
-        (*_SIFT, Flag("--threshold", int, 7)), _almost_primes),
+        (*_SIFT, Flag("--threshold", _at_least(2), 7)), _almost_primes),
     "squarefree-count": Command(
         "square-free trace census over a norm ball", "squarefree_count.csv",
         (_ALPHABET, Flag("--norm", _RADIUS, 1e4)), _squarefree_traces),

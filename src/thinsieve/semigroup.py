@@ -552,8 +552,6 @@ def aleph_construct(norm_bound: float, modulus: int = 2) -> AlephSet:
     With B = 1 the construction degenerates to the plain even ball.
     """
     closed, inside = _norm_sq_cap(norm_bound), _norm_sq_cap(norm_bound, strict=True)
-    if modulus < 1:
-        raise ValueError("modulus must be >= 1")
     if modulus > ALEPH_MODULUS_CAP:
         raise CapExceededError(f"modulus {modulus} exceeds cap {ALEPH_MODULUS_CAP}")
     R = sl2_order(modulus)  # also validates square-freeness

@@ -6,6 +6,7 @@ multiset is a pair of sorted numpy arrays, the distinct values and their
 multiplicities, built by `sift_values` from one tally of the traces of one
 of two sources: a `BallSource`'s block walk, or a `BilinearSet`'s traces as
 one integer matrix product.  Values are int64 while they fit, Python ints beyond.
+The ledger, the almost-prime census and the square-free census all read it.
 
 The ledger walks the square-free q < Q depth first by decreasing primes,
 each q reached once from its largest prime down, keeping at each node the
@@ -18,7 +19,8 @@ walk holds one index array per level.  The expectations beta(q) |source| come
 from `modular.densities`, one sieve over the q < Q.  A_q and the almost-prime
 census take the same per-prime masks.  Python-int values are reduced modulo a
 product of primes below 2^62 first, so each prime is tested in int64.
-Square-freeness of t^2 - 4 is decided by `arith.is_squarefree`.
+The square-free census reads each value's trace t = isqrt(v + 4) and decides
+t^2 - 4 = (t - 2)(t + 2) by `arith.is_squarefree` on both factors.
 """
 
 from __future__ import annotations
@@ -251,16 +253,17 @@ def _squarefree_trace(t: int) -> bool:
     return is_squarefree(t - 2) and is_squarefree(t + 2)
 
 
-def count_squarefree(traces, mult) -> int:
-    """Total multiplicity of the traces t with t^2 - 4 square-free.  The largest odd
-    t asks for its primes first, so a table past the cap fails before any test."""
-    primes_up_to(iroot(int(traces[traces % 2 == 1].max(initial=0)) + 2, 3))
-    return sum(m for t, m in zip(traces.tolist(), mult.tolist()) if _squarefree_trace(t))
+def squarefree_census(seq: SiftingSequence) -> int:
+    """Total multiplicity of the square-free values t^2 - 4, t = isqrt(v + 4).  The
+    largest odd t asks for its primes first, so a table past the cap fails before any test."""
+    traces = [isqrt(v + 4) for v in seq.value.tolist()]
+    primes_up_to(iroot(max((t for t in traces if t % 2), default=0) + 2, 3))
+    return sum(m for t, m in zip(traces, seq.mult.tolist()) if _squarefree_trace(t))
 
 
 def squarefree_trace_census(alphabet: int, norm: float) -> int:
     """#{even words in the ball with trace^2 - 4 square-free}."""
-    return count_squarefree(*ball_traces(alphabet, norm))
+    return squarefree_census(sift_values(BallSource(alphabet, norm)))
 
 
 @dataclass(frozen=True)

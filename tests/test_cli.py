@@ -218,6 +218,23 @@ def test_one_ball_walk_per_step(tmp_path, monkeypatch, argv):
     assert len(_walks(tmp_path, monkeypatch, argv)) == 1
 
 
+# the three sieve steps read one source boundary: each builds its multiset once
+@pytest.mark.parametrize("command", ["sieve-remainders", "almost-prime", "squarefree-count"])
+def test_sieve_steps_sift_their_source_once(tmp_path, monkeypatch, command):
+    import thinsieve.cli as cli
+
+    sift, sources = cli.sift_values, []
+
+    def counted(source):
+        sources.append(source)
+        return sift(source)
+
+    monkeypatch.setattr(cli, "sift_values", counted)
+    monkeypatch.chdir(tmp_path)
+    assert run([command, "--norm", 100]) == 0
+    assert sources == [BallSource(2, 100.0)]
+
+
 # a step that lists a ball's words walks it twice: once to count it against the
 # element cap, holding nothing, and once to read its matrices
 @pytest.mark.parametrize("argv", [
@@ -618,30 +635,33 @@ def test_parser_help_and_usage_exit_codes(capsys, argv, code):
 # a Pi that takes about 2 s to build and sift
 PI_OVER_CAP = ["--alphabet", "2", "--xi-bound", "3000", "--omega-bound", "1000",
                "--aleph-bound", "1e6"]
-# caps checked before any work: the patched library functions (in cli unless
-# a module is named) must never run
+# caps (exit 3) and the sieve flags' lower bounds (exit 2) checked before any
+# work: the patched library functions (in cli unless a module is named) must never run
 CAPPED_INPUTS = [
-    (["densities", "--modulus", "2000000"], "modular.primes_up_to"),
-    (["expsum", "--prime", "10007", "--samples", "1"], "kloosterman"),
-    (["expsum", "--prime", "113", "--samples", "1001"], "kloosterman"),
-    (["aleph", "--bound", "1e6", "--modulus", "10000000000000061"], "modular.factorize"),
-    (["sieve-remainders", "--use-pi", *PI_OVER_CAP, "--cutoff", "2000000"], "sift_values"),
-    (["almost-prime", "--use-pi", *PI_OVER_CAP, "--threshold", "10000000000"], "sift_values"),
+    (["densities", "--modulus", "2000000"], "modular.primes_up_to", 3),
+    (["expsum", "--prime", "10007", "--samples", "1"], "kloosterman", 3),
+    (["expsum", "--prime", "113", "--samples", "1001"], "kloosterman", 3),
+    (["aleph", "--bound", "1e6", "--modulus", "10000000000000061"], "modular.factorize", 3),
+    (["sieve-remainders", "--use-pi", *PI_OVER_CAP, "--cutoff", "2000000"], "sift_values", 3),
+    (["almost-prime", "--use-pi", *PI_OVER_CAP, "--threshold", "10000000000"], "sift_values", 3),
+    (["sieve-remainders", "--use-pi", *PI_OVER_CAP, "--cutoff", "1"], "sift_values", 2),
+    (["almost-prime", "--use-pi", *PI_OVER_CAP, "--threshold", "1"], "sift_values", 2),
 ]
 
 
-@pytest.mark.parametrize("argv, untouched", CAPPED_INPUTS,
-                         ids=lambda v: " ".join(v) if isinstance(v, list) else v)
-def test_caps_exit_3_before_the_loops(tmp_path, monkeypatch, capsys, argv, untouched):
+@pytest.mark.parametrize("argv, untouched, code", CAPPED_INPUTS,
+                         ids=[f"{' '.join(argv)}-{untouched}"
+                              for argv, untouched, _ in CAPPED_INPUTS])
+def test_caps_exit_3_before_the_loops(tmp_path, monkeypatch, capsys, argv, untouched, code):
     def ran(*args):
-        raise AssertionError(f"{untouched} ran before the cap check")
+        raise AssertionError(f"{untouched} ran before the check")
 
     target = untouched if "." in untouched else f"cli.{untouched}"
     monkeypatch.setattr(f"thinsieve.{target}", ran)
     monkeypatch.chdir(tmp_path)
-    assert run(argv) == 3
+    assert run(argv) == code
     err = capsys.readouterr().err
-    assert "Traceback" not in err and "exceeds cap" in err
+    assert "Traceback" not in err and {2: "config error", 3: "exceeds cap"}[code] in err
 
 
 # over their caps, exit 3 at once: reduced_forms checks the discriminant before

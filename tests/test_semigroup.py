@@ -669,6 +669,9 @@ def test_aleph_refuses_a_modulus_over_the_cap_before_factoring_it(monkeypatch):
     for modulus in (semigroup.ALEPH_MODULUS_CAP + 1, 10_000_000_000_000_061):
         with pytest.raises(CapExceededError, match="exceeds cap"):
             aleph_construct(1e6, modulus)
+    for modulus in (0, -3):  # refused by sl2_order's modulus check, unfactored
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            aleph_construct(1e6, modulus)
     monkeypatch.undo()
     with pytest.raises(ValueError, match="square-free"):  # at the cap, 10^12 is factored
         aleph_construct(1e6, semigroup.ALEPH_MODULUS_CAP)

@@ -34,6 +34,7 @@ from thinsieve.sieve import (
     discriminant_census,
     remainder_profile,
     sift_values,
+    squarefree_census,
     squarefree_trace_census,
     _squarefree_trace,
 )
@@ -280,12 +281,10 @@ def _almost_prime_census_by_trial(seq, z):
     return sum(m for v, m in seq.values if v >= 2 and all(v % p for p in small))
 
 
-# the Pi of tests/test_cli.py's PI_BOUNDS (alphabet 2, modulus 2)
-_PI_SEQ = sift_values(build_pi(
-    build_fixed_length_ball(2, 40),
-    aleph_construct(1e6, 2),
-    build_fixed_length_ball(2, 12),
-))
+# the Pi of tests/test_cli.py's PI_BOUNDS (alphabet 2, modulus 2), and of demos/bilinear_set.py
+_PI = build_pi(build_fixed_length_ball(2, 40), aleph_construct(1e6, 2),
+               build_fixed_length_ball(2, 12))
+_PI_SEQ = sift_values(_PI)
 
 # words of either parity: (2,) has trace 2, so value 0; (1,) has trace 1, value -3
 _element_lists = st.lists(
@@ -376,6 +375,19 @@ def test_almost_prime_census_equals_trial_division(values, z):
 def test_almost_prime_census_on_pi_equals_trial_division():
     for z in (2, 7, 100, 1000):
         assert almost_prime_census(_PI_SEQ, z) == _almost_prime_census_by_trial(_PI_SEQ, z)
+
+
+# the census reads each distinct value's trace back as isqrt(v + 4); the oracle
+# tests every member's own trace
+@pytest.mark.parametrize("source, dtype, traces", [
+    (_PI, np.int64, _PI.iter_traces),
+    (BallSource(3, 1000), np.int64, lambda: (e.trace for e in enumerate_ball(3, 1000))),
+    (BallSource(1, 1e20), object, lambda: (e.trace for e in enumerate_ball(1, 1e20))),
+], ids=["pi", "int64 ball", "object ball"])
+def test_squarefree_census_equals_the_per_member_oracle(source, dtype, traces):
+    seq = sift_values(source)
+    assert seq.value.dtype == dtype
+    assert squarefree_census(seq) == sum(map(_squarefree_trace, traces()))
 
 
 def test_remainder_profile_on_zero_and_negative_values():
