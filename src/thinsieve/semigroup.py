@@ -8,20 +8,22 @@ a prefix instead.
 
 Every walk runs on one block frontier, `_frontier`: a depth-first stack of
 numpy blocks of (a, b, c, d), each expanded by all its digits at once, cut
-down by a keep mask and a descend mask, and given with its depth.  Entries are
-int32 or int64 while the bound's worst case fits them and Python ints beyond,
-so every count is exact.  It checks every walk's alphabet and node cap,
-DEFAULT_MAX_NODES; `_ball_blocks` checks a norm ball's parity and, for walks
-that hold words or a tally, the element cap DEFAULT_MAX_ELEMENTS.  A ball is
-counted per length against the cap, holding nothing, and only then are the
-matrices of the lengths kept read back into words, all at once (`_words`).
+down by one index of the rows kept and one of the rows descended, and given
+with its depth.  Entries are int32 or int64 while the bound's worst case fits
+them and Python ints beyond, so every count is exact.  It checks every walk's
+alphabet and node cap, DEFAULT_MAX_NODES; `_ball_blocks` checks a norm ball's
+parity and, for walks that hold words or a tally, the element cap
+DEFAULT_MAX_ELEMENTS.  A ball is counted per length against the cap, holding
+nothing, and only then are the matrices of the lengths kept read back into
+words, all at once (`_words`).
 
 Traces are tallied in shards: a walk's blocks are joined (`_shards`) into
 arrays of at least _SHARD traces, each sorted and counted in one call
-(`_count`) and merged into the running tally of distinct traces (`_merge`).
-Memory grows with one shard and the distinct traces, not with the ball.
-The bilinear set's factors are such word arrays (`_Words`) from walk to sift;
-elements are formed only when a factor or the bilinear set is iterated.
+(`_count`) and merged into the running tally of distinct traces (`_merge`),
+which inserts each sorted run and sorts nothing again.  Memory grows with
+one shard and the distinct traces, not with the ball.  The bilinear set's
+factors are such word arrays (`_Words`) from walk to sift; elements are formed
+only when a factor or the bilinear set is iterated.
 """
 
 from __future__ import annotations
@@ -131,9 +133,11 @@ def _frontier(
     to the bound, and the children to descend wait in the frame until they
     fill a frame of their own (or the frame is spent).  So a frame has fewer
     than 2 x _BLOCK nodes and fewer than _BLOCK waiting, and the walk holds
-    fewer than 3 x depth x _BLOCK nodes.  Entries are int32 while the largest
-    entry or sum the bound allows stays below 2^31, int64 while it stays below
-    2^62, and Python ints (dtype object) beyond, so every value is exact.
+    fewer than 3 x depth x _BLOCK nodes.  The rows a block keeps, and those it
+    descends, are each one np.flatnonzero index that all four entry arrays
+    take.  Entries are int32 while the largest entry or sum the bound allows
+    stays below 2^31, int64 while it stays below 2^62, and Python ints (dtype
+    object) beyond, so every value is exact.
     An alphabet below 1 raises ValueError, and a walk past DEFAULT_MAX_NODES
     nodes (root and descended ones, the cap read at call time) CapExceededError.
     """
@@ -184,8 +188,8 @@ def _frontier(
             keep += a * a
             keep += nc * nc
             keep += c * c
-            keep = keep <= limit
-            na, a, nc, c = na[keep], a[keep], nc[keep], c[keep]
+            kept = np.flatnonzero(keep <= limit)  # one index for the four entries
+            na, a, nc, c = na[kept], a[kept], nc[kept], c[kept]
             descend = slice(None)
             if len(na):
                 yield frame.depth + 1, na, a, nc, c
@@ -193,7 +197,7 @@ def _frontier(
             descend = slice(None)
         else:
             yield frame.depth + 1, na, a, nc, c
-            descend = 2 * na + a + nc + c <= limit
+            descend = np.flatnonzero(2 * na + a + nc + c <= limit)
         child = [x[descend] for x in (na, a, nc, c)]
         if len(child[0]):
             nodes += len(child[0])
@@ -313,18 +317,6 @@ def _starts(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
 
 
-def _tally(runs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """Merge (values, multiplicities) runs into one run of sorted distinct values."""
-    values = np.concatenate([v for v, _ in runs])
-    mult = np.concatenate([m for _, m in runs])
-    order = np.argsort(values)
-    values, mult = values[order], mult[order]
-    if not len(values):
-        return values, mult
-    first = _starts(values)
-    return values[first], np.add.reduceat(mult, first)
-
-
 def _count(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct entries of an array, ascending, and their multiplicities.
     Sorts the array in place."""
@@ -351,20 +343,31 @@ def _shards(blocks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
 
 def _merge(runs: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
     """Tally a stream of (values, multiplicities) runs into one run of sorted
-    distinct values.
+    distinct values, int64 unless the values are Python ints.
 
-    Pending runs are merged into the running tally once they are as long as
-    it, so the merge holds the distinct values, about as many pending ones
-    and one run.
+    A run that is not strictly ascending is counted first.  The first run
+    becomes the tally, and each later one is merged into it: np.searchsorted
+    finds where its values go, those already there add their multiplicities
+    and the new ones are inserted.  So no run that is already ascending is
+    sorted, and the merge holds one run and the tally twice over at most.
     """
-    held = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))]  # held[0]: the tally
-    pending = 0
-    for run in runs:
-        held.append(run)
-        pending += len(run[0])
-        if pending >= len(held[0][0]):
-            held, pending = [_tally(held)], 0
-    return _tally(held) if pending else held[0]
+    values, mult = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    for v, m in runs:
+        if np.any(v[1:] <= v[:-1]):
+            order = np.argsort(v)
+            v, m = v[order], m[order]
+            first = _starts(v)
+            v, m = v[first], np.add.reduceat(m, first)
+        if not len(values):
+            values, mult = v.astype(np.result_type(v, np.int64), copy=False), m.astype(np.int64)
+            continue
+        at = np.searchsorted(values, v)
+        there = values[np.minimum(at, len(values) - 1)] == v
+        mult[at[there]] += m[there]
+        new = ~there
+        values = np.insert(values, at[new], v[new])
+        mult = np.insert(mult, at[new], m[new])
+    return values, mult
 
 
 def ball_traces(alphabet: int, norm: float) -> tuple[np.ndarray, np.ndarray]:

@@ -42,7 +42,7 @@ from .semigroup import (
     _INT64_SAFE,
     BilinearSet,
     _count,
-    _tally,
+    _merge,
     ball_traces,
     cyclic_classes,
     trace_histogram,
@@ -147,7 +147,8 @@ class SiftingSequence:
         traces = _exact(traces, -_TRACE_MAX, _TRACE_MAX + 1)
         value = traces * traces - 4
         if len(traces) and traces[0] < 0:  # t and -t give one value
-            value, mult = _tally([(value, mult)])
+            k = int(np.searchsorted(traces, 0))  # the negative traces' values descend
+            value, mult = _merge([(value[k:], mult[k:]), (value[k - 1 :: -1], mult[k - 1 :: -1])])
         return cls(value, mult, int(mult.sum()))
 
 
@@ -255,8 +256,13 @@ def _squarefree_trace(t: int) -> bool:
 
 def squarefree_census(seq: SiftingSequence) -> int:
     """Total multiplicity of the square-free values t^2 - 4, t = isqrt(v + 4).  The
-    largest odd t asks for its primes first, so a table past the cap fails before any test."""
-    traces = [isqrt(v + 4) for v in seq.value.tolist()]
+    largest odd t asks for its primes first, so a table past the cap fails before any test.
+    Raises ValueError, naming the first value v, if some v + 4 is not a perfect square."""
+    values = seq.value.tolist()
+    traces = [isqrt(max(v + 4, 0)) for v in values]
+    bad = next((v for v, t in zip(values, traces) if t * t != v + 4), None)
+    if bad is not None:
+        raise ValueError(f"value {bad} is not t^2 - 4 for an integer t")
     primes_up_to(iroot(max((t for t in traces if t % 2), default=0) + 2, 3))
     return sum(m for t, m in zip(traces, seq.mult.tolist()) if _squarefree_trace(t))
 

@@ -695,6 +695,10 @@ OVER_CAP_INPUTS = [
 # tuple of elements)
 _PI_MODULUS_1 = ["build-pi", "--xi-bound", "40", "--aleph-bound", "1e6", "--omega-bound", "40",
                  "--modulus", "1"]
+# a sift of the Pi of 2,454,780 elements (Xi, Aleph and Omega of 2,510, 6 and
+# 163 words), whose traces come in 10 shards, 749,284 of them distinct
+_PI_SIFT = ["sieve-remainders", "--use-pi", "--alphabet", "2", "--xi-bound", "4000",
+            "--omega-bound", "250", "--aleph-bound", "1000000", "--cutoff", "1000"]
 
 # dimension at the edge of its 10^7-cylinder budget, and the benchmark's
 # dimension step.  Each run holds no level of lengths, so in a fresh process
@@ -719,6 +723,9 @@ BUDGET_EDGE_INPUTS = [
     ["build-pi", "--alphabet", "2", "--xi-bound", "1e6", "--aleph-bound", "1e6",
      "--omega-bound", "1e6"],
     _PI_MODULUS_1,
+    # its merge of sorted runs: about 0.7-1 s and 31 MB of VmHWM growth (67-71
+    # MB while each merge sorted the runs it held)
+    _PI_SIFT,
 ]
 # the sift of that Pi, of 833,810,516 elements, is over its cap once Pi is built
 _SIFT_OVER_CAP = ["sieve-remainders", "--use-pi", *_PI_MODULUS_1[1:]]
@@ -728,6 +735,7 @@ _GROWTH_MB = {
     "build-pi --alphabet 2 --xi-bound 1e6 --aleph-bound 1e6 --omega-bound 1e6": 192.0,
     " ".join(_PI_MODULUS_1): 384.0,
     " ".join(_SIFT_OVER_CAP): 384.0,
+    " ".join(_PI_SIFT): 48.0,
 }
 _SECONDS = {" ".join(_PI_MODULUS_1): 6.0, " ".join(_SIFT_OVER_CAP): 6.0}
 

@@ -1,4 +1,5 @@
 from collections import Counter
+from contextlib import nullcontext
 from fractions import Fraction
 from math import floor, inf, prod
 from unittest import mock
@@ -210,6 +211,23 @@ def test_block_built_ball_equals_the_recursive_oracle(alphabet, norm, parity):
 @pytest.mark.parametrize("parity", ["even", "any"])
 def test_block_built_ball_equals_the_oracle_at_the_edges(alphabet, norm, parity):
     assert list(enumerate_ball(alphabet, norm, parity)) == ball_oracle(alphabet, norm, parity)
+
+
+# blocks of 1, 2 and 7 children put every partial block, spent frame, empty
+# keep and empty descend through the walk's index of kept and descended rows
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_walks_at_tiny_blocks_equal_the_oracles(monkeypatch, block):
+    monkeypatch.setattr(semigroup, "_BLOCK", block)
+    for parity in ("even", "any"):
+        for alphabet, norm in [(1, 1e30), (2, 60), (3, 40), (4, 30), (5, 30)]:
+            assert list(enumerate_ball(alphabet, norm, parity)) == ball_oracle(alphabet, norm, parity)
+    # every t <= 200 is counted in one walk; the fibers are walked at every
+    # t, every 5th or every 19th (alphabet 10's take about 60 ms each at a block of 1)
+    for alphabet, step in [(1, 1), (2, 5), (10, 19)]:
+        fibers = [trace_fiber_oracle(alphabet, t)[0] for t in range(3, 201)]
+        assert trace_histogram(alphabet, 200).tolist() == [0, 0, 0] + [len(f) for f in fibers]
+        for t in [*range(3, 201, step), 200]:
+            assert trace_fiber(alphabet, t) == fibers[t - 3], (alphabet, t)
 
 
 def test_ball_trace_cap_counts_even_words(monkeypatch):
@@ -728,6 +746,28 @@ def test_merge_equals_one_counter_over_the_runs(runs, counted):
     assert values.dtype == mult.dtype == np.int64
     expected = sorted(Counter(v for r in runs for v in r).items())
     assert list(zip(values.tolist(), mult.tolist())) == expected
+
+
+@given(st.lists(st.lists(st.integers(-50, 50), max_size=40), max_size=12), st.booleans(),
+       st.sampled_from([np.int32, np.int64, object]))
+@settings(max_examples=80)
+def test_merge_is_one_counter_in_value_and_dtype(runs, counted, dtype):
+    # Python-int runs lie past 2^63; int32 runs, and a lone run too, tally in int64
+    offset = 2**64 if dtype is object else 0
+
+    def run(values):
+        values = np.array([v + offset for v in values], dtype=dtype)
+        return semigroup._count(values) if counted else (values, np.ones(len(values), np.int64))
+
+    # counted runs are ascending, so the merge sorts none of them again
+    unsorted = mock.patch.object(np, "argsort", side_effect=AssertionError("sorted again"))
+    for stream in (runs, runs[:1]):
+        with unsorted if counted else nullcontext():
+            values, mult = semigroup._merge(run(r) for r in stream)
+        assert values.dtype == (object if dtype is object and stream else np.int64)
+        assert mult.dtype == np.int64
+        expected = sorted(Counter(v + offset for r in stream for v in r).items())
+        assert list(zip(values.tolist(), mult.tolist())) == expected
 
 
 def test_trace_tally_of_the_golden_pi():

@@ -390,6 +390,13 @@ def test_squarefree_census_equals_the_per_member_oracle(source, dtype, traces):
     assert squarefree_census(seq) == sum(map(_squarefree_trace, traces()))
 
 
+# 7 + 4 = 11 is no square (isqrt would read 3 as its trace), and -10 + 4 < 0
+@pytest.mark.parametrize("values, bad", [([7], 7), ([-10], -10), ([-3, 5, 7, 12], 7)])
+def test_squarefree_census_refuses_a_value_that_is_no_t_squared_minus_4(values, bad):
+    with pytest.raises(ValueError, match=f"^value {bad} is not t"):
+        squarefree_census(SiftingSequence.from_values(values))
+
+
 def test_remainder_profile_on_zero_and_negative_values():
     seq = SiftingSequence.from_values([0, 0, -30, -7, -4, 35, 6])
     profile = remainder_profile(seq, 100)
@@ -421,6 +428,20 @@ def test_values_are_int64_in_their_window_and_python_ints_outside():
 def test_traces_t_and_minus_t_give_one_value():
     seq = SiftingSequence.from_traces(np.array([-4, 3, 4]), np.array([1, 2, 5]))
     assert seq.values == ((5, 2), (12, 6)) and seq.source_size == 8
+
+
+# traces of either sign, some past the int64 window of t^2 - 4
+@given(st.dictionaries(st.one_of(st.integers(-60, 60), st.integers(-(2**40), 2**40)),
+                       st.integers(1, 5), min_size=1, max_size=30))
+@settings(max_examples=80)
+def test_from_traces_of_either_sign_is_the_counter_of_their_values(tally):
+    traces = sorted(tally)
+    seq = SiftingSequence.from_traces(np.array(traces), np.array([tally[t] for t in traces]))
+    expected = Counter()
+    for t, m in tally.items():
+        expected[t * t - 4] += m
+    assert seq.values == tuple(sorted(expected.items()))
+    assert seq.source_size == sum(tally.values()) and seq.mult.dtype == np.int64
 
 
 def test_from_traces_leaves_the_callers_arrays_writable():
