@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from typing import Iterator
 
 import numpy as np
 
@@ -130,23 +131,27 @@ class FormCycle:
         return f in self.forms
 
 
+def _orbit(start: tuple[int, int, int], d: int, s: int) -> Iterator[tuple[int, int, int]]:
+    """The coefficients of the rho-orbit from start, up to its return to start,
+    which must come within 10^6 steps and after an even number of them."""
+    g = start
+    for steps in range(1, 1_000_001):
+        yield g
+        g = _rho(*g, d, s)
+        if g == start:
+            if steps % 2:
+                raise InternalInvariantError("cycle length must be even")
+            return
+    raise InternalInvariantError("cycle failed to close")
+
+
 def cycle(f: Form) -> FormCycle:
     """The rho-orbit through a reduced form (even length)."""
     if not is_reduced_form(f):
         raise ValueError("cycle requires a reduced form")
     d = f.discriminant
-    s = isqrt(d)
-    start = f.coefficients()
-    forms = [f]
-    g = _rho(*start, d, s)
-    while g != start:
-        forms.append(Form(*g))
-        g = _rho(*g, d, s)
-        if len(forms) > 1_000_000:
-            raise InternalInvariantError("cycle failed to close")
-    if len(forms) % 2 != 0:
-        raise InternalInvariantError("cycle length must be even")
-    return FormCycle.from_forms(forms)
+    orbit = list(_orbit(f.coefficients(), d, isqrt(d)))  # its guards run before any Form is built
+    return FormCycle.from_forms([Form(*g) for g in orbit])
 
 
 def reduced_forms(d: int) -> list[Form]:
@@ -179,18 +184,12 @@ def class_cycles(d: int) -> list[FormCycle]:
     s = isqrt(d)
     cycles = []
     for start in list(unvisited):
-        if start not in unvisited:
-            continue
-        members = [unvisited.pop(start)]
-        g = _rho(*start, d, s)
-        while g != start:
-            if g not in unvisited:  # outside the window, or met twice
-                raise InternalInvariantError(f"cycle escaped the reduced window: {g}")
-            members.append(unvisited.pop(g))
-            g = _rho(*g, d, s)
-        if len(members) % 2 != 0:
-            raise InternalInvariantError("cycle length must be even")
-        cycles.append(FormCycle(tuple(members)))
+        if start in unvisited:
+            try:
+                members = [unvisited.pop(g) for g in _orbit(start, d, s)]
+            except KeyError as e:  # outside the window, or met twice
+                raise InternalInvariantError(f"cycle escaped the reduced window: {e.args[0]}")
+            cycles.append(FormCycle(tuple(members)))
     return cycles
 
 

@@ -20,7 +20,7 @@ words, all at once (`_words`).
 Traces are tallied in shards: a walk's blocks are joined (`_shards`) into
 arrays of at least _SHARD traces, each sorted and counted in one call
 (`_count`) and merged into the running tally of distinct traces (`_merge`),
-which inserts each sorted run and sorts nothing again.  Memory grows with
+which takes only ascending runs and sorts nothing again.  Memory grows with
 one shard and the distinct traces, not with the ball.  The bilinear set's
 factors are such word arrays (`_Words`) from walk to sift; elements are formed
 only when a factor or the bilinear set is iterated.
@@ -312,18 +312,13 @@ def ball_count(alphabet: int, norm: float, parity: str = "even") -> int:
     return sum(len(a) for _, a, *_ in _ball_blocks(alphabet, _norm_sq_cap(norm), parity, None))
 
 
-def _starts(values: np.ndarray) -> np.ndarray:
-    """Where each run of equal entries of a sorted, non-empty array starts."""
-    return np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
-
-
 def _count(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct entries of an array, ascending, and their multiplicities.
     Sorts the array in place."""
     if not len(values):
         return values, np.zeros(0, dtype=np.int64)
     values.sort()
-    first = _starts(values)
+    first = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))  # run starts
     return values[first], np.diff(first, append=len(values))
 
 
@@ -345,19 +340,16 @@ def _merge(runs: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, n
     """Tally a stream of (values, multiplicities) runs into one run of sorted
     distinct values, int64 unless the values are Python ints.
 
-    A run that is not strictly ascending is counted first.  The first run
-    becomes the tally, and each later one is merged into it: np.searchsorted
-    finds where its values go, those already there add their multiplicities
-    and the new ones are inserted.  So no run that is already ascending is
+    Each run must be strictly ascending, as _count gives it, or the merge raises
+    InternalInvariantError.  The first run becomes the tally, and each later one
+    is merged into it: np.searchsorted finds where its values go, those already
+    there add their multiplicities and the new ones are inserted.  So nothing is
     sorted, and the merge holds one run and the tally twice over at most.
     """
     values, mult = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     for v, m in runs:
         if np.any(v[1:] <= v[:-1]):
-            order = np.argsort(v)
-            v, m = v[order], m[order]
-            first = _starts(v)
-            v, m = v[first], np.add.reduceat(m, first)
+            raise InternalInvariantError("a run to merge is not strictly ascending")
         if not len(values):
             values, mult = v.astype(np.result_type(v, np.int64), copy=False), m.astype(np.int64)
             continue
@@ -549,6 +541,14 @@ def _residue_representatives(modulus: int) -> list[SemigroupElement]:
     return [found[r] for r in sorted(found)]
 
 
+def _residues(words: _Words, q: int) -> np.ndarray:
+    """Each row's matrix (a, b, c, d) mod q as one index, in the residues' lexicographic
+    order; a q whose q^4 residues overflow the index (q > 55,108) raises ValueError."""
+    if q**4 > np.iinfo(np.intp).max:
+        raise ValueError(f"modulus {q} is too large: its q^4 residues overflow the index")
+    return np.ravel_multi_index([(x % q).astype(np.intp) for x in words.matrix], (q,) * 4)
+
+
 def aleph_construct(norm_bound: float, modulus: int = 2) -> AlephSet:
     """Residue-balanced set inside the alphabet-2 ball of norm < norm_bound.
 
@@ -577,10 +577,8 @@ def aleph_construct(norm_bound: float, modulus: int = 2) -> AlephSet:
     base = _ball_words(2, u * u - 1, "even")
     if not len(base.lengths):
         raise ValueError(f"ball too small at pivot {u}; increase the norm bound")
-    # each residue (a, b, c, d) mod B as its index in lexicographic order; a
-    # pivot of 3 or more needs |SL2(Z/B)| <= 322, so B <= 6 and B^4 is small
-    residue = np.ravel_multi_index([(x % modulus).astype(np.intp) for x in base.matrix],
-                                   (modulus,) * 4)
+    # a pivot of 3 or more needs |SL2(Z/B)| <= 322, so B <= 6 and B^4 bins are few
+    residue = _residues(base, modulus)
     tally = np.bincount(residue)
     stems = residue == np.argmax(tally)  # the least of the most common residues
     (word, *m), = _rows(base, np.flatnonzero(stems)[:1])
@@ -602,13 +600,10 @@ def aleph_error(aleph: AlephSet, q: int) -> float:
     if not n:
         raise ValueError("empty set")
     order = sl2_order(q)
-    counts = Counter(zip(*((x % q).tolist() for x in aleph.words.matrix)))
-    worst = Fraction(0)
-    for c in counts.values():
-        worst = max(worst, abs(Fraction(c, n) - Fraction(1, order)))
-    if len(counts) < order:
-        worst = max(worst, Fraction(1, order))
-    return float(worst)
+    counts = np.unique(_residues(aleph.words, q), return_counts=True)[1]
+    least = 0 if len(counts) < order else int(counts.min())  # 0: some class is unseen
+    # |c/n - 1/order| is convex in a class's count c, so the most or least common is worst
+    return float(max(abs(Fraction(c, n) - Fraction(1, order)) for c in (int(counts.max()), least)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -248,6 +248,29 @@ def test_class_cycles_raise_when_a_cycle_leaves_the_reduced_forms(monkeypatch):
         class_cycles(1365)
 
 
+def test_orbit_guards_catch_an_odd_and_an_open_orbit(monkeypatch):
+    # a rho with a 3-cycle through the least reduced forms of 1365, where class_cycles starts
+    first, second, third = (f.coefficients() for f in reduced_forms(1365)[:3])
+    step = {first: second, second: third, third: first}
+    monkeypatch.setattr(forms, "_rho", lambda a, b, c, d, s: step[(a, b, c)])
+    with pytest.raises(InternalInvariantError, match="cycle length must be even"):
+        cycle(Form(*first))
+    with pytest.raises(InternalInvariantError, match="cycle length must be even"):
+        class_cycles(1365)
+    # a rho that never returns to [1, 1, -1]: 10^6 steps, then the walk gives up
+    monkeypatch.setattr(forms, "_rho", lambda a, b, c, d, s: (-1, 1, 1))
+    with pytest.raises(InternalInvariantError, match="failed to close"):
+        cycle(Form(1, 1, -1))
+
+
+def test_cycle_is_the_class_cycle_that_holds_its_form():
+    for d in (5, 8, 12, 13, 21, 1337, 1365):
+        cycles = class_cycles(d)
+        for f in reduced_forms(d):
+            (held,) = [cy for cy in cycles if f in cy]
+            assert cycle(f) == held
+
+
 # ---------------------------------------------------------------------------
 # oracles: a cycle walked one validated Form per rho step, each partner cycle
 # reduced and walked again, and the least rotation as a min over all rotations

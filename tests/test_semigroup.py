@@ -15,7 +15,7 @@ import thinsieve.semigroup as semigroup
 from thinsieve.arith import divisors
 from thinsieve.cf import IDENTITY, Mat2, word_from_matrix, word_to_matrix
 from thinsieve.dimension import estimate
-from thinsieve.errors import CapExceededError
+from thinsieve.errors import CapExceededError, InternalInvariantError
 from thinsieve.semigroup import (
     SemigroupElement,
     aleph_construct,
@@ -646,6 +646,30 @@ def test_aleph_construction_audit():
     assert aleph_error(aleph, 1) == 0.0
 
 
+def test_aleph_error_equals_the_per_element_counter():
+    aleph = aleph_construct(1e6, 2)
+    assert aleph_error(aleph, 7) == _error_oracle(list(aleph), 7)
+    # just above the least modulus-2 bound, 3^6 sqrt(102) = 7,362.5 (pivot 3, and
+    # 102 the representatives' largest squared norm): 6 elements, so most of
+    # SL2(Z/5)'s 120 classes are never seen and the least count read is 0
+    small = aleph_construct(7363, 2)
+    assert len(small) == 6
+    assert aleph_error(small, 5) == _error_oracle(list(small), 5)
+    # the least class is the worst: 21 of the 24 classes mod 3 are seen in the
+    # 26-word ball (least count 0), and all 24 in the 3,434-word one
+    for ball in (aleph_construct(30, 1), aleph_construct(3000, 1)):
+        counts = Counter(e.matrix.mod(3) for e in ball).values()
+        least = min(counts) if len(counts) == 24 else 0
+        gap = [abs(Fraction(c, len(ball)) - Fraction(1, 24)) for c in (least, max(counts))]
+        assert gap[0] > gap[1]
+        assert aleph_error(ball, 3) == _error_oracle(list(ball), 3)
+    # 55,106 is square-free and its residues fit one int64 index; 55,109 is the
+    # next square-free modulus, and its q^4 passes 2^63
+    assert aleph_error(small, 55106) == _error_oracle(list(small), 55106)
+    with pytest.raises(ValueError, match="modulus 55109 "):
+        aleph_error(small, 55109)
+
+
 def test_aleph_error_trend_reported():
     # measured, not asserted: the deviation at q = 3 for growing bounds
     values = [aleph_error(aleph_construct(y, 2), 3) for y in (1e6, 1e8)]
@@ -742,6 +766,10 @@ def test_merge_equals_one_counter_over_the_runs(runs, counted):
         values = np.array(values, dtype=np.int64)
         return semigroup._count(values) if counted else (values, np.ones(len(values), np.int64))
 
+    if not counted and any(r != sorted(set(r)) for r in runs):  # a raw run not ascending
+        with pytest.raises(InternalInvariantError, match="not strictly ascending"):
+            semigroup._merge(run(r) for r in runs)
+        return
     values, mult = semigroup._merge(run(r) for r in runs)
     assert values.dtype == mult.dtype == np.int64
     expected = sorted(Counter(v for r in runs for v in r).items())
@@ -762,6 +790,10 @@ def test_merge_is_one_counter_in_value_and_dtype(runs, counted, dtype):
     # counted runs are ascending, so the merge sorts none of them again
     unsorted = mock.patch.object(np, "argsort", side_effect=AssertionError("sorted again"))
     for stream in (runs, runs[:1]):
+        if not counted and any(r != sorted(set(r)) for r in stream):  # a raw run not ascending
+            with pytest.raises(InternalInvariantError, match="not strictly ascending"):
+                semigroup._merge(run(r) for r in stream)
+            continue
         with unsorted if counted else nullcontext():
             values, mult = semigroup._merge(run(r) for r in stream)
         assert values.dtype == (object if dtype is object and stream else np.int64)
