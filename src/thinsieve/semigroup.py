@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, isfinite, isqrt, prod, sqrt
+from math import ceil, floor, inf, isfinite, isqrt, nextafter, prod
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -515,13 +515,12 @@ class AlephSet:
         return _elements(self.words)
 
 
-def _residue_representatives(modulus: int) -> list[SemigroupElement]:
-    """Short even alphabet-2 words covering every class of SL2(Z/B).
+def _residue_representatives(modulus: int, want: int) -> list[SemigroupElement]:
+    """Short even alphabet-2 words covering every class of SL2(Z/B), of which there are want.
 
     Breadth-first over the quotient: one representative per residue, extending
     only newly discovered classes, so the work is linear in |SL2(Z/B)|.
     """
-    want = sl2_order(modulus)
     steps = [SemigroupElement.from_word((g1, g2)) for g1 in (1, 2) for g2 in (1, 2)]
     found: dict[tuple[int, int, int, int], SemigroupElement] = {}
     frontier: list[SemigroupElement] = [SemigroupElement((), Mat2(1, 0, 0, 1))]
@@ -537,7 +536,7 @@ def _residue_representatives(modulus: int) -> list[SemigroupElement]:
                     nxt.append(child)
         frontier = nxt
     if len(found) < want:
-        raise CapExceededError(f"could not cover SL2(Z/{modulus}) with short words")
+        raise InternalInvariantError(f"could not cover SL2(Z/{modulus}) with short words")
     return [found[r] for r in sorted(found)]
 
 
@@ -558,25 +557,26 @@ def aleph_construct(norm_bound: float, modulus: int = 2) -> AlephSet:
     if modulus > ALEPH_MODULUS_CAP:
         raise CapExceededError(f"modulus {modulus} exceeds cap {ALEPH_MODULUS_CAP}")
     R = sl2_order(modulus)  # also validates square-freeness
+    # aleph holds a word exactly when its pivot ball holds (1, 1), the least even word, of
+    # norm^2 7: at B = 1 that ball is aleph's own; at B > 1 it is ||g|| < u below, so u >= 3,
+    # or floor(b^2) >= 9^R * xmax_sq.  As xmax_sq >= 7, no float bound (b^2 < 2^1024)
+    # reaches B past 9^R * 7 > 2^1024, so SL2(Z/B) is not covered; no ball is walked till then
+    if modulus > 1 and iroot((1 << 1024) // 7, R) < 9:
+        raise ValueError(f"ball too small; no finite norm bound reaches modulus {modulus}")
+    reps = _residue_representatives(modulus, R) if modulus > 1 else ()
+    xmax_sq = max((e.norm_sq for e in reps), default=1)
+    # the least integer bound c that builds has c^2 >= 9^R * xmax_sq, or c^2 > 7 at B = 1
+    need = 9**R * xmax_sq if reps else 8
+    if (closed < need) if reps else (inside < 7):
+        least = isqrt(need - 1) + 1  # named as a float, rounded up
+        up = float(least) if float(least) >= least else nextafter(float(least), inf)
+        raise ValueError(f"ball too small; increase the norm bound to {up!r} for modulus {modulus}")
     if modulus == 1:
         words = _ball_words(2, inside, "even")
-        if not len(words.lengths):
-            raise ValueError("ball too small; increase the norm bound")
         return AlephSet(words, 1, 1, len(words.lengths), int(norm_bound), None, ())
-    # the pivot ball ||g|| < u below holds the least even word, (1, 1) of norm^2 7,
-    # only if u >= 3; as xmax_sq >= 2, u is at most the root at 2: decided before
-    # the walk over SL2(Z/B), at this bound and at every finite one (square < 2^1024)
-    if (most := iroot(closed // 2, 2 * R)) < 3:
-        fix = ("no finite norm bound reaches" if iroot(1 << 1023, 2 * R) < 3
-               else f"increase the norm bound to at least {sqrt(2 * 9**R):.4g} for")
-        raise ValueError(f"ball too small at pivot {max(1, most)}; {fix} modulus {modulus}")
-    reps = _residue_representatives(modulus)
-    xmax_sq = max(e.norm_sq for e in reps)
-    # largest u with u^(2R) * xmax_sq <= norm_bound^2, at least 1; the left side is an integer
-    u = max(1, iroot(closed // xmax_sq, 2 * R))
+    # largest u with u^(2R) * xmax_sq <= norm_bound^2; the left side is an integer
+    u = iroot(closed // xmax_sq, 2 * R)
     base = _ball_words(2, u * u - 1, "even")
-    if not len(base.lengths):
-        raise ValueError(f"ball too small at pivot {u}; increase the norm bound")
     # a pivot of 3 or more needs |SL2(Z/B)| <= 322, so B <= 6 and B^4 bins are few
     residue = _residues(base, modulus)
     tally = np.bincount(residue)

@@ -215,6 +215,12 @@ def test_cf_expand_stops_at_the_step_cap(monkeypatch):
         cf_expand(Surd(0, 200_000_000_014, 1))
 
 
+def test_square_or_nonpositive_d_rejected():
+    for d in (4, 0, -7):  # sqrt(4) is rational: no quadratic irrational
+        with pytest.raises(ValueError, match=f"positive non-square, got {d}$"):
+            Surd(0, d, 1)
+
+
 def test_unnormalized_surd_rejected():
     with pytest.raises(ValueError, match="unnormalized surd"):
         Surd(0, 7, 3)  # 3 does not divide 7

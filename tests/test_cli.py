@@ -431,6 +431,15 @@ def test_golden_enumerate_at_bench_norms(tmp_path, monkeypatch, alphabet, norm, 
     assert hashlib.sha256((tmp_path / "enumerate.jsonl").read_bytes()).hexdigest() == digest
 
 
+def test_discriminants_below_the_least_trace_write_only_the_header(tmp_path, monkeypatch):
+    # t = 3 needs max-T >= 9: below it no trace fits, and the census is empty
+    monkeypatch.chdir(tmp_path)
+    assert run(["discriminants", "--max-T", 8]) == 0
+    assert (tmp_path / "discriminants.csv").read_text() == "t,discriminant,multiplicity\n"
+    assert run(["discriminants", "--max-T", 9]) == 0
+    assert (tmp_path / "discriminants.csv").read_text().splitlines()[1].startswith("3,5,")
+
+
 def test_golden_discriminants_at_bench_max_T(tmp_path, monkeypatch):
     # digest recorded while trace_histogram added one full-length bincount per
     # walk block; the flags are the discriminants step of the fiber_forms benchmark
@@ -566,7 +575,7 @@ BAD_INPUTS = [
     ["aleph", "--bound", "inf"],
     ["aleph", "--bound", "1e200"],
     ["aleph", "--bound", "1e6", "--modulus", "0"],
-    ["aleph", "--bound", "1000", "--modulus", "101"],  # pivot 1, known before covering SL2
+    ["aleph", "--bound", "1000", "--modulus", "101"],  # no finite bound: SL2 is not covered
     ["build-pi", "--xi-bound", "40", "--aleph-bound", "inf", "--omega-bound", "12"],
     ["build-pi", "--xi-bound", "1e300", "--aleph-bound", "1e6", "--omega-bound", "12"],
     # the open ball of norm < 2.5 holds no even word
@@ -580,6 +589,7 @@ BAD_INPUTS = [
     ["sieve-remainders", "--cutoff", "1"],
     ["aleph", "--bound", "2", "--modulus", "1"],  # the modulus-1 ball is empty
     ["aleph", "--bound", "1100", "--modulus", "2"],  # the pivot ball, after covering SL2
+    ["aleph", "--bound", "7362", "--modulus", "2"],  # just below the least bound, 7,363
     ["squarefree-count", "--norm", "1"],
     ["sieve-remainders", "--norm", "1"],
     ["almost-prime", "--norm", "1"],

@@ -1,7 +1,7 @@
 from collections import Counter
 from contextlib import nullcontext
 from fractions import Fraction
-from math import floor, inf, prod
+from math import floor, inf, isqrt, nextafter, prod, sqrt
 from unittest import mock
 
 import numpy as np
@@ -377,6 +377,12 @@ def test_trace_multiplicity_examples():
     assert trace_multiplicity(11, 37) == 12  # (5,7) also fits below 11
 
 
+def test_divisor_count_starts_at_trace_3():
+    for t in (2, 0, -5):
+        with pytest.raises(ValueError, match="start at t = 3"):
+            trace_multiplicity_by_divisors(2, t)
+
+
 def test_trace_fiber_agrees_with_divisor_method():
     for alphabet, t in [(1, 3), (2, 37), (11, 37), (35, 37), (3, 18), (2, 100), (10, 123)]:
         assert trace_multiplicity(alphabet, t) == trace_multiplicity_by_divisors(alphabet, t)
@@ -689,16 +695,76 @@ def test_aleph_decides_pivot_one_before_covering_sl2(monkeypatch):
 
     monkeypatch.setattr(semigroup, "_residue_representatives", walk)
     for bound, modulus in ((1000.0, 101), (1.0, 101), (1e6, 1_000_003)):  # R ~ 10^18 at the last
-        with pytest.raises(ValueError, match="ball too small at pivot 1; no finite norm bound "
+        with pytest.raises(ValueError, match="ball too small; no finite norm bound "
                                              f"reaches modulus {modulus}$"):
             aleph_construct(bound, modulus)
     # the least even word, (1, 1), has norm^2 7, so a pivot of 2 holds no word
-    # either; |SL2(Z/7)| = 336 and 2 * 3^672 > 2^1024, so no float bound reaches B = 7
-    with pytest.raises(ValueError, match="pivot 2; no finite norm bound reaches modulus 7$"):
+    # either; |SL2(Z/7)| = 336 and 7 * 9^336 > 2^1024, so no float bound reaches B = 7
+    with pytest.raises(ValueError, match="; no finite norm bound reaches modulus 7$"):
         aleph_construct(1e150, 7)
+    # modulus 2 is reachable, so its representatives are walked to name the least bound,
+    # 3^6 sqrt(102) rounded up, 102 being their largest squared norm
+    monkeypatch.undo()
     with pytest.raises(ValueError,
-                       match="pivot 1; increase the norm bound to at least 1031 for modulus 2$"):
+                       match="; increase the norm bound to 7363.0 for modulus 2$"):
         aleph_construct(20.0, 2)
+
+
+def _least_square(modulus):
+    """9^R * xmax_sq, the integer that floor(b^2) must reach for aleph at modulus B > 1."""
+    R = modular.sl2_order(modulus)
+    reps = semigroup._residue_representatives(modulus, R)
+    return 9**R * max(e.norm_sq for e in reps)
+
+
+@pytest.mark.parametrize("modulus", [1, 2, 3, 5, 6])
+def test_aleph_refusal_names_a_bound_that_builds(modulus):
+    with pytest.raises(ValueError, match="ball too small") as refused:
+        aleph_construct(2.0, modulus)
+    named = float(str(refused.value).split(" to ")[1].split()[0])
+    assert len(aleph_construct(named, modulus)) > 0
+    if modulus > 1:  # the least integer c with c^2 >= 9^R * xmax_sq, as a float not below it
+        need = _least_square(modulus)
+        least = isqrt(need) + 1  # need is no square
+        assert least**2 >= need > (least - 1) ** 2 and named >= least
+        if modulus in (5, 6):  # the nearest float to least is below it: rounded up, not down
+            assert float(least) < least and named == nextafter(float(least), inf)
+
+
+@pytest.mark.parametrize("modulus, below, least", [(1, 2.6457, 2.6458), (2, 7362, 7363)])
+def test_aleph_refuses_just_below_its_least_bound(modulus, below, least):
+    with pytest.raises(ValueError, match="ball too small") as refused:
+        aleph_construct(below, modulus)
+    with pytest.raises(ValueError, match="ball too small") as far:
+        aleph_construct(2.0, modulus)
+    assert str(refused.value) == str(far.value)
+    assert len(aleph_construct(least, modulus)) > 0
+
+
+@pytest.mark.parametrize("modulus", [3, 5, 6])
+def test_aleph_refuses_the_float_just_below_the_exact_root(modulus):
+    # sqrt(9^R * xmax_sq) exactly: the largest float whose square is below it refuses,
+    # the next float up builds
+    need = _least_square(modulus)
+    under = sqrt(need)
+    while Fraction(under) ** 2 >= need:
+        under = nextafter(under, 0)
+    while Fraction(nextafter(under, inf)) ** 2 < need:
+        under = nextafter(under, inf)
+    with pytest.raises(ValueError, match="ball too small") as refused:
+        aleph_construct(under, modulus)
+    with pytest.raises(ValueError, match="ball too small") as far:
+        aleph_construct(2.0, modulus)
+    assert str(refused.value) == str(far.value)
+    aleph = aleph_construct(nextafter(under, inf), modulus)
+    assert aleph.pivot_bound == 3 and len(aleph) == aleph.group_order  # one stem, (1, 1)
+
+
+def test_residue_representatives_that_miss_a_class_are_a_bug():
+    # SL2(Z/2) has 6 classes: a seventh is never found, and that is no resource cap
+    assert len(semigroup._residue_representatives(2, 6)) == 6
+    with pytest.raises(InternalInvariantError, match="could not cover SL2"):
+        semigroup._residue_representatives(2, 7)
 
 
 def test_aleph_refuses_a_modulus_over_the_cap_before_factoring_it(monkeypatch):

@@ -134,6 +134,13 @@ def test_A_q_inclusion_structure():
     assert A_q(seq, 6) == count_both
 
 
+def test_remainder_profile_rejects_a_cutoff_below_2():
+    # the CLI refuses --cutoff 1 at the flag, so only the library call reaches this
+    for cutoff in (1, 0):
+        with pytest.raises(ValueError, match="cutoff must be >= 2"):
+            remainder_profile(_sift_words([(1, 1)]), cutoff)
+
+
 def test_remainder_profile_single_element():
     profile = remainder_profile(_sift_words([(1, 1)]), 3)
     row = profile.rows[-1]
