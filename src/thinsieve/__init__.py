@@ -58,6 +58,7 @@ from .semigroup import (
     BilinearSet,
     FixedSlice,
     SemigroupElement,
+    WordRows,
     aleph_construct,
     aleph_error,
     ball_count,

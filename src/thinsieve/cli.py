@@ -173,7 +173,7 @@ def _write(path: Path, content) -> None:
 
 
 def _line(word, a, b, c, d) -> str:
-    """An element's JSON line, as ``json.dumps(record, sort_keys=True)`` writes it."""
+    """A row's JSON line, as ``json.dumps(record, sort_keys=True)`` writes it."""
     return (f'{{"matrix": [{a}, {b}, {c}, {d}], "normSq": {a * a + b * b + c * c + d * d}, '
             f'"trace": {a + d}, "word": "{serialize_word(word)}"}}\n')
 
@@ -204,15 +204,16 @@ def _text(words, rows: slice) -> str:
     Each line is a row of a byte matrix: the constant text in fixed columns,
     each integer written in ASCII digits padded with NUL bytes, and the word's
     digits each followed by a comma but the last.  JSON text holds no NUL, so
-    dropping every NUL leaves the lines.  Matrices on Python ints (dtype
-    object) are written line by line.
+    dropping every NUL leaves the lines.  Rows with an entry of 2^30 or more,
+    whose squared norm may pass int64 (a trace fiber's can), are written line
+    by line on Python ints.
     """
-    if words.matrix[0].dtype == object:
-        return "".join(_line(*row) for row in _rows(words, rows))
     lengths = words.lengths[rows]
     n = len(lengths)
     if not n:
         return ""
+    if max(int(x[rows].max()) for x in words.matrix) >= 1 << 30:
+        return "".join(_line(*row) for row in _rows(words, rows))
     a, b, c, d = (x[rows].astype(np.int64) for x in words.matrix)
     fields = np.stack([a, b, c, d, a * a + b * b + c * c + d * d, a + d], axis=1)
     after = np.broadcast_to(_AFTER, (n, *_AFTER.shape))
@@ -228,7 +229,7 @@ def _text(words, rows: slice) -> str:
 
 def _lines(words) -> Iterator[str]:
     """The JSON lines of words, formed from its arrays _CHUNK rows at a time."""
-    return (_text(words, slice(lo, lo + _CHUNK)) for lo in range(0, len(words.lengths), _CHUNK))
+    return (_text(words, slice(lo, lo + _CHUNK)) for lo in range(0, len(words), _CHUNK))
 
 
 def _cycle_records(cycles) -> list[dict]:
@@ -290,7 +291,7 @@ def _aleph_set(a) -> Summarised:
         "pivot_bound": aleph.pivot_bound,
         "error_at_q": {str(q): aleph_error(aleph, q) for q in (1, 2, 3)},
     }
-    return Summarised(_lines(aleph.words), summary)
+    return Summarised(_lines(aleph), summary)
 
 
 def _pi_factors(a) -> tuple:
@@ -391,7 +392,7 @@ COMMANDS: dict[str, Command] = {
     "trace-fiber": Command(
         "list all even words of a given trace", "trace_fiber.jsonl",
         (_ALPHABET, Flag("--trace", int, _REQUIRED)),
-        lambda a: (_line(e.word, *e.matrix.entries()) for e in trace_fiber(a.alphabet, a.trace))),
+        lambda a: _lines(trace_fiber(a.alphabet, a.trace))),
     "hensley-fit": Command(
         "fit the ball-growth exponent on a norm grid", "hensley_fit.csv",
         (_ALPHABET, Flag("--norms", _items(_RADIUS),

@@ -74,6 +74,10 @@ def _sl2_table(p: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _trace_counts(p: int) -> tuple[int, ...]:
+    """Elements of SL2(F_p) per trace mod p, for a prime p up to DEFAULT_MODULUS_CAP."""
+    if not is_prime(p):
+        raise ValueError(f"expected a prime, got {p}")
+    _check_modulus(p, DEFAULT_MODULUS_CAP)
     table = _sl2_table(p)
     return tuple(np.bincount((table[:, 0] + table[:, 3]) % p, minlength=p).tolist())
 
@@ -92,9 +96,6 @@ def beta(q: int) -> Fraction:
 
 def beta_bruteforce(p: int) -> Fraction:
     """#{g in SL2(p) : tr(g)^2 = 4 mod p} / |SL2(p)|, by full enumeration."""
-    if not is_prime(p):
-        raise ValueError(f"expected a prime, got {p}")
-    _check_modulus(p, DEFAULT_MODULUS_CAP)
     counts = _trace_counts(p)
     hits = sum(counts[t] for t in range(p) if (t * t - 4) % p == 0)
     return Fraction(hits, sl2_order(p))
@@ -141,9 +142,6 @@ def rho_t_bruteforce(p: int, t: int) -> Fraction:
     The inner sum is p - 1 on the trace fiber and -1 off it, so the whole
     expression equals (p * #{tr = t} - |SL2(p)|) / |SL2(p)| exactly.
     """
-    if not is_prime(p):
-        raise ValueError(f"expected a prime, got {p}")
-    _check_modulus(p, DEFAULT_MODULUS_CAP)
     counts = _trace_counts(p)
     fiber = counts[t % p]
     order = sl2_order(p)

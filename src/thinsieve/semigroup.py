@@ -21,9 +21,9 @@ Traces are tallied in shards: a walk's blocks are joined (`_shards`) into
 arrays of at least _SHARD traces, each sorted and counted in one call
 (`_count`) and merged into the running tally of distinct traces (`_merge`),
 which takes only ascending runs and sorts nothing again.  Memory grows with
-one shard and the distinct traces, not with the ball.  The bilinear set's
-factors are such word arrays (`_Words`) from walk to sift; elements are formed
-only when a factor or the bilinear set is iterated.
+one shard and the distinct traces, not with the ball.  Every listing of words,
+a ball, a trace fiber and each factor of the bilinear set, is one `WordRows`
+from walk to artifact or sift; elements are formed only when it is iterated.
 """
 
 from __future__ import annotations
@@ -231,21 +231,28 @@ def _ball_blocks(
             yield length, *block
 
 
-class _Words(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class WordRows:
     """Words as arrays, one row each: row i's word is digits[i, :lengths[i]]
     (zeros pad the rest) and its matrix (a, b, c, d) is matrix[0][i], ...,
-    matrix[3][i]."""
+    matrix[3][i].  Its length is its rows'; iterating it forms their elements."""
 
     digits: np.ndarray
     lengths: np.ndarray
     matrix: tuple[np.ndarray, ...]
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __iter__(self) -> Iterator[SemigroupElement]:
+        return _elements(self)
 
     def mats(self, dtype) -> np.ndarray:
         """The rows' matrices, an (n, 2, 2) array of the given dtype."""
         return np.stack(self.matrix, axis=1).astype(dtype).reshape(-1, 2, 2)
 
 
-def _words(blocks: Iterable[list[np.ndarray]], top: int) -> _Words:
+def _words(blocks: Iterable[list[np.ndarray]], top: int) -> WordRows:
     """The words, with digits at most top, of matrices given in blocks of (a, b, c, d).
 
     A word's first column has a/c = [g1; g2, ..., gn], so one Euclid on (a, c)
@@ -274,16 +281,17 @@ def _words(blocks: Iterable[list[np.ndarray]], top: int) -> _Words:
     digits[split, last - 1] -= 1
     digits[split, last] = 1
     lengths[split] += 1
-    return _Words(digits, lengths, (a, b, c, d))
+    return WordRows(digits, lengths, (a, b, c, d))
 
 
-def _lex(words: _Words) -> _Words:
+def _lex(words: WordRows) -> WordRows:
     """The rows sorted by their digits, so a prefix comes before its extensions."""
     order = np.lexsort(words.digits.T[::-1])
-    return _Words(words.digits[order], words.lengths[order], tuple(x[order] for x in words.matrix))
+    return WordRows(words.digits[order], words.lengths[order],
+                    tuple(x[order] for x in words.matrix))
 
 
-def _ball_words(alphabet: int, norm_sq_cap: int, parity: str, pick=None) -> _Words:
+def _ball_words(alphabet: int, norm_sq_cap: int, parity: str, pick=None) -> WordRows:
     """The words of the given parity with ||g||^2 <= norm_sq_cap, of the lengths pick keeps
     from a first walk's count per length against DEFAULT_MAX_ELEMENTS (all without pick)."""
     tally = Counter()
@@ -294,7 +302,7 @@ def _ball_words(alphabet: int, norm_sq_cap: int, parity: str, pick=None) -> _Wor
     return _lex(_words(blocks, min(alphabet, isqrt(max(norm_sq_cap, 0)))))
 
 
-def _rows(words: _Words, rows=slice(None)) -> Iterator[tuple]:
+def _rows(words: WordRows, rows=slice(None)) -> Iterator[tuple]:
     """(digits, a, b, c, d) of the given rows of words, on Python ints."""
     entries = (x[rows].tolist() for x in words.matrix)
     for digits, length, *m in zip(words.digits[rows].tolist(), words.lengths[rows].tolist(),
@@ -302,7 +310,7 @@ def _rows(words: _Words, rows=slice(None)) -> Iterator[tuple]:
         yield digits[:length], *m
 
 
-def _elements(words: _Words) -> Iterator[SemigroupElement]:
+def _elements(words: WordRows) -> Iterator[SemigroupElement]:
     """The elements of the rows of words."""
     return (SemigroupElement(tuple(w), Mat2(*m)) for w, *m in _rows(words))
 
@@ -403,14 +411,14 @@ def hensley_exponent(alphabet: int, norms: Iterable[float]) -> HensleyFit:
 # trace fibers
 
 
-def trace_fiber(alphabet: int, t: int) -> list[SemigroupElement]:
+def trace_fiber(alphabet: int, t: int) -> WordRows:
     """All even words over {1..alphabet} whose matrix has trace exactly t.
 
     Prunes a branch once the least trace attainable by any completion exceeds
     t: even extensions of M are bounded below by tr(M [[2,1],[1,1]]) and odd
     prefixes complete to at least tr(M [[1,1],[1,0]]), entrywise positivity
     making both bounds monotone in every digit.  Words are read back from
-    their matrices and returned in lexicographic order.
+    their matrices and returned as rows in lexicographic order.
     """
     if t < 3:
         raise ValueError("trace fibers start at t = 3")
@@ -418,7 +426,7 @@ def trace_fiber(alphabet: int, t: int) -> list[SemigroupElement]:
     for _, a, b, c, d in _frontier(alphabet, t, True):
         hit = a + d == t
         hits.append([x[hit] for x in (a, b, c, d)])
-    return list(_elements(_lex(_words(hits, min(alphabet, t)))))
+    return _lex(_words(hits, min(alphabet, t)))
 
 
 def trace_histogram(alphabet: int, t_max: int) -> np.ndarray:
@@ -457,26 +465,19 @@ def trace_multiplicity_by_divisors(alphabet: int, t: int) -> int:
 
 def cyclic_classes(alphabet: int, t: int) -> list[Word]:
     """Rotation classes of the trace-t fiber, as lexicographically least rotations."""
-    reps = {canonical_rotation(e.word) for e in trace_fiber(alphabet, t)}
-    return sorted(reps)
+    return sorted({canonical_rotation(tuple(w)) for w, *_ in _rows(trace_fiber(alphabet, t))})
 
 
 # ---------------------------------------------------------------------------
 # fixed-wordlength slices and the bilinear set
 
 
-@dataclass(frozen=True, eq=False)
-class FixedSlice:
+class FixedSlice(WordRows):
     """The most populous fixed-wordlength slice of a norm ball, as the walk's rows."""
 
-    wordlength: int
-    words: _Words
-
-    def __len__(self) -> int:
-        return len(self.words.lengths)
-
-    def __iter__(self) -> Iterator[SemigroupElement]:
-        return _elements(self.words)
+    @property
+    def wordlength(self) -> int:
+        return int(self.lengths[0])
 
 
 def build_fixed_length_ball(alphabet: int, bound: float) -> FixedSlice:
@@ -488,11 +489,11 @@ def build_fixed_length_ball(alphabet: int, bound: float) -> FixedSlice:
         return (min(tally, key=lambda n: (-tally[n], n)),)
 
     words = _ball_words(alphabet, _norm_sq_cap(bound, strict=True), "even", most_populous)
-    return FixedSlice(int(words.lengths[0]), words)
+    return FixedSlice(words.digits, words.lengths, words.matrix)
 
 
 @dataclass(frozen=True, eq=False)
-class AlephSet:
+class AlephSet(WordRows):
     """Residue-balanced subset of the alphabet-2 semigroup, as the rows of words.
 
     Built by pigeonholing the small ball on its residues mod B, powering the
@@ -500,19 +501,12 @@ class AlephSet:
     class of SL2(Z/B); the union therefore hits all classes mod B equally.
     """
 
-    words: _Words
     modulus: int
     group_order: int
     base_size: int
     pivot_bound: int
     pilot: SemigroupElement | None
     residue_reps: tuple[SemigroupElement, ...]
-
-    def __len__(self) -> int:
-        return len(self.words.lengths)
-
-    def __iter__(self) -> Iterator[SemigroupElement]:
-        return _elements(self.words)
 
 
 def _residue_representatives(modulus: int, want: int) -> list[SemigroupElement]:
@@ -540,7 +534,7 @@ def _residue_representatives(modulus: int, want: int) -> list[SemigroupElement]:
     return [found[r] for r in sorted(found)]
 
 
-def _residues(words: _Words, q: int) -> np.ndarray:
+def _residues(words: WordRows, q: int) -> np.ndarray:
     """Each row's matrix (a, b, c, d) mod q as one index, in the residues' lexicographic
     order; a q whose q^4 residues overflow the index (q > 55,108) raises ValueError."""
     if q**4 > np.iinfo(np.intp).max:
@@ -573,7 +567,8 @@ def aleph_construct(norm_bound: float, modulus: int = 2) -> AlephSet:
         raise ValueError(f"ball too small; increase the norm bound to {up!r} for modulus {modulus}")
     if modulus == 1:
         words = _ball_words(2, inside, "even")
-        return AlephSet(words, 1, 1, len(words.lengths), int(norm_bound), None, ())
+        return AlephSet(words.digits, words.lengths, words.matrix, 1, 1, len(words),
+                        int(norm_bound), None, ())
     # largest u with u^(2R) * xmax_sq <= norm_bound^2; the left side is an integer
     u = iroot(closed // xmax_sq, 2 * R)
     base = _ball_words(2, u * u - 1, "even")
@@ -591,7 +586,8 @@ def aleph_construct(norm_bound: float, modulus: int = 2) -> AlephSet:
     words = _words([products.reshape(-1, 4).T], 2)
     if (sum(x * x for x in words.matrix) > inside).any():
         raise InternalInvariantError("constructed element escaped the norm bound")
-    return AlephSet(words, modulus, R, int(tally.max()), u, pilot, tuple(reps))
+    return AlephSet(words.digits, words.lengths, words.matrix, modulus, R, int(tally.max()), u,
+                    pilot, tuple(reps))
 
 
 def aleph_error(aleph: AlephSet, q: int) -> float:
@@ -600,7 +596,7 @@ def aleph_error(aleph: AlephSet, q: int) -> float:
     if not n:
         raise ValueError("empty set")
     order = sl2_order(q)
-    counts = np.unique(_residues(aleph.words, q), return_counts=True)[1]
+    counts = np.unique(_residues(aleph, q), return_counts=True)[1]
     least = 0 if len(counts) < order else int(counts.min())  # 0: some class is unseen
     # |c/n - 1/order| is convex in a class's count c, so the most or least common is worst
     return float(max(abs(Fraction(c, n) - Fraction(1, order)) for c in (int(counts.max()), least)))
@@ -615,13 +611,13 @@ class BilinearSet:
     has exactly |Xi| * |Aleph| * |Omega| elements.
     """
 
-    xi: _Words
-    aleph: _Words
-    omega: _Words
+    xi: WordRows
+    aleph: WordRows
+    omega: WordRows
 
     def __post_init__(self):
         for name, factor in (("Xi", self.xi), ("Aleph", self.aleph), ("Omega", self.omega)):
-            if not len(factor.lengths):
+            if not len(factor):
                 raise ValueError(f"empty factor {name}")
         for name, factor in (("Xi", self.xi), ("Omega", self.omega)):
             if factor.lengths.min() != factor.lengths.max():
@@ -631,7 +627,7 @@ class BilinearSet:
 
     @property
     def size(self) -> int:
-        return len(self.xi.lengths) * len(self.aleph.lengths) * len(self.omega.lengths)
+        return len(self.xi) * len(self.aleph) * len(self.omega)
 
     def _norms_sq(self) -> list[int]:  # exact: a walk's dtype holds 5 x its bound
         return [int(sum(x * x for x in f.matrix).max()) for f in (self.xi, self.aleph, self.omega)]
@@ -642,8 +638,8 @@ class BilinearSet:
         return float(np.sqrt(float(parts[0]) * parts[1] * parts[2]))
 
     def iter_elements(self) -> Iterator[SemigroupElement]:
-        xi, omega = list(_elements(self.xi)), list(_elements(self.omega))
-        for mid in _elements(self.aleph):
+        xi, omega = list(self.xi), list(self.omega)
+        for mid in self.aleph:
             for right in omega:
                 tail_w = mid.word + right.word
                 tail_m = mid.matrix * right.matrix
@@ -681,12 +677,12 @@ class BilinearSet:
 def build_pi(xi, aleph, omega) -> BilinearSet:
     """Assemble the bilinear product set from its three factors.
 
-    A FixedSlice or an AlephSet gives its rows as they are; elements or words
-    are read into rows, in their order, from their matrices on Python ints.
+    A factor of WordRows is taken as it is; elements or words are read into
+    rows, in their order, from their matrices on Python ints.
     """
-    def rows(factor) -> _Words:
-        if isinstance(factor, (FixedSlice, AlephSet)):
-            return factor.words
+    def rows(factor) -> WordRows:
+        if isinstance(factor, WordRows):
+            return factor
         ms = (e.matrix if isinstance(e, SemigroupElement) else word_to_matrix(e) for e in factor)
         columns = np.array([m.entries() for m in ms], dtype=object).reshape(-1, 4).T
         return _words([columns], max(columns[0], default=0))  # no digit exceeds a

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import thinsieve.arith as arith
-from thinsieve.arith import LEAF, iroot, is_squarefree, pairwise_sum, primes_up_to
+from thinsieve.arith import LEAF, factorize, iroot, is_squarefree, pairwise_sum, primes_up_to
 from thinsieve.errors import CapExceededError
 
 # item counts around numpy's unroll (8 scalars), its block (128) and LEAF; a
@@ -132,6 +132,12 @@ def test_is_squarefree_past_the_cube_root():
     assert not is_squarefree(p * p) and not is_squarefree(3 * p * p)
     assert [n for n in range(1, 30) if not is_squarefree(n)] == [
         4, 8, 9, 12, 16, 18, 20, 24, 25, 27, 28]
+
+
+@pytest.mark.parametrize("n", [0, -12])
+def test_factorize_refuses_below_1(n):
+    with pytest.raises(ValueError, match=f"^cannot factor {n}$"):
+        factorize(n)
 
 
 def test_prime_table_stops_at_its_cap(monkeypatch):

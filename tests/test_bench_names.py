@@ -1,8 +1,9 @@
 """The benchmark in bench/ reaches into the library by name: child.py wraps each
-function named in layers.py's SELF_METRIC and reads attributes of what
-sift_values returns, and gate.py calls its oracles through the package.  The
-bench files are read here with ast, never imported, so a library change that
-deletes one of those names fails here rather than in a benchmark run."""
+function named in layers.py's SELF_METRIC and counts the work in what some of
+them return, and gate.py calls its oracles through the package.  The bench
+files are read here with ast, never imported, so a library change that deletes
+one of those names, or changes what a work count reads, fails here rather than
+in a benchmark run."""
 
 import ast
 import importlib
@@ -11,8 +12,10 @@ from pathlib import Path
 import pytest
 
 import thinsieve
-from thinsieve.semigroup import BilinearSet
-from thinsieve.sieve import SiftingSequence
+from thinsieve.arith import is_squarefree
+from thinsieve.semigroup import (BilinearSet, enumerate_ball, trace_fiber,
+                                 trace_multiplicity_by_divisors)
+from thinsieve.sieve import BallSource, discriminant_census, remainder_profile, sift_values
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -65,13 +68,33 @@ def test_every_name_the_gate_uses_exists():
             value = getattr(value, part)
 
 
-def test_sifting_sequences_have_what_the_work_count_reads():
-    counts = _assigned(_tree("child.py"), "_COUNTS")
-    count = dict(zip(map(ast.literal_eval, counts.keys), counts.values))["sieve.sift_values"]
-    arg = count.args.args[0].arg  # a lambda of the sequence
-    read = {n.attr for n in ast.walk(count.body)
-            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == arg}
-    assert read  # source_size and values today
-    seq = SiftingSequence.from_values([5, 5, 12])
-    for attr in read:
-        assert hasattr(seq, attr), attr
+COUNTS = _assigned(_tree("child.py"), "_COUNTS")
+
+
+def _ball_sift():
+    """A sift of the alphabet-2 ball of norm 30, and its size and distinct
+    values counted element by element."""
+    elements = list(enumerate_ball(2, 30.0))
+    values = {e.trace**2 - 4 for e in elements}
+    return sift_values(BallSource(2, 30.0)), [len(elements), len(values)]
+
+
+# span -> a small real result of the function, and its work counted another way
+SAMPLES = {
+    "semigroup.trace_fiber": lambda: (trace_fiber(2, 37), trace_multiplicity_by_divisors(2, 37)),
+    "sieve.sift_values": _ball_sift,
+    "sieve.remainder_profile": lambda: (  # the square-free q < 10: 1, 2, 3, 5, 6, 7
+        remainder_profile(_ball_sift()[0], 10), sum(map(is_squarefree, range(1, 10)))),
+    "sieve.discriminant_census": lambda: (discriminant_census(3, 400), sum(  # t <= sqrt(400)
+        is_squarefree(t * t - 4) and trace_multiplicity_by_divisors(3, t) > 0
+        for t in range(3, 21))),
+}
+
+
+@pytest.mark.parametrize("span, count", zip(map(ast.literal_eval, COUNTS.keys), COUNTS.values),
+                         ids=[ast.literal_eval(k) for k in COUNTS.keys])
+def test_every_work_count_reads_what_its_function_returns(span, count):
+    # the count as child.py compiles it, applied to a real result
+    count = eval(compile(ast.Expression(count), "child.py", "eval"), {})
+    result, expected = SAMPLES[span]()
+    assert count(result) == expected

@@ -66,6 +66,12 @@ def test_continuants_refuse_past_max_bits():
             cf._continuants((1,) * n, max_bits=10)
 
 
+def test_negative_matrix_power_rejected():
+    assert Mat2(2, 1, 1, 1) ** 0 == Mat2(1, 0, 0, 1)
+    with pytest.raises(ValueError, match="negative matrix powers"):
+        Mat2(2, 1, 1, 1) ** -1
+
+
 def test_empty_word_rejected():
     with pytest.raises(ValueError, match="empty word"):
         word_to_matrix(())

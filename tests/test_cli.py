@@ -9,15 +9,17 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thinsieve import semigroup
 from thinsieve.cli import _CHUNK, COMMANDS, Table, _line, _text, _write, main
-from thinsieve.cf import parse_word
+from thinsieve.cf import parse_word, word_to_matrix
 from thinsieve.errors import InternalInvariantError
 from thinsieve.geodesics import geodesic_profile
-from thinsieve.semigroup import _ball_words, _rows
+from thinsieve.semigroup import _ball_words, _rows, cyclic_classes, trace_fiber, trace_multiplicity
 from thinsieve.sieve import BallSource, remainder_profile, sift_values
 
 
@@ -122,6 +124,15 @@ def test_dimension_and_expsum(tmp_path):
     assert run(["expsum", "--prime", 5, "--samples", 10, "--output", out]) == 0
     for row in csv.DictReader(out.open()):
         assert abs(float(row["value"])) <= float(row["bound"]) + 1e-9
+
+
+def test_expsum_redraws_an_all_zero_sample(tmp_path):
+    # at p = 2 and seed 15 the first two draws are (0, 0, 0, 0); no character
+    # sum is taken at the zero vector
+    out = tmp_path / "exp.csv"
+    assert run(["expsum", "--prime", 2, "--samples", 1, "--seed", 15, "--output", out]) == 0
+    rows = [row for row in csv.DictReader(out.open()) if row["kind"] == "charsum"]
+    assert len(rows) == 1 and rows[0]["argument"] != "0,0,0,0"
 
 
 def test_sieve_remainders_cli(tmp_path):
@@ -408,6 +419,33 @@ def test_config_file_gives_golden_artifact(tmp_path, monkeypatch, text, argv, go
     assert hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest() == digest
 
 
+def test_fibers_and_their_classes_form_no_element(tmp_path, monkeypatch):
+    def formed(words):
+        raise AssertionError("an element was formed")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(semigroup, "_elements", formed)
+    for argv, artifact, digest in GOLDEN:
+        if argv[0] in ("trace-fiber", "class-census"):
+            assert run(argv) == 0
+            assert hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest() == digest
+    assert trace_multiplicity(35, 37) == 14
+    assert cyclic_classes(11, 37) == [(1, 1, 1, 2, 1, 2), (1, 1, 1, 11), (5, 7)]
+
+
+def test_fiber_lines_are_exact_past_int64_squares(tmp_path):
+    # (1, 1)^25 has trace L_50, about 2.8e10: its walk runs on int64, but its
+    # squared norm, about 7.9e20, does not fit one
+    t = word_to_matrix((1, 1) * 25).trace
+    fiber = trace_fiber(1, t)
+    assert fiber.matrix[0].dtype == np.int64
+    out = tmp_path / "fiber.jsonl"
+    assert run(["trace-fiber", "--alphabet", 1, "--trace", t, "--output", out]) == 0
+    assert out.read_text() == "".join(_line(*row) for row in _rows(fiber)) == _text(fiber, slice(1))
+    (record,) = map(json.loads, out.read_text().splitlines())
+    assert record["normSq"] == sum(x * x for x in record["matrix"]) > 2**63
+
+
 def test_geodesic_output_is_the_emit_destination(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run(["geodesic", "--word", "1,1,1,2,1,2", "--output", "mine.csv"]) == 0
@@ -429,6 +467,20 @@ def test_golden_enumerate_at_bench_norms(tmp_path, monkeypatch, alphabet, norm, 
     monkeypatch.chdir(tmp_path)
     assert run(["enumerate", "--alphabet", alphabet, "--norm", norm, "--parity", "any"]) == 0
     assert hashlib.sha256((tmp_path / "enumerate.jsonl").read_bytes()).hexdigest() == digest
+
+
+# digests recorded while trace-fiber wrote one _line per formed element; the
+# first fiber has 1,068 words, more than one _CHUNK of lines, and the second is
+# L_86, one word whose walk runs on Python ints
+@pytest.mark.parametrize("alphabet, trace, digest", [
+    (10, 4000, "b0fc9de41c5edd012efff10966ff2c40ff4d600eb6586a8faf7ec722b1dcd073"),
+    (1, 939587134549734843, "1288b2b55304f0d39443ae849d3eae70d7a4bdb5740cff799d192147f6acd163"),
+], ids=["10-4000", "1-L86"])
+def test_golden_trace_fiber_past_a_chunk_and_on_python_ints(tmp_path, monkeypatch, alphabet,
+                                                             trace, digest):
+    monkeypatch.chdir(tmp_path)
+    assert run(["trace-fiber", "--alphabet", alphabet, "--trace", trace]) == 0
+    assert hashlib.sha256((tmp_path / "trace_fiber.jsonl").read_bytes()).hexdigest() == digest
 
 
 def test_discriminants_below_the_least_trace_write_only_the_header(tmp_path, monkeypatch):

@@ -295,6 +295,15 @@ def test_tolerance_bounds_are_accepted():
     assert abs(fine.upper - coarse.upper) <= (1e-6 + 1e-2) / 2
 
 
+@pytest.mark.parametrize("fn, arg, message", [
+    (cylinder_length, (), "cylinder of the empty word"),
+    (distortion_constant, 0, "alphabet bound must be >= 1"),
+], ids=["cylinder-empty-word", "distortion-alphabet-0"])
+def test_cylinders_and_distortion_reject_empty_input(fn, arg, message):
+    with pytest.raises(ValueError, match=message):
+        fn(arg)
+
+
 @pytest.mark.parametrize("args", [(0, 3, 0.5), (-1, 3, 0.5), (2, 0, 0.5), (2, 3, float("nan")),
                                   (2, 3, float("inf")), (2, 3, float("-inf"))])
 def test_pressure_sum_rejects_bad_inputs(args):

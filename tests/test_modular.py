@@ -230,6 +230,20 @@ def test_square_free_rejected():
             fn(12)
 
 
+# the brute-force oracles take one prime within DEFAULT_MODULUS_CAP, checked
+# where the trace counts are read
+@pytest.mark.parametrize("fn, args, error, message", [
+    (beta_bruteforce, (4,), ValueError, "expected a prime, got 4"),
+    (rho_t_bruteforce, (4, 1), ValueError, "expected a prime, got 4"),
+    (beta_bruteforce, (127,), CapExceededError, "modulus 127 exceeds cap 120"),
+    (rho_t_bruteforce, (127, 1), CapExceededError, "modulus 127 exceeds cap 120"),
+    (sl2_charsum, (5, (1, 2, 3)), ValueError, "s must be a 4-vector"),
+], ids=["beta-4", "rho_t-4", "beta-127", "rho_t-127", "charsum-3-vector"])
+def test_modular_refusals(fn, args, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        fn(*args)
+
+
 def test_beta_values():
     assert beta(2) == Fraction(2, 3)
     assert beta(3) == Fraction(3, 4)
