@@ -40,7 +40,6 @@ from .modular import DENSITY_MODULUS_CAP, densities, kloosterman, sl2_charsum
 from .semigroup import (
     _ball_words,
     _norm_sq_cap,
-    _rows,
     aleph_construct,
     aleph_error,
     build_fixed_length_ball,
@@ -66,8 +65,6 @@ MAX_SAMPLES = 10**3
 # with int64 digit temporaries; the ball_sieve benchmark's steps in one process
 # peaked at 38.7 MB with 2^12 rows, 35.8 MB with 2^10, 36.2 MB line by line
 _CHUNK = 1 << 10
-# 10^k for every k at which an int64 >= 0 has a digit
-_POW10 = 10 ** np.arange(19, dtype=np.int64)
 
 # ---------------------------------------------------------------------------
 # flag types: each turns a command-line or config-file string into a checked
@@ -172,17 +169,15 @@ def _write(path: Path, content) -> None:
 # producers
 
 
-def _line(word, a, b, c, d) -> str:
-    """A row's JSON line, as ``json.dumps(record, sort_keys=True)`` writes it."""
-    return (f'{{"matrix": [{a}, {b}, {c}, {d}], "normSq": {a * a + b * b + c * c + d * d}, '
-            f'"trace": {a + d}, "word": "{serialize_word(word)}"}}\n')
-
-
 def _ascii(x: np.ndarray) -> np.ndarray:
-    """The decimal digits of nonnegative int64 entries as ASCII bytes, along a
-    new last axis as wide as the largest entry's, NUL bytes padding the left."""
+    """The decimal digits of nonnegative integer entries as ASCII bytes, along a
+    new last axis as wide as the largest entry's, padded with NUL bytes: Python
+    ints (dtype object) are written by str, padded on the right; fixed-width
+    integers are divided by powers of ten in their own dtype, padded on the left."""
     width = len(str(int(x.max()))) if x.size else 1
-    q = x[..., None] // _POW10[width - 1 :: -1]
+    if x.dtype == object:
+        return x.astype(f"S{width}").view(np.uint8).reshape(*x.shape, width)
+    q = x[..., None] // 10 ** np.arange(width - 1, -1, -1).astype(x.dtype)
     out = np.where(q > 0, q % 10 + ord("0"), 0).astype(np.uint8)
     out[..., -1] = x % 10 + ord("0")  # a zero's one digit
     return out
@@ -198,30 +193,28 @@ _AFTER = np.array([", ", ", ", ", ", '], "normSq": ', ', "trace": ', ', "word": 
                   dtype=bytes).view(np.uint8).reshape(6, -1)
 
 
-def _text(words, rows: slice) -> str:
-    """The JSON lines of the given rows of words, as _line writes them.
+def _text(words) -> str:
+    """The JSON lines of words, each as ``json.dumps(record, sort_keys=True)`` writes it.
 
     Each line is a row of a byte matrix: the constant text in fixed columns,
     each integer written in ASCII digits padded with NUL bytes, and the word's
     digits each followed by a comma but the last.  JSON text holds no NUL, so
-    dropping every NUL leaves the lines.  Rows with an entry of 2^30 or more,
-    whose squared norm may pass int64 (a trace fiber's can), are written line
-    by line on Python ints.
+    dropping every NUL leaves the lines.  The six integer fields are int64, or
+    Python ints (dtype object) when an entry reaches 2^30, as the squared norm
+    may then pass int64 (a trace fiber's can); the digits keep their own dtype.
     """
-    lengths = words.lengths[rows]
-    n = len(lengths)
+    n = len(words)
     if not n:
         return ""
-    if max(int(x[rows].max()) for x in words.matrix) >= 1 << 30:
-        return "".join(_line(*row) for row in _rows(words, rows))
-    a, b, c, d = (x[rows].astype(np.int64) for x in words.matrix)
+    wide = max(int(x.max()) for x in words.matrix) >= 1 << 30
+    a, b, c, d = (x.astype(object if wide else np.int64) for x in words.matrix)
     fields = np.stack([a, b, c, d, a * a + b * b + c * c + d * d, a + d], axis=1)
     after = np.broadcast_to(_AFTER, (n, *_AFTER.shape))
     fields = np.concatenate([_ascii(fields), after], axis=2).reshape(n, -1)
-    span = np.arange(int(lengths.max()))
-    word = _ascii(words.digits[rows, : len(span)].astype(np.int64))
-    word[span >= lengths[:, None]] = 0
-    comma = np.where(span + 1 < lengths[:, None], ord(","), 0).astype(np.uint8)
+    span = np.arange(int(words.lengths.max()))
+    word = _ascii(words.digits[:, : len(span)])
+    word[span >= words.lengths[:, None]] = 0
+    comma = np.where(span + 1 < words.lengths[:, None], ord(","), 0).astype(np.uint8)
     word = np.concatenate([word, comma[..., None]], axis=2).reshape(n, -1)
     m = np.concatenate([_columns(n, '{"matrix": ['), fields, word, _columns(n, '"}\n')], axis=1)
     return m[m != 0].tobytes().decode()
@@ -229,7 +222,7 @@ def _text(words, rows: slice) -> str:
 
 def _lines(words) -> Iterator[str]:
     """The JSON lines of words, formed from its arrays _CHUNK rows at a time."""
-    return (_text(words, slice(lo, lo + _CHUNK)) for lo in range(0, len(words), _CHUNK))
+    return (_text(words.take(slice(lo, lo + _CHUNK))) for lo in range(0, len(words), _CHUNK))
 
 
 def _cycle_records(cycles) -> list[dict]:

@@ -23,7 +23,9 @@ arrays of at least _SHARD traces, each sorted and counted in one call
 which takes only ascending runs and sorts nothing again.  Memory grows with
 one shard and the distinct traces, not with the ball.  Every listing of words,
 a ball, a trace fiber and each factor of the bilinear set, is one `WordRows`
-from walk to artifact or sift; elements are formed only when it is iterated.
+from walk to artifact or sift.  `WordRows.take` is the one row selection (a
+sort, a chunk), and `_word_tuples` the one reader of rows' words; `_elements`,
+which runs when rows are iterated, builds on it to form Python-level elements.
 """
 
 from __future__ import annotations
@@ -247,6 +249,11 @@ class WordRows:
     def __iter__(self) -> Iterator[SemigroupElement]:
         return _elements(self)
 
+    def take(self, rows) -> WordRows:
+        """The given rows (a slice, a boolean mask or an index array) as a plain
+        WordRows; a slice's arrays are views of these."""
+        return WordRows(self.digits[rows], self.lengths[rows], tuple(x[rows] for x in self.matrix))
+
     def mats(self, dtype) -> np.ndarray:
         """The rows' matrices, an (n, 2, 2) array of the given dtype."""
         return np.stack(self.matrix, axis=1).astype(dtype).reshape(-1, 2, 2)
@@ -286,9 +293,7 @@ def _words(blocks: Iterable[list[np.ndarray]], top: int) -> WordRows:
 
 def _lex(words: WordRows) -> WordRows:
     """The rows sorted by their digits, so a prefix comes before its extensions."""
-    order = np.lexsort(words.digits.T[::-1])
-    return WordRows(words.digits[order], words.lengths[order],
-                    tuple(x[order] for x in words.matrix))
+    return words.take(np.lexsort(words.digits.T[::-1]))
 
 
 def _ball_words(alphabet: int, norm_sq_cap: int, parity: str, pick=None) -> WordRows:
@@ -302,17 +307,15 @@ def _ball_words(alphabet: int, norm_sq_cap: int, parity: str, pick=None) -> Word
     return _lex(_words(blocks, min(alphabet, isqrt(max(norm_sq_cap, 0)))))
 
 
-def _rows(words: WordRows, rows=slice(None)) -> Iterator[tuple]:
-    """(digits, a, b, c, d) of the given rows of words, on Python ints."""
-    entries = (x[rows].tolist() for x in words.matrix)
-    for digits, length, *m in zip(words.digits[rows].tolist(), words.lengths[rows].tolist(),
-                                  *entries):
-        yield digits[:length], *m
+def _word_tuples(words: WordRows) -> Iterator[Word]:
+    """The words of the rows, as tuples of Python ints; no element is formed."""
+    return (tuple(w[:n]) for w, n in zip(words.digits.tolist(), words.lengths.tolist()))
 
 
 def _elements(words: WordRows) -> Iterator[SemigroupElement]:
-    """The elements of the rows of words."""
-    return (SemigroupElement(tuple(w), Mat2(*m)) for w, *m in _rows(words))
+    """The elements of the rows of words, on Python ints."""
+    entries = (x.tolist() for x in words.matrix)
+    return (SemigroupElement(w, Mat2(*m)) for w, *m in zip(_word_tuples(words), *entries))
 
 
 def ball_count(alphabet: int, norm: float, parity: str = "even") -> int:
@@ -465,7 +468,7 @@ def trace_multiplicity_by_divisors(alphabet: int, t: int) -> int:
 
 def cyclic_classes(alphabet: int, t: int) -> list[Word]:
     """Rotation classes of the trace-t fiber, as lexicographically least rotations."""
-    return sorted({canonical_rotation(tuple(w)) for w, *_ in _rows(trace_fiber(alphabet, t))})
+    return sorted({canonical_rotation(w) for w in _word_tuples(trace_fiber(alphabet, t))})
 
 
 # ---------------------------------------------------------------------------
@@ -576,8 +579,8 @@ def aleph_construct(norm_bound: float, modulus: int = 2) -> AlephSet:
     residue = _residues(base, modulus)
     tally = np.bincount(residue)
     stems = residue == np.argmax(tally)  # the least of the most common residues
-    (word, *m), = _rows(base, np.flatnonzero(stems)[:1])
-    pilot = SemigroupElement(tuple(word), Mat2(*m))
+    first = np.argmax(stems)
+    pilot = SemigroupElement.from_word(next(_word_tuples(base.take([first]))))
     # a product's entries and partial sums are at most its own entries, below sqrt(inside)
     dtype = np.int64 if inside < _INT64_SAFE else object
     tail = np.array((pilot.matrix ** (R - 1)).entries(), dtype=dtype).reshape(2, 2)

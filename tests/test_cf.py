@@ -20,7 +20,7 @@ from thinsieve.cf import (
     word_from_matrix,
     word_to_matrix,
 )
-from thinsieve.errors import CapExceededError
+from thinsieve.errors import CapExceededError, InternalInvariantError
 
 words = st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=10).map(tuple)
 
@@ -369,3 +369,11 @@ def test_canonical_rotation_equals_the_min_over_rotations(word, repeat):
                                   (2, 1, 1, 2, 1, 1, 2, 1), (3, 1, 3, 1, 2)])
 def test_canonical_rotation_of_periodic_and_constant_words(word):
     assert canonical_rotation(word) == min(rotations(word))
+
+
+def test_an_expansion_that_never_reaches_a_reduced_state_is_a_bug(monkeypatch):
+    # with no state read as reduced the period never starts; past 2d plus the
+    # preperiod's bound the expansion gives up (18 digits at d = 5)
+    monkeypatch.setattr(cf, "_reduced", lambda p, q, s: False)
+    with pytest.raises(InternalInvariantError, match="failed to cycle"):
+        cf_expand(Surd(1, 5, 2))

@@ -1,11 +1,13 @@
 import csv
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,11 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thinsieve import semigroup
-from thinsieve.cli import _CHUNK, COMMANDS, Table, _line, _text, _write, main
-from thinsieve.cf import parse_word, word_to_matrix
+from thinsieve.cli import _CHUNK, COMMANDS, Table, _text, _write, main
+from thinsieve.cf import parse_word, serialize_word, word_to_matrix
 from thinsieve.errors import InternalInvariantError
 from thinsieve.geodesics import geodesic_profile
-from thinsieve.semigroup import _ball_words, _rows, cyclic_classes, trace_fiber, trace_multiplicity
+from thinsieve.semigroup import (
+    _ball_words,
+    _elements,
+    cyclic_classes,
+    trace_fiber,
+    trace_multiplicity,
+)
 from thinsieve.sieve import BallSource, remainder_profile, sift_values
 
 
@@ -282,10 +290,18 @@ def test_jsonl_lines_are_sorted_key_json_dumps(tmp_path, argv):
         assert line == json.dumps(json.loads(line), sort_keys=True) + "\n"
 
 
-# enumerate writes a chunk of lines from byte columns while the walk's entries
-# are numpy integers: the text must be the lines _line writes, row by row, for
-# any rows (alphabet 200 has three-digit letters; alphabet 1 walks on Python
-# ints past a squared norm of about 10^18)
+def _line(element) -> str:
+    """An element's JSON line, as ``json.dumps(record, sort_keys=True)`` writes it
+    (the oracle of the byte writer, one Python-int line at a time)."""
+    a, b, c, d = element.matrix.entries()
+    return (f'{{"matrix": [{a}, {b}, {c}, {d}], "normSq": {a * a + b * b + c * c + d * d}, '
+            f'"trace": {a + d}, "word": "{serialize_word(element.word)}"}}\n')
+
+
+# enumerate writes a chunk of lines from one byte matrix, on int64 or on Python
+# ints: the text must be the lines _line writes, element by element, for any
+# rows (alphabet 200 has three-digit letters; alphabet 1 walks on Python ints
+# past a squared norm of about 10^18)
 @given(st.tuples(st.sampled_from([*range(1, 13), 200]), st.integers(1, 20_000))
        | st.just((1, 10**20)), st.sampled_from(["even", "any"]), st.data())
 @settings(max_examples=80)
@@ -296,7 +312,8 @@ def test_byte_columns_equal_the_line_writer(ball, parity, data):
     lo = data.draw(st.integers(0, n), label="lo")
     hi = data.draw(st.integers(lo, min(n, lo + 3 * _CHUNK)), label="hi")
     for rows in (slice(lo, hi), slice(lo, lo)):
-        assert _text(words, rows) == "".join(_line(*row) for row in _rows(words, rows))
+        chunk = words.take(rows)
+        assert _text(chunk) == "".join(map(_line, _elements(chunk)))
 
 
 def _int(text: str) -> int:
@@ -441,7 +458,7 @@ def test_fiber_lines_are_exact_past_int64_squares(tmp_path):
     assert fiber.matrix[0].dtype == np.int64
     out = tmp_path / "fiber.jsonl"
     assert run(["trace-fiber", "--alphabet", 1, "--trace", t, "--output", out]) == 0
-    assert out.read_text() == "".join(_line(*row) for row in _rows(fiber)) == _text(fiber, slice(1))
+    assert out.read_text() == "".join(map(_line, _elements(fiber))) == _text(fiber.take(slice(1)))
     (record,) = map(json.loads, out.read_text().splitlines())
     assert record["normSq"] == sum(x * x for x in record["matrix"]) > 2**63
 
@@ -467,6 +484,17 @@ def test_golden_enumerate_at_bench_norms(tmp_path, monkeypatch, alphabet, norm, 
     monkeypatch.chdir(tmp_path)
     assert run(["enumerate", "--alphabet", alphabet, "--norm", norm, "--parity", "any"]) == 0
     assert hashlib.sha256((tmp_path / "enumerate.jsonl").read_bytes()).hexdigest() == digest
+
+
+def test_golden_enumerate_on_python_ints_past_300_digits(tmp_path, monkeypatch):
+    # digest recorded while chunks with an entry of 2^30 or more were written
+    # one line at a time: 717 rows on Python ints, squared norms of up to 300 digits
+    monkeypatch.chdir(tmp_path)
+    assert run(["enumerate", "--alphabet", 1, "--norm", 1e150, "--parity", "any"]) == 0
+    text = (tmp_path / "enumerate.jsonl").read_bytes()
+    assert hashlib.sha256(text).hexdigest() == (
+        "6e514fb65f8c4ee6dffe0df69b8d1d80c9911faf5e39251f710910ff416cc79c")
+    assert text.count(b"\n") == 717
 
 
 # digests recorded while trace-fiber wrote one _line per formed element; the
@@ -678,6 +706,20 @@ def test_internal_invariant_exits_4_without_traceback(tmp_path, monkeypatch, cap
     assert "internal invariant violation" in err and "Traceback" not in err
 
 
+def test_a_census_guard_exits_4_through_main(tmp_path, monkeypatch, capsys):
+    # is_fundamental refusing the square-free t^2 - 4 of t = 3 trips
+    # discriminant_census's own check, not a patched stand-in for it
+    import thinsieve.sieve as sieve
+
+    monkeypatch.setattr(sieve, "is_fundamental", lambda d: False)
+    monkeypatch.chdir(tmp_path)
+    assert run(["discriminants", "--max-T", 100]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == "internal invariant violation: square-free t^2-4 must be fundamental: 5\n"
+    assert not (tmp_path / "discriminants.csv").exists()
+
+
 # main builds the parser of the named command alone; without a known command
 # it builds every command's, so help and usage errors read as before
 @pytest.mark.parametrize("argv, code", [
@@ -692,6 +734,64 @@ def test_parser_help_and_usage_exit_codes(capsys, argv, code):
         assert all(name in out for name in COMMANDS)
     if argv[:1] == ["densities"]:
         assert "usage: thinsieve densities" in out + err
+
+
+# the exit-code contract over random argument vectors: a subcommand, then each
+# of its flags left out or drawn from small in-range values (none near a cap's
+# slow edge), edge values and junk.  With small walk caps patched in, every run
+# ends at once, in 0, 2, 3 or 4, with no traceback
+_SMALL = {
+    "--alphabet": ["1", "2", "3", "7"], "--norm": ["3", "30", "300", "1e4"],
+    "--parity": ["even", "any"], "--trace": ["3", "37", "300"],
+    "--norms": ["10,30,100", "100,300,1000,3000", "5"], "--alphabets": ["1", "2", "2,3", "5"],
+    "--depth": ["1", "3", "6"], "--tol": ["1e-6", "1e-3", "0.01"],
+    "--modulus": ["1", "2", "3", "30"], "--prime": ["2", "5", "113"],
+    "--samples": ["0", "1", "10"], "--seed": ["0", "15"], "--bound": ["30", "7363", "1e6"],
+    "--xi-bound": ["12", "40"], "--omega-bound": ["12", "40"],
+    "--aleph-bound": ["30", "7363", "1e6"],
+    "--cutoff": ["2", "10", "100"], "--threshold": ["2", "5", "7"],
+    "--max-T": ["8", "100", "2000"], "--min-multiplicity": ["0", "1", "3"],
+    "--disc": ["5", "12", "21", "1365"], "--word": ["1", "1,2", "1,35", "1,1,1,2,1,2"],
+    "--emit": ["arcs.csv", "profile.json"],
+}
+_EDGE = ["0", "-1", "-5", "nan", "inf", "1e308", str(10**25)]
+_JUNK = ["", "abc"]
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    command = draw(st.sampled_from(sorted(COMMANDS)), label="command")
+    argv = [command]
+    for flag in COMMANDS[command].flags:
+        if flag.name == "--use-pi":  # a switch takes no value
+            argv += ["--use-pi"] if draw(st.booleans(), label=flag.name) else []
+            continue
+        small = st.sampled_from(_SMALL[flag.name])  # drawn three times in five
+        value = draw(st.one_of(small, small, small, st.none(), st.sampled_from(_EDGE + _JUNK)),
+                     label=flag.name)
+        argv += [] if value is None else [flag.name, value]
+    return argv
+
+
+def test_random_argument_vectors_keep_the_exit_code_contract(tmp_path, monkeypatch):
+    monkeypatch.setattr(semigroup, "DEFAULT_MAX_NODES", 20_000)
+    monkeypatch.setattr(semigroup, "DEFAULT_MAX_ELEMENTS", 5_000)
+    monkeypatch.chdir(tmp_path)  # every artifact is written here
+    codes = {name: set() for name in COMMANDS}
+
+    @given(_argv())
+    @settings(max_examples=500, derandomize=True, database=None)
+    def keeps_the_contract(argv):
+        err = io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 2, 3, 4), (argv, code)
+        assert "Traceback" not in err.getvalue(), argv
+        codes[argv[0]].add(code)
+
+    keeps_the_contract()
+    # the pools reach every subcommand's work and its refusals
+    assert all({0, 2} <= seen for seen in codes.values()), codes
 
 
 # a Pi that takes about 2 s to build and sift

@@ -324,3 +324,16 @@ def test_estimate_holds_no_full_length_temporaries(alphabet, depth):
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2**20
+
+
+@pytest.mark.parametrize("lower, upper", [(0.6, 0.5), (-0.1, 0.5), (0.5, 1.1), (float("nan"), 0.5)])
+def test_a_bracket_out_of_order_is_a_bug(lower, upper):
+    with pytest.raises(InternalInvariantError, match="out of order"):
+        dimension.DimensionEstimate(2, 3, lower, upper)
+
+
+def test_depth_brackets_that_cross_are_a_bug(monkeypatch):
+    # every lower root at 0.9 and every upper root at 0.1: the brackets cross
+    monkeypatch.setattr(dimension, "_root", lambda level, sign, *_: 0.9 if sign > 0 else 0.1)
+    with pytest.raises(InternalInvariantError, match="inconsistent"):
+        estimate(2, 4)

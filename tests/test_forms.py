@@ -410,3 +410,12 @@ def test_word_class_count_matches_trace_fiber_at_1365():
 def test_form_serialization():
     f = Form(19, 27, -8)
     assert str(f) == "[19,27,-8]"
+
+
+def test_reduction_that_never_reaches_the_window_is_a_bug(monkeypatch):
+    # (5, 1, -1) of discriminant 21 is not reduced; a rho that stays put never
+    # reaches the window, and reduce_form gives up after its step limit
+    assert not is_reduced_form(Form(5, 1, -1))
+    monkeypatch.setattr(forms, "_rho", lambda a, b, c, d, s: (a, b, c))
+    with pytest.raises(InternalInvariantError, match="reduction failed to terminate"):
+        reduce_form(Form(5, 1, -1))

@@ -548,6 +548,31 @@ def test_a_slice_reads_only_the_rows_it_keeps(monkeypatch):
     assert rows == [len(s)] and len(s) < ball_count(2, 1e3)
 
 
+# every row selection is one take: a slice, whose arrays are views, a boolean
+# mask or an index array, from a ball (alphabet 1 on Python ints), a slice of a
+# ball and aleph, each read back as a plain WordRows
+@pytest.mark.parametrize("build", [
+    lambda: semigroup._ball_words(3, 1000, "any"),
+    lambda: semigroup._ball_words(1, 10**40, "any"),
+    lambda: build_fixed_length_ball(2, 1e3),
+    lambda: aleph_construct(1e6, 2),
+], ids=["ball", "ball-python-ints", "slice", "aleph"])
+def test_take_is_the_same_selection_of_the_elements(build):
+    words = build()
+    elements, n = list(words), len(words)
+    rng = np.random.default_rng(0)
+    index = rng.integers(0, n, 2 * n)  # unsorted, with repeats
+    for rows in (slice(3, n // 2), slice(None, None, -3), slice(n, n), rng.random(n) < 0.3,
+                 index, index[:0]):
+        taken = words.take(rows)
+        assert type(taken) is semigroup.WordRows
+        assert list(taken) == [elements[i] for i in np.arange(n)[rows]]
+        if isinstance(rows, slice) and len(taken):  # views of the rows' arrays
+            assert all(np.shares_memory(x, y) for x, y in zip(
+                (taken.digits, taken.lengths, *taken.matrix),
+                (words.digits, words.lengths, *words.matrix)))
+
+
 def test_fixed_length_ball_deterministic():
     a = build_fixed_length_ball(5, 1e2)
     b = build_fixed_length_ball(5, 1e2)
@@ -675,6 +700,18 @@ def test_aleph_error_equals_the_per_element_counter():
     assert aleph_error(small, 55106) == _error_oracle(list(small), 55106)
     with pytest.raises(ValueError, match="modulus 55109 "):
         aleph_error(small, 55109)
+
+
+def test_aleph_error_of_no_rows_is_refused():
+    with pytest.raises(ValueError, match="empty set"):
+        aleph_error(aleph_construct(1e6, 2).take(slice(0)), 2)
+
+
+def test_an_element_past_the_norm_bound_is_a_bug(monkeypatch):
+    # a pivot twice the largest that fits puts products past the bound of 10^6
+    monkeypatch.setattr(semigroup, "iroot", lambda n, k: 2 * arith.iroot(n, k))
+    with pytest.raises(InternalInvariantError, match="escaped the norm bound"):
+        aleph_construct(1e6, 2)
 
 
 def test_aleph_error_trend_reported():

@@ -253,6 +253,13 @@ def test_class_census_examples():
         class_census(10, 2)  # not of the form t^2 - 4
 
 
+def test_two_rotation_classes_in_one_cycle_are_a_bug(monkeypatch):
+    # the four rotation classes of trace 37 over {1..35}, each sent to one cycle
+    monkeypatch.setattr(sieve, "cycle", lambda form: "one cycle")
+    with pytest.raises(InternalInvariantError, match="landed in one cycle"):
+        class_census(1365, 35)
+
+
 def test_class_census_words_are_low_lying():
     from thinsieve.forms import cycle_to_word
     from thinsieve.geodesics import max_height
