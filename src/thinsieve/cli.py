@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -128,7 +128,7 @@ class Command(NamedTuple):
 @dataclass(frozen=True)
 class Table:
     header: list[str]
-    rows: list[list]
+    rows: Iterable[list]  # written as they come
 
 
 @dataclass(frozen=True)
@@ -253,7 +253,7 @@ def _dimension_brackets(a) -> Table:
 def _densities(a) -> Table:
     columns = (column.tolist() for column in densities(a.modulus))
     return Table(["q", "beta", "sqrt4_count"],
-                 [[q, f"{num}/{den}", count] for q, num, den, count in zip(*columns)])
+                 ([q, f"{num}/{den}", count] for q, num, den, count in zip(*columns)))
 
 
 def _exponential_sums(a) -> Table:
@@ -288,10 +288,11 @@ def _aleph_set(a) -> Summarised:
 
 
 def _pi_factors(a) -> tuple:
+    aleph = aleph_construct(a.aleph_bound, a.modulus)  # its refusals, before any slice is walked
     xi = build_fixed_length_ball(a.alphabet, a.xi_bound)
     omega = (xi if a.omega_bound == a.xi_bound  # a shared bound is walked once
              else build_fixed_length_ball(a.alphabet, a.omega_bound))
-    return xi, aleph_construct(a.aleph_bound, a.modulus), omega
+    return xi, aleph, omega
 
 
 def _pi_report(a) -> dict:

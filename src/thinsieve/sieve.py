@@ -2,11 +2,13 @@
 
 The measured objects are the congruence counts |A_q|, their exact local
 expectations beta(q) * |source|, and the resulting remainder ledger.  The
-multiset is a pair of sorted numpy arrays, the distinct values and their
-multiplicities, built by `sift_values` from one tally of the traces of one
-of two sources: a `BallSource`'s block walk, or a `BilinearSet`'s traces as
-one integer matrix product.  Values are int64 while they fit, Python ints beyond.
-The ledger, the almost-prime census and the square-free census all read it.
+multiset is held as its trace tally, a pair of numpy arrays: the distinct
+traces t >= 0 in ascending order and their multiplicities, built by
+`sift_values` from one of two sources: a `BallSource`'s block walk, or a
+`BilinearSet`'s traces as one integer matrix product.  The values t^2 - 4 are
+formed once from the traces, ascending with them: int64 while they fit,
+Python ints beyond.  The ledger, the almost-prime census and the square-free
+census all read it.
 
 The ledger walks the square-free q < Q depth first by decreasing primes,
 each q reached once from its largest prime down, keeping at each node the
@@ -19,17 +21,17 @@ walk holds one index array per level.  The expectations beta(q) |source| come
 from `modular.densities`, one sieve over the q < Q.  A_q and the almost-prime
 census take the same per-prime masks.  Python-int values are reduced modulo a
 product of primes below 2^62 first, so each prime is tested in int64.
-The square-free census reads each value's trace t = isqrt(v + 4) and decides
-t^2 - 4 = (t - 2)(t + 2) by `arith.is_squarefree` on both factors.
+The square-free census reads the traces and decides t^2 - 4 = (t - 2)(t + 2)
+by `arith.is_squarefree` on both factors.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -41,8 +43,6 @@ from .modular import _check_modulus, densities
 from .semigroup import (
     _INT64_SAFE,
     BilinearSet,
-    _count,
-    _merge,
     ball_traces,
     cyclic_classes,
     trace_histogram,
@@ -51,10 +51,9 @@ from .semigroup import (
 MAX_SIFT_SIZE = 20_000_000
 MAX_T_CAP = 10**8  # discriminants: t up to 10^4
 
-# int64 values lie in [-2^62, 2^63), where value // p * p cannot overflow;
-# a trace squares into that window while |t| <= isqrt(2^63 + 3)
-_VALUE_LO, _VALUE_HI = -(1 << 62), 1 << 63
-_TRACE_MAX = isqrt(_VALUE_HI + 3)
+# t^2 - 4 lies in [-4, 2^63), where value // p * p cannot overflow int64,
+# while 0 <= t <= isqrt(2^63 + 3)
+_TRACE_MAX = isqrt((1 << 63) + 3)
 
 
 def _divisible(values: np.ndarray, p: int) -> np.ndarray:
@@ -86,12 +85,6 @@ def _masks(values: np.ndarray, primes: list[int]) -> Iterator[np.ndarray]:
         start = stop
 
 
-def _exact(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Ascending values as int64 while all lie in [lo, hi), else as Python ints."""
-    fits = not len(values) or (lo <= int(values[0]) and int(values[-1]) < hi)
-    return values.astype(np.int64 if fits else object, copy=False)
-
-
 @dataclass(frozen=True)
 class BallSource:
     """Plain even-word norm ball used as the sifting source."""
@@ -102,22 +95,32 @@ class BallSource:
 
 @dataclass(frozen=True, eq=False)
 class SiftingSequence:
-    """Multiset {trace^2 - 4} over a source set of source_size elements.
+    """Multiset {t^2 - 4} over a source set, held as its trace tally.
 
-    `value` holds the distinct values in ascending order (int64 while they
-    lie in [-2^62, 2^63), Python ints otherwise) and `mult` their
-    multiplicities (int64).  Both are kept as read-only views.
+    `trace` holds the distinct traces t >= 0 in ascending order and `mult`
+    their multiplicities (int64); `source_size` is the sum of `mult`, and
+    `value` holds the values t^2 - 4, ascending with t.  `trace` and `value`
+    are int64 while every t <= isqrt(2^63 + 3), Python ints otherwise.  The
+    three arrays are kept as read-only views.  Raises ValueError unless the
+    traces are distinct, ascending and nonnegative.
     """
 
-    value: np.ndarray
+    trace: np.ndarray
     mult: np.ndarray
-    source_size: int
+    source_size: int = field(init=False)
+    value: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for name in ("value", "mult"):
-            view = getattr(self, name).view()
+        trace = self.trace
+        if np.any(trace[1:] <= trace[:-1]) or (len(trace) and trace[0] < 0):
+            raise ValueError("traces must be distinct, ascending and >= 0")
+        wide = len(trace) and int(trace[-1]) > _TRACE_MAX
+        trace = trace.astype(object if wide else np.int64, copy=False)
+        for name, array in (("trace", trace), ("mult", self.mult), ("value", trace * trace - 4)):
+            view = array.view()
             view.flags.writeable = False
             object.__setattr__(self, name, view)
+        object.__setattr__(self, "source_size", int(self.mult.sum()))
 
     @property
     def values(self) -> tuple[tuple[int, int], ...]:
@@ -127,29 +130,10 @@ class SiftingSequence:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SiftingSequence):
             return NotImplemented
-        return (
-            self.source_size == other.source_size
-            and np.array_equal(self.value, other.value)
-            and np.array_equal(self.mult, other.mult)
-        )
+        return np.array_equal(self.trace, other.trace) and np.array_equal(self.mult, other.mult)
 
     def __hash__(self) -> int:
-        return hash((self.source_size, len(self.value)))
-
-    @classmethod
-    def from_values(cls, values: Iterable[int]) -> "SiftingSequence":
-        value, mult = _count(np.array(list(values), dtype=object))
-        return cls(_exact(value, _VALUE_LO, _VALUE_HI), mult, int(mult.sum()))
-
-    @classmethod
-    def from_traces(cls, traces: np.ndarray, mult: np.ndarray) -> "SiftingSequence":
-        """The multiset of t^2 - 4 over distinct ascending traces with multiplicities."""
-        traces = _exact(traces, -_TRACE_MAX, _TRACE_MAX + 1)
-        value = traces * traces - 4
-        if len(traces) and traces[0] < 0:  # t and -t give one value
-            k = int(np.searchsorted(traces, 0))  # the negative traces' values descend
-            value, mult = _merge([(value[k:], mult[k:]), (value[k - 1 :: -1], mult[k - 1 :: -1])])
-        return cls(value, mult, int(mult.sum()))
+        return hash((self.source_size, len(self.trace)))
 
 
 def sift_values(source: BilinearSet | BallSource) -> SiftingSequence:
@@ -173,7 +157,7 @@ def sift_values(source: BilinearSet | BallSource) -> SiftingSequence:
                         f"not {type(source).__name__}")
     if not len(traces):
         raise ValueError("empty sifting source")
-    return SiftingSequence.from_traces(traces, mult)
+    return SiftingSequence(traces, mult)
 
 
 def A_q(seq: SiftingSequence, q: int) -> int:
@@ -255,14 +239,9 @@ def _squarefree_trace(t: int) -> bool:
 
 
 def squarefree_census(seq: SiftingSequence) -> int:
-    """Total multiplicity of the square-free values t^2 - 4, t = isqrt(v + 4).  The
-    largest odd t asks for its primes first, so a table past the cap fails before any test.
-    Raises ValueError, naming the first value v, if some v + 4 is not a perfect square."""
-    values = seq.value.tolist()
-    traces = [isqrt(max(v + 4, 0)) for v in values]
-    bad = next((v for v, t in zip(values, traces) if t * t != v + 4), None)
-    if bad is not None:
-        raise ValueError(f"value {bad} is not t^2 - 4 for an integer t")
+    """Total multiplicity of the square-free values t^2 - 4.  The largest odd t
+    asks for its primes first, so a table past the cap fails before any test."""
+    traces = seq.trace.tolist()
     primes_up_to(iroot(max((t for t in traces if t % 2), default=0) + 2, 3))
     return sum(m for t, m in zip(traces, seq.mult.tolist()) if _squarefree_trace(t))
 

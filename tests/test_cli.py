@@ -797,8 +797,11 @@ def test_random_argument_vectors_keep_the_exit_code_contract(tmp_path, monkeypat
 # a Pi that takes about 2 s to build and sift
 PI_OVER_CAP = ["--alphabet", "2", "--xi-bound", "3000", "--omega-bound", "1000",
                "--aleph-bound", "1e6"]
-# caps (exit 3) and the sieve flags' lower bounds (exit 2) checked before any
-# work: the patched library functions (in cli unless a module is named) must never run
+# Xi and Omega one slice of 644,206 words, about 1 s and 100 MB to walk
+PI_WIDE_SLICES = ["--alphabet", "2", "--xi-bound", "1e6", "--omega-bound", "1e6"]
+# caps (exit 3), the sieve flags' lower bounds and Aleph's refusals (exit 2)
+# checked before any work: the patched library functions (in cli unless a
+# module is named) must never run
 CAPPED_INPUTS = [
     (["densities", "--modulus", "2000000"], "modular.primes_up_to", 3),
     (["expsum", "--prime", "10007", "--samples", "1"], "kloosterman", 3),
@@ -808,6 +811,15 @@ CAPPED_INPUTS = [
     (["almost-prime", "--use-pi", *PI_OVER_CAP, "--threshold", "10000000000"], "sift_values", 3),
     (["sieve-remainders", "--use-pi", *PI_OVER_CAP, "--cutoff", "1"], "sift_values", 2),
     (["almost-prime", "--use-pi", *PI_OVER_CAP, "--threshold", "1"], "sift_values", 2),
+    (["build-pi", *PI_WIDE_SLICES, "--aleph-bound", "3"], "build_fixed_length_ball", 2),
+    (["build-pi", *PI_WIDE_SLICES, "--aleph-bound", "1e6", "--modulus", "7"],
+     "build_fixed_length_ball", 2),
+    (["sieve-remainders", "--use-pi", *PI_WIDE_SLICES, "--aleph-bound", "1e6", "--modulus", "7"],
+     "build_fixed_length_ball", 2),
+    (["build-pi", *PI_WIDE_SLICES, "--aleph-bound", "1e6", "--modulus", "4"],
+     "build_fixed_length_ball", 2),
+    (["build-pi", *PI_WIDE_SLICES, "--aleph-bound", "1e6", "--modulus", "10000000000000061"],
+     "build_fixed_length_ball", 3),
 ]
 
 
@@ -861,6 +873,7 @@ _PI_MODULUS_1 = ["build-pi", "--xi-bound", "40", "--aleph-bound", "1e6", "--omeg
 # 163 words), whose traces come in 10 shards, 749,284 of them distinct
 _PI_SIFT = ["sieve-remainders", "--use-pi", "--alphabet", "2", "--xi-bound", "4000",
             "--omega-bound", "250", "--aleph-bound", "1000000", "--cutoff", "1000"]
+_DENSITIES_AT_CAP = ["densities", "--modulus", "1000000"]
 
 # dimension at the edge of its 10^7-cylinder budget, and the benchmark's
 # dimension step.  Each run holds no level of lengths, so in a fresh process
@@ -888,6 +901,10 @@ BUDGET_EDGE_INPUTS = [
     # its merge of sorted runs: about 0.7-1 s and 31 MB of VmHWM growth (67-71
     # MB while each merge sorted the runs it held)
     _PI_SIFT,
+    # 607,926 rows handed to the writer one at a time: 1.6-2.4 s and about
+    # 96 MB of VmHWM growth, most of it the four columns as lists (183 MB and
+    # 2.1-3.1 s while the rows were held as one list)
+    _DENSITIES_AT_CAP,
 ]
 # the sift of that Pi, of 833,810,516 elements, is over its cap once Pi is built
 _SIFT_OVER_CAP = ["sieve-remainders", "--use-pi", *_PI_MODULUS_1[1:]]
@@ -898,8 +915,10 @@ _GROWTH_MB = {
     " ".join(_PI_MODULUS_1): 384.0,
     " ".join(_SIFT_OVER_CAP): 384.0,
     " ".join(_PI_SIFT): 48.0,
+    " ".join(_DENSITIES_AT_CAP): 128.0,
 }
-_SECONDS = {" ".join(_PI_MODULUS_1): 6.0, " ".join(_SIFT_OVER_CAP): 6.0}
+_SECONDS = {" ".join(_PI_MODULUS_1): 6.0, " ".join(_SIFT_OVER_CAP): 6.0,
+            " ".join(_DENSITIES_AT_CAP): 6.0}
 
 _MEASURED_MAIN = """
 import json, sys, time
@@ -986,7 +1005,6 @@ def test_huge_balls_exit_3_at_the_element_cap(tmp_path, monkeypatch):
     # call time; the word walk that meets the cap reads no row of its ball
     import thinsieve.semigroup as semigroup
 
-    slices = [len(semigroup.build_fixed_length_ball(2, bound)) for bound in (40, 12)]
     read, handed = semigroup._words, []
 
     def watched(blocks, top):
@@ -1002,9 +1020,9 @@ def test_huge_balls_exit_3_at_the_element_cap(tmp_path, monkeypatch):
                  ["build-pi", "--xi-bound", 40, "--aleph-bound", 1e100, "--omega-bound", 12]):
         handed.append([])
         assert run(argv) == 3
-    # rows handed to _words, by run: build-pi reads its slices Xi and Omega
-    # before aleph, and no run reads a row of aleph's ball
-    assert handed == [[], [], slices]
+    # rows handed to _words, by run: build-pi meets the cap in aleph before
+    # its slices Xi and Omega are walked, and no run reads a row of any ball
+    assert handed == [[], [], []]
 
 
 def test_count_only_walks_exit_3_at_the_node_cap(tmp_path, monkeypatch, capsys):

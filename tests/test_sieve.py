@@ -42,10 +42,16 @@ from thinsieve.sieve import (
 from test_modular import sl2_enumerate  # the CRT-product oracle of SL2(Z/q)
 
 
+def _tallied(traces):
+    """The sifting multiset of some traces, handed over as Python ints: the
+    constructor chooses their dtype."""
+    traces, mult = zip(*sorted(Counter(traces).items()))
+    return SiftingSequence(np.array(traces, dtype=object), np.array(mult, dtype=np.int64))
+
+
 def _sift_words(words):
     """The sifting multiset of explicit words, from their trace tally."""
-    tally = sorted(Counter(word_to_matrix(w).trace for w in words).items())
-    return SiftingSequence.from_traces(*(np.array(column) for column in zip(*tally)))
+    return _tallied(word_to_matrix(w).trace for w in words)
 
 
 def test_sift_values_examples():
@@ -83,10 +89,6 @@ def test_ball_sources_equal_what_iter_ball_gives(alphabet, norm):
     assert squarefree_trace_census(alphabet, norm) == sum(
         m for t, m in traces.items() if _squarefree_trace(t)
     )
-
-
-def test_from_values_keeps_a_value_no_trace_gives():
-    assert SiftingSequence.from_values([-10]).values == ((-10, 1),)
 
 
 def test_sift_values_bilinear_streams_factorwise():
@@ -127,7 +129,8 @@ def test_A_q_examples():
 
 
 def test_A_q_inclusion_structure():
-    seq = SiftingSequence.from_values([30, 30, 42, 35, 6, 11])
+    # values 5, 12, 12, 21, 32 and 60: by 2 alone, 3 alone, both, or neither
+    seq = _tallied([3, 4, 4, 5, 6, 8])
     assert A_q(seq, 6) <= min(A_q(seq, 2), A_q(seq, 3))
     # coprime moduli: divisible by both <=> divisible by the product
     count_both = sum(m for v, m in seq.values if v % 2 == 0 and v % 3 == 0)
@@ -174,11 +177,11 @@ def test_remainder_calibration_uniform_sl2_draws():
     rng = random.Random(0)
 
     def deviation(size):
-        values = []
+        traces = []
         for _ in range(size):
             g = elements[rng.randrange(len(elements))]
-            values.append((g.a + g.d) ** 2 - 4 + q)  # keep values positive
-        seq = SiftingSequence.from_values(values)
+            traces.append((g.a + g.d) % q)  # t^2 - 4 mod q is the draw's
+        seq = _tallied(traces)
         r = A_q(seq, q) - beta(q) * size
         return abs(float(r)) / size
 
@@ -328,7 +331,7 @@ def test_remainder_profile_counts_zero_values_at_every_q():
 
 
 def test_remainder_profile_checks_the_density_cap_first():
-    seq = SiftingSequence.from_values([5])
+    seq = _tallied([3])
     with pytest.raises(CapExceededError, match="exceeds cap"):
         remainder_profile(seq, DENSITY_MODULUS_CAP + 2)  # q = 1000001 = 101 * 9901
 
@@ -377,12 +380,12 @@ def test_remainder_profile_leaves_no_cycle_holding_the_sequence():
 
 
 @given(
-    st.lists(st.integers(-10**6, 10**30), min_size=1, max_size=40),
+    st.lists(st.one_of(st.integers(0, 1000), st.integers(0, 10**15)), min_size=1, max_size=40),
     st.integers(2, 2000),
 )
-def test_almost_prime_census_equals_trial_division(values, z):
-    # values below 2 never count, whatever their gcd
-    seq = SiftingSequence.from_values([-3, 0, 1, 2, *values])
+def test_almost_prime_census_equals_trial_division(traces, z):
+    # values below 2 never count, whatever their gcd: traces 0, 1 and 2 give -4, -3 and 0
+    seq = _tallied([0, 1, 2, *traces])
     assert almost_prime_census(seq, z) == _almost_prime_census_by_trial(seq, z)
 
 
@@ -391,8 +394,7 @@ def test_almost_prime_census_on_pi_equals_trial_division():
         assert almost_prime_census(_PI_SEQ, z) == _almost_prime_census_by_trial(_PI_SEQ, z)
 
 
-# the census reads each distinct value's trace back as isqrt(v + 4); the oracle
-# tests every member's own trace
+# the census tests each distinct trace once; the oracle tests every member's own trace
 @pytest.mark.parametrize("source, dtype, traces", [
     (_PI, np.int64, _PI.iter_traces),
     (BallSource(3, 1000), np.int64, lambda: (e.trace for e in enumerate_ball(3, 1000))),
@@ -404,53 +406,46 @@ def test_squarefree_census_equals_the_per_member_oracle(source, dtype, traces):
     assert squarefree_census(seq) == sum(map(_squarefree_trace, traces()))
 
 
-# 7 + 4 = 11 is no square (isqrt would read 3 as its trace), and -10 + 4 < 0
-@pytest.mark.parametrize("values, bad", [([7], 7), ([-10], -10), ([-3, 5, 7, 12], 7)])
-def test_squarefree_census_refuses_a_value_that_is_no_t_squared_minus_4(values, bad):
-    with pytest.raises(ValueError, match=f"^value {bad} is not t"):
-        squarefree_census(SiftingSequence.from_values(values))
-
-
 def test_remainder_profile_on_zero_and_negative_values():
-    seq = SiftingSequence.from_values([0, 0, -30, -7, -4, 35, 6])
+    # traces 2, 2, 0, 1, 37, 4 and 8: values 0, 0, -4, -3, 1365 = 3 5 7 13, 12 and 60
+    seq = _tallied([2, 2, 0, 1, 37, 4, 8])
     profile = remainder_profile(seq, 100)
     assert profile == _remainder_profile_by_scan(seq, 100)
     counts = {row.q: row.count for row in profile.rows}
-    assert (counts[1], counts[2], counts[3], counts[5], counts[7]) == (7, 5, 4, 4, 4)
+    assert (counts[1], counts[2], counts[3], counts[5], counts[7]) == (7, 5, 6, 4, 3)
     assert (counts[30], counts[35], counts[97]) == (3, 3, 2)  # 0 counts at every q
     assert A_q(seq, 35) == 3 and A_q(seq, 1) == 7
-    assert almost_prime_census(seq, 2) == 1  # 35; negative values and 0 never count
+    assert almost_prime_census(seq, 2) == 1  # 1365; negative values and 0 never count
     assert almost_prime_census(seq, 5) == 0
 
 
 def test_values_are_int64_in_their_window_and_python_ints_outside():
-    # int64 holds [-2^62, 2^63): there value // p * p cannot overflow
-    seq = SiftingSequence.from_values([-(2**62), 0, 2**62, 2**63 - 1])
-    assert seq.value.dtype == np.int64 and seq.mult.dtype == np.int64
-    for edge in (2**63, -(2**62) - 1):
-        seq = SiftingSequence.from_values([edge, 5])
-        assert seq.value.dtype == object
-        assert seq.values == tuple(sorted([(edge, 1), (5, 1)]))
-    # traces square exactly in int64 while |t| <= isqrt(2^63 + 3) = 3037000499
+    # t^2 - 4 lies in [-4, 2^63), where value // p * p cannot overflow int64,
+    # while t <= isqrt(2^63 + 3) = 3037000499
     top = 3037000499
-    seq = SiftingSequence.from_traces(np.array([2**31, top]), np.array([1, 2]))
-    assert seq.value.dtype == np.int64 and seq.values == ((2**62 - 4, 1), (top * top - 4, 2))
-    seq = SiftingSequence.from_traces(np.array([top + 1]), np.array([1]))
-    assert seq.value.dtype == object and seq.values == (((top + 1) ** 2 - 4, 1),)
+    for dtype in (np.int64, object):
+        seq = SiftingSequence(np.array([0, 1, 2, 2**31, top], dtype=dtype), np.array([1] * 4 + [2]))
+        assert seq.trace.dtype == seq.value.dtype == seq.mult.dtype == np.int64
+        assert seq.values == ((-4, 1), (-3, 1), (0, 1), (2**62 - 4, 1), (top * top - 4, 2))
+    for traces in (np.array([top + 1]), np.array([3, 2**70])):
+        seq = SiftingSequence(traces, np.array([1] * len(traces)))
+        assert seq.trace.dtype == seq.value.dtype == object
+        assert seq.values == tuple((t * t - 4, 1) for t in traces.tolist())
 
 
-def test_traces_t_and_minus_t_give_one_value():
-    seq = SiftingSequence.from_traces(np.array([-4, 3, 4]), np.array([1, 2, 5]))
-    assert seq.values == ((5, 2), (12, 6)) and seq.source_size == 8
+@pytest.mark.parametrize("traces", [[-3, 5], [5, 3], [3, 3]])
+def test_sifting_sequence_refuses_traces_not_distinct_ascending_and_nonnegative(traces):
+    with pytest.raises(ValueError, match="^traces must be distinct, ascending and >= 0$"):
+        SiftingSequence(np.array(traces), np.array([1, 1]))
 
 
-# traces of either sign, some past the int64 window of t^2 - 4
-@given(st.dictionaries(st.one_of(st.integers(-60, 60), st.integers(-(2**40), 2**40)),
+# nonnegative traces, some past the int64 window of t^2 - 4
+@given(st.dictionaries(st.one_of(st.integers(0, 60), st.integers(0, 2**40)),
                        st.integers(1, 5), min_size=1, max_size=30))
 @settings(max_examples=80)
 def test_from_traces_of_either_sign_is_the_counter_of_their_values(tally):
     traces = sorted(tally)
-    seq = SiftingSequence.from_traces(np.array(traces), np.array([tally[t] for t in traces]))
+    seq = SiftingSequence(np.array(traces), np.array([tally[t] for t in traces]))
     expected = Counter()
     for t, m in tally.items():
         expected[t * t - 4] += m
@@ -460,40 +455,43 @@ def test_from_traces_of_either_sign_is_the_counter_of_their_values(tally):
 
 def test_from_traces_leaves_the_callers_arrays_writable():
     traces, mult = np.array([3, 4]), np.array([2, 5])
-    seq = SiftingSequence.from_traces(traces, mult)
+    seq = SiftingSequence(traces, mult)
     traces[0], mult[0] = 7, 9  # no error
     assert seq.values == ((5, 9), (12, 5))  # mult is shared as a read-only view
     with pytest.raises(ValueError, match="read-only"):
         seq.mult[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        seq.trace[0] = 0
 
 
 def test_sifting_sequences_compare_and_hash_by_content():
-    a = SiftingSequence.from_values([30, 42, 30])
-    b = SiftingSequence.from_values([42, 30, 30])
+    a = _tallied([3, 4, 3])
+    b = SiftingSequence(np.array([3, 4]), np.array([2, 1]))
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
-    assert a != SiftingSequence.from_values([30, 42, 42])
+    assert a != _tallied([3, 4, 4]) and a != _tallied([3, 5, 3])
     assert a != a.values
     with pytest.raises(ValueError, match="read-only"):
         a.value[0] = 0
 
 
-# values near and past -2^62 and 2^63, many with small prime factors, of either sign
-_wide_values = st.lists(
+# traces k m +- 2, whose t^2 - 4 = k m (k m +- 4) has the primes of m, around
+# and past 3037000499, the largest trace whose value is int64
+_wide_traces = st.lists(
     st.builds(
-        lambda sign, k, m: sign * k * m,
-        st.sampled_from([1, -1]),
-        st.one_of(st.integers(0, 50), st.integers(2**45, 2**64), st.integers(2**62, 2**200)),
+        lambda k, m, shift: max(k * m + shift, 0),
+        st.one_of(st.integers(0, 50), st.integers(2**12, 2**33), st.integers(2**31, 2**100)),
         st.sampled_from([1, 6, 30, 210, 2310, 30030, 510510]),
+        st.sampled_from([2, -2]),
     ),
     min_size=1,
     max_size=30,
 )
 
 
-@given(_wide_values, st.integers(2, 400))
+@given(_wide_traces, st.integers(2, 400))
 @settings(max_examples=80)
-def test_ledger_A_q_and_census_equal_the_oracles_at_the_int64_edges(values, cutoff):
-    seq = SiftingSequence.from_values(values)
+def test_ledger_A_q_and_census_equal_the_oracles_at_the_int64_edges(traces, cutoff):
+    seq = _tallied(traces)
     assert remainder_profile(seq, cutoff) == _remainder_profile_by_scan(seq, cutoff)
     for q in (1, 6, 30, 2310, cutoff if is_squarefree(cutoff) else 1):
         assert A_q(seq, q) == sum(m for v, m in seq.values if v % q == 0)
